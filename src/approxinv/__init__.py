@@ -46,6 +46,6 @@ def standard_models(circle_samples: int = 512, grid_points: int = 201,
         c0.c0_model(c0.GridSpace(10.0, grid_points, 1e-6)),
         disk.disk_model(),
         operators.matrix_model(matrix_size),
-        operators.schatten_model(matrix_size, 1.0),
-        operators.schatten_model(matrix_size, 2.0),
+        operators.matrix_model(matrix_size, 1.0),
+        operators.matrix_model(matrix_size, 2.0),
     ]

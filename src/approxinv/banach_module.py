@@ -23,13 +23,11 @@ from .core import (
     TraceEntry,
     resolve_schedule,
 )
-from .errors import DivisionFloorError
 from .wiener import (
     CircleGrid,
     CircleSignal,
-    band_nonvanishing,
+    band_division,
     convolve,
-    default_floor,
     fejer_kernel,
     l1_norm,
     lp_norm,
@@ -93,22 +91,14 @@ def density_residual(
 
     The candidate y with yhat(k) = that(k)/fhat(k) on |k| < n (zero beyond)
     matches the target exactly inside the band, so the residual is the
-    p-norm of the spectral tail.  Raises the division-floor error of
-    :func:`wiener_division` when f vanishes in band.
+    p-norm of the spectral tail.  Raises the order, aliasing and
+    division-floor errors of :func:`band_division`.
     """
     M = f.grid_size
     if target.grid_size != M:
         raise ValueError("signal and target live on different grids")
-    ks = np.fft.fftfreq(M, 1.0 / M).astype(int)
-    band = np.abs(ks) < n
-    if floor is None:
-        floor = default_floor(f)
-    bad = band_nonvanishing(f, n, floor)
-    if bad is not None:
-        raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
-    y_coeffs = np.zeros(M, dtype=complex)
-    y_coeffs[band] = target.signal.coeffs[band] / f.coeffs[band]
-    reached = convolve(f, CircleSignal(y_coeffs))
+    y = band_division(f, lambda ks: target.signal.coeffs[ks % M], n, floor)
+    reached = convolve(f, y)
     return module_norm(ModuleSignal(target.signal - reached, target.p))
 
 

@@ -316,7 +316,7 @@ def check_approx_invertible(
     (e.g. a rank or non-vanishing check); without a refuter a failed trace
     only yields ``inconclusive``.
     """
-    if _checked_norm(model, x) <= tol:
+    if _checked_norm(model, x) == 0.0:
         raise ValueError("zero element cannot be approximately invertible")
 
     if refuter is not None:

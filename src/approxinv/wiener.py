@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -291,17 +291,41 @@ def band_nonvanishing(
     to clear the floor on the band |k| < n, or None when all clear."""
     if floor is None:
         floor = default_floor(f)
-    for k in _band_order(n):
-        if abs(f.coeff(k)) <= floor:
-            return k
-    return None
+    ks = np.arange(1, n)
+    order = np.concatenate(([0], np.column_stack((ks, -ks)).ravel()))
+    bad = np.flatnonzero(np.abs(f.coeffs[order % f.grid_size]) <= floor)
+    return int(order[bad[0]]) if bad.size else None
 
 
-def _band_order(n: int) -> list[int]:
-    order = [0]
-    for k in range(1, n):
-        order.extend((k, -k))
-    return order
+def band_division(
+    f: CircleSignal,
+    numerator: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    floor: Optional[float] = None,
+) -> CircleSignal:
+    """The signal with coefficients numerator(k) / fhat(k) on the band
+    |k| < n and zero beyond; ``numerator`` maps an array of signed band
+    frequencies to their numerator coefficients.
+
+    Raises ``ValueError`` for n < 1, :class:`AliasingError` for n >= M/2 and
+    :class:`DivisionFloorError` at the first band frequency whose
+    coefficient does not clear the floor.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    M = f.grid_size
+    if n >= M // 2:
+        raise AliasingError(f"order n={n} would alias on M={M} samples")
+    if floor is None:
+        floor = default_floor(f)
+    bad = band_nonvanishing(f, n, floor)
+    if bad is not None:
+        raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
+    ks = np.fft.fftfreq(M, 1.0 / M).astype(int)
+    band = np.abs(ks) < n
+    coeffs = np.zeros(M, dtype=complex)
+    coeffs[band] = numerator(ks[band]) / f.coeffs[band]
+    return CircleSignal(coeffs)
 
 
 def wiener_division(
@@ -315,22 +339,7 @@ def wiener_division(
     :class:`DivisionFloorError` at the first band frequency whose coefficient
     does not clear the floor, refuting the non-vanishing hypothesis there.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    M = f.grid_size
-    if n >= M // 2:
-        raise AliasingError(f"order n={n} would alias on M={M} samples")
-    if floor is None:
-        floor = default_floor(f)
-    bad = band_nonvanishing(f, n, floor)
-    if bad is not None:
-        raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
-    ks = np.fft.fftfreq(M, 1.0 / M).astype(int)
-    tri = np.maximum(0.0, 1.0 - np.abs(ks) / n)
-    coeffs = np.zeros(M, dtype=complex)
-    band = np.abs(ks) < n
-    coeffs[band] = tri[band] / f.coeffs[band]
-    return CircleSignal(coeffs)
+    return band_division(f, lambda ks: 1.0 - np.abs(ks) / n, n, floor)
 
 
 def wiener_division_net(

@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the production code paths: convolution
 is the quadratic direct sum, Fourier coefficients are explicit quadrature
-sums, kernel values come from the closed trigonometric form, and singular
-values are extracted through the characteristic polynomial.
+sums, kernel values come from the closed trigonometric form, singular
+values are extracted through the characteristic polynomial, and full
+singular systems come from :func:`jacobi_svd`, a pure-Python one-sided
+Jacobi sweep that serves as the independent reference for the LAPACK route
+of ``approxinv.operators.svd``.
 """
 
 import numpy as np
@@ -73,3 +76,69 @@ def kernel_tail_p2(band: dict[int, complex], n: int) -> float:
             )
         )
     )
+
+
+def jacobi_svd(
+    a: np.ndarray, tol: float = 1e-12, max_sweeps: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-sided Jacobi singular value decomposition.
+
+    Columns of a working copy are orthogonalized pairwise by complex
+    rotations until every pair is orthogonal to ``tol`` relative to the
+    column norms; values come out as the final column norms.  Returns
+    ``(values, outputs, inputs)`` with non-increasing values and
+    ``a @ inputs = outputs * values``.  Deterministic for a given input.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    g = a.copy()
+    v = np.eye(n, dtype=complex)
+    if max_sweeps is None:
+        max_sweeps = 100 * n * n
+    converged = n < 2
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                gp = g[:, p]
+                gq = g[:, q]
+                app = np.vdot(gp, gp).real
+                aqq = np.vdot(gq, gq).real
+                apq = np.vdot(gp, gq)
+                if app * aqq == 0.0 or abs(apq) <= tol * np.sqrt(app * aqq):
+                    continue
+                off = max(off, abs(apq) / np.sqrt(app * aqq))
+                tau = (aqq - app) / (2.0 * abs(apq))
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                phase = apq / abs(apq)
+                rp = c * gp - s * np.conj(phase) * gq
+                rq = s * phase * gp + c * gq
+                g[:, p] = rp
+                g[:, q] = rq
+                rp = c * v[:, p] - s * np.conj(phase) * v[:, q]
+                rq = s * phase * v[:, p] + c * v[:, q]
+                v[:, p] = rp
+                v[:, q] = rq
+        if off <= tol:
+            converged = True
+            break
+    if not converged:
+        raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+    lam = np.linalg.norm(g, axis=0)
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    g = g[:, order]
+    v = v[:, order]
+    u = np.zeros_like(g)
+    rank = int(np.sum(lam > 0))
+    if rank:
+        u[:, :rank] = g[:, :rank] / lam[:rank]
+    if rank < n:  # complete the output system to an orthonormal basis
+        q_full, _ = np.linalg.qr(np.hstack([u[:, :rank], np.eye(n)]))
+        u[:, rank:] = q_full[:, rank:n]
+    return lam, u, v

@@ -3,7 +3,7 @@ import pytest
 
 from approxinv import banach_module as bm
 from approxinv import wiener
-from approxinv.errors import DivisionFloorError
+from approxinv.errors import AliasingError, DivisionFloorError
 
 from .oracles import kernel_tail_p2
 
@@ -113,6 +113,18 @@ def test_density_residual_raises_on_vanishing_band(grid512):
     with pytest.raises(DivisionFloorError) as err:
         bm.density_residual(monomial, target, 4)
     assert err.value.frequency == 0
+
+
+@pytest.mark.parametrize("n, error", [(256, AliasingError), (0, ValueError)])
+def test_density_residual_rejects_bad_order(grid512, n, error):
+    # the same order checks as wiener_division: the band must be non-empty
+    # and stay below M/2
+    f = wiener.poisson_kernel(grid512, 0.5)
+    target = bm.ModuleSignal(wiener.constant_signal(grid512), 2.0)
+    with pytest.raises(error):
+        bm.density_residual(f, target, n)
+    with pytest.raises(error):
+        wiener.wiener_division(f, n)
 
 
 def test_noiseless_deconvolution_matches_kernel_error(grid4096, rng):

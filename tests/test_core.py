@@ -241,6 +241,17 @@ def test_zero_element_rejected(matrix8):
         )
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_verdict_invariant_under_positive_scaling(c, grid512):
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    cert = operators.certify_operator(c * t, [np.eye(8, dtype=complex)])
+    assert cert.verdict == "certified-two-sided"
+    f = wiener.poisson_kernel(grid512, 0.3)
+    cert = wiener.product_invertibility_check(c * f, f, 16)
+    assert cert.verdict == "certified-two-sided"
+
+
 def test_singular_matrix_refuted():
     model = operators.matrix_model(2)
     x = np.diag([1.0, 0.0]).astype(complex)

@@ -5,7 +5,7 @@ from approxinv import operators
 from approxinv.core import check_approximate_identity
 from approxinv.errors import RankDeficientError
 
-from .oracles import charpoly_singular_values
+from .oracles import charpoly_singular_values, jacobi_svd
 
 
 def _random_operator(n, rng, scale=1.0):
@@ -61,12 +61,21 @@ def test_svd_against_charpoly_oracle(rng):
             assert np.abs(mine - oracle).max() <= 1e-6
 
 
-def test_svd_against_lapack(rng):
+def test_svd_against_jacobi_oracle(rng):
     for _ in range(20):
         a = _random_operator(int(rng.integers(2, 17)), rng)
-        assert np.abs(
-            operators.svd(a).values - np.linalg.svd(a, compute_uv=False)
-        ).max() <= 1e-9
+        system = operators.svd(a)
+        values, outputs, inputs = jacobi_svd(a)
+        assert np.abs(system.values - values).max() <= 1e-9
+        for vals, outs, ins in (
+            (system.values, system.outputs, system.inputs),
+            (values, outputs, inputs),
+        ):
+            assert np.abs(a @ ins - outs * vals).max() <= 1e-9
+        # generic values are simple, so each output direction is unique up
+        # to a phase
+        overlaps = np.abs(np.sum(system.outputs.conj() * outputs, axis=0))
+        assert np.abs(overlaps - 1.0).max() <= 1e-9
 
 
 def test_approximation_numbers():
@@ -132,7 +141,7 @@ def test_schatten_two_matches_frobenius(rng):
 def test_schatten_agrees_with_jacobi_values(rng):
     for _ in range(20):
         a = _random_operator(8, rng)
-        jac = operators.svd(a).values
+        jac = jacobi_svd(a)[0]
         for p in (1.0, 2.0):
             assert operators.schatten_norm(a, p) == pytest.approx(
                 float(np.sum(jac**p) ** (1 / p)), rel=1e-9
@@ -150,7 +159,7 @@ def test_projection_family_shapes():
 
 def test_projection_family_identity_in_trace_norm(rng):
     n = 8
-    model = operators.schatten_model(n, 1.0)
+    model = operators.matrix_model(n, 1.0)
     basis, _ = np.linalg.qr(_random_operator(n, rng))
     family = operators.projection_family(basis)
     tests = [model.sample(rng) for _ in range(20)]
@@ -200,7 +209,7 @@ def test_strong_convergence_bound_violation(rng):
 
 def test_strong_convergence_matches_ideal_verdict(rng):
     n = 6
-    model = operators.schatten_model(n, 1.0)
+    model = operators.matrix_model(n, 1.0)
     vectors = [v for v in np.eye(n, dtype=complex)]
     for trial in range(10):
         basis, _ = np.linalg.qr(_random_operator(n, rng))
@@ -257,6 +266,17 @@ def test_right_inverse_net_refuses_singular():
     with pytest.raises(RankDeficientError) as err:
         operators.right_inverse_net(t)
     assert err.value.index == 2
+
+
+def test_matrix_model_names_and_norms(rng):
+    a = _random_operator(8, rng)
+    op = operators.matrix_model(8)
+    assert op.name == "matrices-8-op"
+    assert op.norm(a) == operators.op_norm(a)
+    for p in (1.0, 2.0):
+        model = operators.matrix_model(8, p)
+        assert model.name == f"matrices-8-schatten-{p}"
+        assert model.norm(a) == operators.schatten_norm(a, p)
 
 
 def test_certify_operator_verdicts(rng):
