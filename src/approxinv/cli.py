@@ -70,6 +70,11 @@ def _format_float(x: float) -> str:
     return f"{x:.12e}"
 
 
+#: Highest witness frequency of the ``tdz`` scenario; a witness needs a
+#: frequency below circle_samples/2.
+TDZ_MAX_FREQUENCY = 64
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a scenario needs: model sizes, net schedule, tolerances,
@@ -121,6 +126,25 @@ class ScenarioConfig:
             b <= a for a, b in zip(self.schedule, self.schedule[1:])
         ):
             raise ConfigError("net schedule must be strictly increasing and positive")
+        if self.circle_samples // 2 <= TDZ_MAX_FREQUENCY:
+            raise ConfigError(
+                f"circle_samples must exceed {2 * TDZ_MAX_FREQUENCY}: tdz "
+                f"evaluates witness frequencies up to {TDZ_MAX_FREQUENCY}"
+            )
+        if max(self.schedule) >= self.circle_samples // 2:
+            raise ConfigError(
+                f"net schedule order {max(self.schedule)} would alias on "
+                f"circle_samples = {self.circle_samples}; orders must stay "
+                f"below circle_samples/2"
+            )
+        if self.disk_angles < 1024:
+            raise ConfigError("disk_angles must be at least 1024")
+        if 2 * self.disk_degree >= self.disk_angles:
+            raise ConfigError("disk_degree must stay below disk_angles/2")
+        # c0's centered window family keeps a 2-cell ramp on each side of
+        # the center cell
+        if self.grid_points < 5:
+            raise ConfigError("grid_points must be at least 5")
         for name, value in (
             ("identity_tol", self.identity_tol),
             ("exact_tol", self.exact_tol),

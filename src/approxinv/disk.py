@@ -7,6 +7,15 @@ bounds of the true sups, which is the safe direction for this model's role:
 its headline facts are lower bounds (no element net can approach the
 generating monomial closer than 1/3), verified here by a seeded randomized
 search with per-coordinate golden-section refinement.
+
+The annulus search screens its random starts on the two boundary circles of
+the annulus only: p - 1 is analytic, so by the maximum modulus principle its
+modulus peaks there, and on these samplings the boundary maximum equals the
+maximum over every sampled radius.  The value it reports is still taken over
+the full sampled annulus.  Refinement moves one real coordinate at a time;
+the residual is affine in each coefficient (a product is linear in each
+factor), so every golden-section probe is a rank-1 update of one residual
+vector rather than a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -45,6 +54,12 @@ class CircleSampling:
     @cached_property
     def annulus(self) -> np.ndarray:
         return (np.asarray(self.radii)[:, None] * self.circle[None, :]).ravel()
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        """The annulus points on its innermost and outermost circles."""
+        rings = self.annulus.reshape(len(self.radii), self.angles)
+        return rings[[int(np.argmin(self.radii)), int(np.argmax(self.radii))]].ravel()
 
 
 def validate_a0(p: np.ndarray) -> np.ndarray:
@@ -139,25 +154,54 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 24) -> float:
     return (a + b) / 2.0
 
 
-def _refine_coordinates(objective, x: np.ndarray, passes: int = 3, span: float = 2.2) -> np.ndarray:
-    """Per-coordinate golden-section refinement, sweeping the real and
-    imaginary axis of every coefficient once per pass.  The span covers the
-    whole sampling disk so a coordinate can travel to any admissible value."""
+def _refine_coordinates(
+    residual, direction, x: np.ndarray, passes: int = 3, span: float = 2.2
+) -> np.ndarray:
+    """Per-coordinate golden-section refinement of max|residual(x)|, sweeping
+    the real and imaginary axis of every coefficient once per pass.  The
+    residual must be affine in each coordinate with slope ``direction(x, i)``,
+    so a probe at offset t is max|r0 + t * axis * direction(x, i)| with r0
+    evaluated once per axis.  The span covers the whole sampling disk so a
+    coordinate can travel to any admissible value."""
     x = x.copy()
     for _ in range(passes):
         for i in range(x.shape[0]):
+            slope = direction(x, i)
             for axis in (1.0, 1j):
-                base = x[i]
+                r0 = residual(x)
+                step = axis * slope
 
-                def fn(offset, i=i, axis=axis, base=base):
-                    x[i] = base + axis * offset
-                    return objective(x)
+                def fn(offset, r0=r0, step=step):
+                    return float(np.abs(r0 + offset * step).max())
 
                 best = _golden_min(fn, -span, span)
                 if fn(best) > fn(0.0):  # golden section assumes unimodality
                     best = 0.0
-                x[i] = base + axis * best
+                x[i] = x[i] + axis * best
     return x
+
+
+def _annulus_residual(powers: np.ndarray):
+    """p - 1 at the points whose powers z^1..z^degree are the rows of
+    ``powers``, and its slope in coefficient k (the row z^(k+1))."""
+    return (lambda c: c @ powers - 1.0), (lambda c, k: powers[k])
+
+
+def _product_residual(powers: np.ndarray, target: np.ndarray, degree: int):
+    """f1 f2 - z at the points whose powers z^0..z^(2 degree) are the rows of
+    ``powers`` (x holds the coefficients of f1, then of f2), and its slope
+    in coefficient k: z^j times the other factor, for the z^j coefficient."""
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        full1 = np.concatenate([[0.0], x[:degree]])
+        full2 = np.concatenate([[0.0], x[degree:]])
+        return np.convolve(full1, full2) @ powers - target
+
+    def direction(x: np.ndarray, k: int) -> np.ndarray:
+        j, other = (k + 1, x[degree:]) if k < degree else (k - degree + 1, x[:degree])
+        return powers[j] * (other @ powers[1 : degree + 1])
+
+    return residual, direction
 
 
 def minimize_annulus_deviation(
@@ -177,12 +221,9 @@ def minimize_annulus_deviation(
     points = sampling.annulus
     powers = np.stack([points**k for k in range(1, degree + 1)])  # (deg, P)
     coarse = powers[:, :: max(1, points.shape[0] // 4096)]
-
-    def objective(c: np.ndarray) -> float:
-        return float(np.abs(c @ powers - 1.0).max())
-
-    def surrogate(c: np.ndarray) -> float:
-        return float(np.abs(c @ coarse - 1.0).max())
+    rim = np.stack([sampling.boundary**k for k in range(1, degree + 1)])
+    official, _ = _annulus_residual(powers)
+    residual, direction = _annulus_residual(coarse)
 
     best_vals: list[float] = []
     best_args: list[np.ndarray] = []
@@ -191,7 +232,7 @@ def minimize_annulus_deviation(
         m = min(batch, remaining)
         remaining -= m
         cands = _coeff_matrix(rng, m, degree)
-        vals = np.abs(cands @ powers - 1.0).max(axis=1)
+        vals = np.abs(cands @ rim - 1.0).max(axis=1)  # maximum modulus
         order = np.argsort(vals)[: refine_top]
         best_vals.extend(vals[order].tolist())
         best_args.extend(cands[order])
@@ -199,8 +240,8 @@ def minimize_annulus_deviation(
     winner_val = float("inf")
     winner = None
     for i in top:
-        refined = _refine_coordinates(surrogate, best_args[i], passes)
-        val = objective(refined)  # report on the official sampling
+        refined = _refine_coordinates(residual, direction, best_args[i], passes)
+        val = float(np.abs(official(refined)).max())  # report on the official sampling
         if val < winner_val:
             winner_val, winner = val, refined
     return SearchResult(winner_val, (np.concatenate([[0.0], winner]),), starts)
@@ -223,15 +264,8 @@ def minimize_product_deviation(
     powers = np.stack([circle**k for k in range(0, 2 * degree + 1)])  # (2d+1, P)
     target = circle
     stride = max(1, circle.shape[0] // 512)
-    coarse, coarse_target = powers[:, ::stride], target[::stride]
-
-    def pair_values(c1: np.ndarray, c2: np.ndarray, pw=None, tg=None) -> float:
-        pw = powers if pw is None else pw
-        tg = target if tg is None else tg
-        full1 = np.concatenate([[0.0], c1])
-        full2 = np.concatenate([[0.0], c2])
-        prod = np.convolve(full1, full2)
-        return float(np.abs(prod @ pw[: prod.shape[0]] - tg).max())
+    official, _ = _product_residual(powers, target, degree)
+    residual, direction = _product_residual(powers[:, ::stride], target[::stride], degree)
 
     best_vals: list[float] = []
     best_args: list[np.ndarray] = []
@@ -257,17 +291,11 @@ def minimize_product_deviation(
         best_args.extend(np.concatenate([c1[i], c2[i]]) for i in order)
     top = np.argsort(best_vals)[: refine_top]
 
-    def objective(x: np.ndarray) -> float:
-        return pair_values(x[:degree], x[degree:])
-
-    def surrogate(x: np.ndarray) -> float:
-        return pair_values(x[:degree], x[degree:], coarse, coarse_target)
-
     winner_val = float("inf")
     winner = None
     for i in top:
-        refined = _refine_coordinates(surrogate, best_args[i], passes)
-        val = objective(refined)  # report on the official sampling
+        refined = _refine_coordinates(residual, direction, best_args[i], passes)
+        val = float(np.abs(official(refined)).max())  # report on the official sampling
         if val < winner_val:
             winner_val, winner = val, refined
     f1 = np.concatenate([[0.0], winner[:degree]])

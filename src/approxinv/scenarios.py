@@ -17,7 +17,7 @@ import numpy as np
 
 from . import banach_module as bm
 from . import c0, disk, operators, wiener
-from .cli import ReportRow, ScenarioConfig
+from .cli import TDZ_MAX_FREQUENCY, ReportRow, ScenarioConfig
 from .core import check_approximate_identity
 from .errors import DivisionFloorError
 
@@ -261,7 +261,7 @@ def _tdz(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     rows = _Rows("tdz", f"l1-circle-{grid.M}")
     f = wiener.poisson_kernel(grid, 0.5)
     values = []
-    for big_n in range(1, 65):
+    for big_n in range(1, TDZ_MAX_FREQUENCY + 1):
         value = wiener.tdz_witness(f, big_n).value
         values.append(value)
         rows.add("witness-value", big_n, value)
@@ -269,7 +269,7 @@ def _tdz(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     increase = max(
         (b - a for a, b in zip(values, values[1:])), default=0.0
     )
-    rows.add("witness-monotone", 64, max(0.0, increase), 0.0)
+    rows.add("witness-monotone", TDZ_MAX_FREQUENCY, max(0.0, increase), 0.0)
     return rows.rows
 
 

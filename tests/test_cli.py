@@ -144,6 +144,36 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
     assert cli.main(["--scenario", "tdz", "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[models]\ncircle_samples = 64\n",
+        "[models]\ncircle_samples = 128\n[nets]\nschedule = 8,16\n",
+        "[nets]\nschedule = 8,16,2048\n",
+        "[models]\ndisk_angles = 512\n",
+        "[models]\ndisk_angles = 1024\ndisk_degree = 512\n",
+        "[models]\ngrid_points = 2\n",
+        "[models]\ngrid_points = 4\n",
+    ],
+    ids=[
+        "circle-samples-64",
+        "circle-samples-128-tdz",
+        "schedule-at-half-circle",
+        "disk-angles-512",
+        "disk-degree-half-angles",
+        "grid-points-2",
+        "grid-points-4",
+    ],
+)
+def test_model_preconditions_exit_two(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_flags_override_file_values(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("[run]\nseed = 3\nout = ignored\n", encoding="utf-8")

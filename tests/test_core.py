@@ -393,6 +393,55 @@ def test_norm_definite_on_samples(model_index):
         assert model.norm(x) > 0.0
 
 
+_STANDARD_MODELS = approxinv.standard_models()
+
+
+def _element_and_net(model, rng):
+    """A unital model gets x = unit + d with norm(d) = 1/2 and its Neumann
+    net sum_{k <= j} (-d)^k, which certifies; a non-unital one gets a sample
+    and the net j -> x* / norm(x)^2, which stays inconclusive."""
+    s = model.sample(rng)
+    if model.unital:
+        d = model.scale(0.5 / model.norm(s), s)
+        x = model.add(model.unit, d)
+
+        def neumann(j):
+            term, total = model.unit, model.unit
+            for _ in range(j):
+                term = model.mul(term, model.scale(-1.0, d))
+                total = model.add(total, term)
+            return total
+
+        return x, neumann
+    adjoint = model.scale(1.0 / model.norm(s) ** 2, model.involution(s))
+    return s, lambda j: adjoint
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model_index=st.integers(0, len(_STANDARD_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-12.0, 12.0),
+)
+def test_verdict_invariant_under_scaling_on_standard_models(model_index, seed, exponent):
+    model = _STANDARD_MODELS[model_index]
+    rng = np.random.default_rng(seed)
+    x, net = _element_and_net(model, rng)
+    test_set = [model.sample(rng)]
+    c = 10.0**exponent
+
+    def verdict(scale):
+        scaled_net = InverseNet(lambda j: model.scale(1.0 / scale, net(j)))
+        return check_approx_invertible(
+            model, model.scale(scale, x), scaled_net, test_set,
+            tol=1e-2, schedule=(4, 8, 16, 32),
+        ).verdict
+
+    expected = "certified-two-sided" if model.unital else "inconclusive"
+    assert verdict(1.0) == expected
+    assert verdict(c) == expected
+
+
 _small_matrices = arrays(
     np.complex128,
     (2, 2),

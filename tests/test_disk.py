@@ -3,6 +3,8 @@ import pytest
 
 from approxinv import disk
 
+from .oracles import full_objective_refine
+
 BOUND = disk.ONE_THIRD - 1e-2
 
 
@@ -102,8 +104,10 @@ def test_candidate_nets_stay_away_from_generator(sampling, rng):
     for _ in range(200):
         g = disk.random_a0(rng, 8)
         best = min(best, disk.product_deviation(chi, g, sampling))
+    circle = sampling.circle
     refined = disk._refine_coordinates(
-        lambda c: disk.product_deviation(chi, np.concatenate([[0.0], c]), sampling),
+        lambda c: circle * disk.poly_eval(np.concatenate([[0.0], c]), circle) - circle,
+        lambda c, k: circle ** (k + 2),
         disk.random_a0(rng, 8)[1:],
         passes=3,
     )
@@ -118,5 +122,61 @@ def test_zero_identity_candidate_is_coordinatewise_minimal(sampling):
     objective = lambda c: disk.annulus_deviation(np.concatenate([[0.0], c]), sampling)
     zero = np.zeros(8, complex)
     assert objective(zero) == pytest.approx(1.0, abs=1e-12)
-    refined = disk._refine_coordinates(objective, zero, passes=1)
+    refined = disk._refine_coordinates(
+        lambda c: disk.poly_eval(np.concatenate([[0.0], c]), sampling.annulus) - 1.0,
+        lambda c, k: sampling.annulus ** (k + 1),
+        zero,
+        passes=1,
+    )
     assert objective(refined) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("angles", [1024, 2048])
+def test_boundary_screen_equals_annulus_max(angles, rng):
+    # maximum modulus: the sampled sup of |p - 1| over every annulus radius
+    # is attained on the innermost or outermost circle
+    sampling = disk.CircleSampling(angles)
+    assert sampling.boundary.shape == (2 * angles,)
+    for _ in range(500):
+        p = disk.random_a0(rng, 8)
+        rim = float(np.abs(disk.poly_eval(p, sampling.boundary) - 1.0).max())
+        assert rim == disk.annulus_deviation(p, sampling)
+
+
+def test_searches_match_recorded_values(sampling):
+    # recorded from the full-annulus screen and the full-objective refinement
+    annulus = disk.minimize_annulus_deviation(sampling, starts=10_000, seed=6)
+    product = disk.minimize_product_deviation(sampling, starts=10_000, seed=7)
+    assert f"{annulus.value:.12e}" == "2.108460192366e+00"
+    assert f"{product.value:.12e}" == "2.497014156108e+00"
+
+
+def _annulus_surrogate(sampling, degree):
+    points = sampling.annulus
+    powers = np.stack([points**k for k in range(1, degree + 1)])
+    return disk._annulus_residual(powers[:, :: max(1, points.shape[0] // 4096)])
+
+
+def _product_surrogate(sampling, degree):
+    circle = sampling.circle
+    powers = np.stack([circle**k for k in range(2 * degree + 1)])
+    stride = max(1, circle.shape[0] // 512)
+    return disk._product_residual(powers[:, ::stride], circle[::stride], degree)
+
+
+@pytest.mark.parametrize("kind", ["annulus", "product"])
+def test_rank1_refinement_matches_full_objective_oracle(kind, sampling):
+    degree = 8
+    make, width = {
+        "annulus": (_annulus_surrogate, degree),
+        "product": (_product_surrogate, 2 * degree),
+    }[kind]
+    residual, direction = make(sampling, degree)
+    objective = lambda x: float(np.abs(residual(x)).max())
+    rng = np.random.default_rng(21)
+    starts = [np.zeros(width, complex)] + list(disk._coeff_matrix(rng, 3, width))
+    for x0 in starts:
+        expected = full_objective_refine(objective, x0)
+        got = disk._refine_coordinates(residual, direction, x0)
+        assert np.abs(got - expected).max() <= 1e-12
+        assert f"{objective(got):.12e}" == f"{objective(expected):.12e}"
