@@ -55,10 +55,6 @@ class GridSpace:
         return np.linspace(-self.half_width, self.half_width, self.points)
 
     @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.points - 1)
-
-    @property
     def center(self) -> int:
         return (self.points - 1) // 2
 

@@ -20,11 +20,13 @@ import csv
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
+from . import scenarios
 from .errors import ConfigError
+from .scenarios import ReportRow, ScenarioConfig
 
 CSV_COLUMNS = (
     "scenario",
@@ -38,30 +40,6 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    scenario: str
-    model: str
-    statement_id: str
-    net_index: int
-    residual: float
-    bound: float
-    verdict: str
-    elapsed_ms: int
-
-    def as_record(self) -> list[str]:
-        return [
-            self.scenario,
-            self.model,
-            self.statement_id,
-            str(self.net_index),
-            _format_float(self.residual),
-            _format_float(self.bound),
-            self.verdict,
-            str(self.elapsed_ms),
-        ]
-
-
 def _format_float(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
@@ -70,131 +48,41 @@ def _format_float(x: float) -> str:
     return f"{x:.12e}"
 
 
-#: Highest witness frequency of the ``tdz`` scenario; a witness needs a
-#: frequency below circle_samples/2.
-TDZ_MAX_FREQUENCY = 64
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything a scenario needs: model sizes, net schedule, tolerances,
-    seed and output directory."""
-
-    seed: int = 1
-    out: str = "results"
-    scenarios: tuple[str, ...] = ()
-    # model parameters
-    circle_samples: int = 4096
-    grid_points: int = 201
-    grid_half_width: float = 10.0
-    grid_tail_tol: float = 1e-3
-    matrix_size: int = 16
-    matrix_count: int = 10
-    disk_angles: int = 2048
-    disk_degree: int = 8
-    disk_starts: int = 10_000
-    module_exponent: float = 2.0
-    # net schedule
-    schedule: tuple[int, ...] = (8, 16, 32, 64, 128)
-    # tolerances
-    identity_tol: float = 1e-2
-    exact_tol: float = 1e-9
-    noise_sigma: float = 1e-3
-
-    def validate(self) -> None:
-        positive_ints = {
-            "circle_samples": self.circle_samples,
-            "grid_points": self.grid_points,
-            "matrix_size": self.matrix_size,
-            "matrix_count": self.matrix_count,
-            "disk_angles": self.disk_angles,
-            "disk_degree": self.disk_degree,
-            "disk_starts": self.disk_starts,
-        }
-        for name, value in positive_ints.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.grid_half_width <= 0 or self.grid_tail_tol <= 0:
-            raise ConfigError("grid half width and tail tolerance must be positive")
-        if self.module_exponent < 1:
-            raise ConfigError("module exponent must satisfy p >= 1")
-        if not self.schedule:
-            raise ConfigError("net schedule must be non-empty")
-        if self.schedule[0] < 1 or any(
-            b <= a for a, b in zip(self.schedule, self.schedule[1:])
-        ):
-            raise ConfigError("net schedule must be strictly increasing and positive")
-        if self.circle_samples // 2 <= TDZ_MAX_FREQUENCY:
-            raise ConfigError(
-                f"circle_samples must exceed {2 * TDZ_MAX_FREQUENCY}: tdz "
-                f"evaluates witness frequencies up to {TDZ_MAX_FREQUENCY}"
-            )
-        if max(self.schedule) >= self.circle_samples // 2:
-            raise ConfigError(
-                f"net schedule order {max(self.schedule)} would alias on "
-                f"circle_samples = {self.circle_samples}; orders must stay "
-                f"below circle_samples/2"
-            )
-        if self.disk_angles < 1024:
-            raise ConfigError("disk_angles must be at least 1024")
-        if 2 * self.disk_degree >= self.disk_angles:
-            raise ConfigError("disk_degree must stay below disk_angles/2")
-        # c0's centered window family keeps a 2-cell ramp on each side of
-        # the center cell
-        if self.grid_points < 5:
-            raise ConfigError("grid_points must be at least 5")
-        for name, value in (
-            ("identity_tol", self.identity_tol),
-            ("exact_tol", self.exact_tol),
-        ):
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
-
-
-_INT = ("int", int)
-_FLOAT = ("float", float)
-_STR = ("str", str)
-_SCHEDULE = ("schedule", None)
-_NAMES = ("names", None)
-
-#: section -> key -> (kind, parser); the documented configuration surface.
-CONFIG_KEYS: dict[str, dict[str, tuple]] = {
-    "run": {"seed": _INT, "out": _STR, "scenarios": _NAMES},
-    "models": {
-        "circle_samples": _INT,
-        "grid_points": _INT,
-        "grid_half_width": _FLOAT,
-        "grid_tail_tol": _FLOAT,
-        "matrix_size": _INT,
-        "matrix_count": _INT,
-        "disk_angles": _INT,
-        "disk_degree": _INT,
-        "disk_starts": _INT,
-        "module_exponent": _FLOAT,
-    },
-    "nets": {"schedule": _SCHEDULE},
-    "tolerances": {
-        "identity_tol": _FLOAT,
-        "exact_tol": _FLOAT,
-        "noise_sigma": _FLOAT,
-    },
+#: section -> keys: the documented configuration surface.  Every key is a
+#: ``ScenarioConfig`` field and parses as that field's type; tuples are
+#: comma lists of their item type.
+CONFIG_SECTIONS: dict[str, tuple[str, ...]] = {
+    "run": ("seed", "out", "scenarios"),
+    "models": (
+        "circle_samples",
+        "grid_points",
+        "grid_half_width",
+        "grid_tail_tol",
+        "matrix_size",
+        "matrix_count",
+        "disk_angles",
+        "disk_degree",
+        "disk_starts",
+        "module_exponent",
+    ),
+    "nets": ("schedule",),
+    "tolerances": ("identity_tol", "exact_tol", "noise_sigma"),
 }
 
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
-def _parse_schedule(text: str) -> tuple[int, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
+
+def _parse_value(key: str, raw: str):
+    """``raw`` as the type of field ``key``; a tuple is a comma list."""
+    kind = _FIELD_TYPES[key]
+    is_list = get_origin(kind) is tuple
+    cast = get_args(kind)[0] if is_list else kind
     try:
-        return tuple(int(piece) for piece in items)
-    except ValueError as err:
-        raise ConfigError(f"bad schedule entry: {err}") from None
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(piece.strip() for piece in text.split(",") if piece.strip())
+        if is_list:
+            return tuple(cast(piece.strip()) for piece in raw.split(",") if piece.strip())
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} = {raw!r} as {cast.__name__}") from None
 
 
 def load_config(path: Optional[str]) -> ScenarioConfig:
@@ -213,25 +101,12 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
 
     updates: dict[str, object] = {}
     for section in parser.sections():
-        if section not in CONFIG_KEYS:
+        if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in CONFIG_KEYS[section]:
+            if key not in CONFIG_SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind, cast = CONFIG_KEYS[section][key]
-            try:
-                if kind == "schedule":
-                    updates[key] = _parse_schedule(raw)
-                elif kind == "names":
-                    updates[key] = _parse_names(raw)
-                else:
-                    updates[key] = cast(raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(
-                    f"cannot parse {key} = {raw!r} as {kind}"
-                ) from None
+            updates[key] = _parse_value(key, raw)
     return replace(config, **updates)
 
 
@@ -246,13 +121,22 @@ def write_csv(path: Path, rows: Sequence[ReportRow]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(row.as_record())
+            writer.writerow(
+                [
+                    row.scenario,
+                    row.model,
+                    row.statement_id,
+                    str(row.net_index),
+                    _format_float(row.residual),
+                    _format_float(row.bound),
+                    row.verdict,
+                    str(row.elapsed_ms),
+                ]
+            )
 
 
 def run_scenario(name: str, config: ScenarioConfig) -> list[ReportRow]:
     """Execute one registered scenario and write its CSV report."""
-    from . import scenarios
-
     if name not in scenarios.REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}")
     config.validate()
@@ -265,8 +149,6 @@ def run_scenario(name: str, config: ScenarioConfig) -> list[ReportRow]:
 
 def list_scenarios() -> list[tuple[str, tuple[str, ...], str]]:
     """(name, statement ids, description) in stable registry order."""
-    from . import scenarios
-
     return [
         (name, spec.statements, spec.description)
         for name, spec in scenarios.REGISTRY.items()
@@ -295,8 +177,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from . import scenarios
-
     args = _build_argparser().parse_args(argv)
     if args.list:
         for name, statements, description in list_scenarios():

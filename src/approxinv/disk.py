@@ -8,14 +8,16 @@ its headline facts are lower bounds (no element net can approach the
 generating monomial closer than 1/3), verified here by a seeded randomized
 search with per-coordinate golden-section refinement.
 
-The annulus search screens its random starts on the two boundary circles of
-the annulus only: p - 1 is analytic, so by the maximum modulus principle its
-modulus peaks there, and on these samplings the boundary maximum equals the
-maximum over every sampled radius.  The value it reports is still taken over
-the full sampled annulus.  Refinement moves one real coordinate at a time;
-the residual is affine in each coefficient (a product is linear in each
-factor), so every golden-section probe is a rank-1 update of one residual
-vector rather than a fresh evaluation.
+Both searches run one driver: screen random starts in batches, keep the best
+few, refine them on a coarse surrogate and report the winner through the
+public ``annulus_deviation`` / ``product_deviation``.  The annulus search
+screens its random starts on the two boundary circles of the annulus only:
+p - 1 is analytic, so by the maximum modulus principle its modulus peaks
+there, and on these samplings the boundary maximum equals the maximum over
+every sampled radius.  Refinement moves one real coordinate at a time; the
+residual is affine in each coefficient (a product is linear in each factor),
+so every golden-section probe is a rank-1 update of one residual vector
+rather than a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -34,18 +36,27 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 ONE_THIRD = 1.0 / 3.0
 
 
+#: Radii of the annulus scans, 0.5 to 1 in steps of 0.05.
+RADII = tuple(np.round(np.arange(0.5, 1.0001, 0.05), 2))
+
+#: Search schedule: candidates screened per batch, candidates refined,
+#: refinement sweeps, and the refinement half-width, which covers the whole
+#: sampling disk so a coordinate can travel to any admissible value.
+BATCH = 512
+REFINE_TOP = 6
+PASSES = 3
+SPAN = 2.2
+
+
 @dataclass(frozen=True)
 class CircleSampling:
-    """Angle count for the unit circle plus radii for annulus scans."""
+    """Angle count for the unit circle; annulus scans use ``RADII``."""
 
     angles: int = 2048
-    radii: tuple[float, ...] = tuple(np.round(np.arange(0.5, 1.0001, 0.05), 2))
 
     def __post_init__(self):
         if self.angles < 1024:
             raise ValueError("need at least 1024 angle samples")
-        if any(not 0 < r <= 1 for r in self.radii):
-            raise ValueError("annulus radii must lie in (0, 1]")
 
     @cached_property
     def circle(self) -> np.ndarray:
@@ -53,13 +64,12 @@ class CircleSampling:
 
     @cached_property
     def annulus(self) -> np.ndarray:
-        return (np.asarray(self.radii)[:, None] * self.circle[None, :]).ravel()
+        return (np.asarray(RADII)[:, None] * self.circle[None, :]).ravel()
 
     @cached_property
     def boundary(self) -> np.ndarray:
         """The annulus points on its innermost and outermost circles."""
-        rings = self.annulus.reshape(len(self.radii), self.angles)
-        return rings[[int(np.argmin(self.radii)), int(np.argmax(self.radii))]].ravel()
+        return self.annulus.reshape(len(RADII), self.angles)[[0, -1]].ravel()
 
 
 def validate_a0(p: np.ndarray) -> np.ndarray:
@@ -119,9 +129,7 @@ def chi1_isometry_check(p: np.ndarray, sampling: CircleSampling) -> tuple[float,
 
 def random_a0(rng: np.random.Generator, degree: int) -> np.ndarray:
     """Coefficients drawn uniformly from the complex disk of radius 2."""
-    radius = 2.0 * np.sqrt(rng.random(degree))
-    phase = np.exp(2j * np.pi * rng.random(degree))
-    return np.concatenate([[0.0], radius * phase])
+    return np.concatenate([[0.0], _coeff_matrix(rng, 1, degree)[0]])
 
 
 @dataclass(frozen=True)
@@ -154,17 +162,14 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 24) -> float:
     return (a + b) / 2.0
 
 
-def _refine_coordinates(
-    residual, direction, x: np.ndarray, passes: int = 3, span: float = 2.2
-) -> np.ndarray:
+def _refine_coordinates(residual, direction, x: np.ndarray) -> np.ndarray:
     """Per-coordinate golden-section refinement of max|residual(x)|, sweeping
-    the real and imaginary axis of every coefficient once per pass.  The
-    residual must be affine in each coordinate with slope ``direction(x, i)``,
-    so a probe at offset t is max|r0 + t * axis * direction(x, i)| with r0
-    evaluated once per axis.  The span covers the whole sampling disk so a
-    coordinate can travel to any admissible value."""
+    the real and imaginary axis of every coefficient once per pass, over
+    offsets in [-SPAN, SPAN].  The residual must be affine in each
+    coordinate with slope ``direction(x, i)``, so a probe at offset t is
+    max|r0 + t * axis * direction(x, i)| with r0 evaluated once per axis."""
     x = x.copy()
-    for _ in range(passes):
+    for _ in range(PASSES):
         for i in range(x.shape[0]):
             slope = direction(x, i)
             for axis in (1.0, 1j):
@@ -174,7 +179,7 @@ def _refine_coordinates(
                 def fn(offset, r0=r0, step=step):
                     return float(np.abs(r0 + offset * step).max())
 
-                best = _golden_min(fn, -span, span)
+                best = _golden_min(fn, -SPAN, SPAN)
                 if fn(best) > fn(0.0):  # golden section assumes unimodality
                     best = 0.0
                 x[i] = x[i] + axis * best
@@ -204,57 +209,61 @@ def _product_residual(powers: np.ndarray, target: np.ndarray, degree: int):
     return residual, direction
 
 
+def _search(starts: int, draw, screen, residual, direction, report):
+    """The randomized minimization behind both searches.  ``draw(m)`` draws
+    m candidate rows and ``screen`` maps rows to their objective values;
+    ``starts`` candidates are screened in batches of ``BATCH``, the best
+    ``REFINE_TOP`` of each batch and then of all batches are refined on the
+    surrogate ``residual``/``direction``, and the refined argument with the
+    smallest ``report`` value is returned with that value."""
+    best_vals: list[float] = []
+    best_args: list[np.ndarray] = []
+    remaining = starts
+    while remaining > 0:
+        m = min(BATCH, remaining)
+        remaining -= m
+        cands = draw(m)
+        vals = screen(cands)
+        order = np.argsort(vals)[:REFINE_TOP]
+        best_vals.extend(vals[order].tolist())
+        best_args.extend(cands[order])
+    winner_val = float("inf")
+    winner = None
+    for i in np.argsort(best_vals)[:REFINE_TOP]:
+        refined = _refine_coordinates(residual, direction, best_args[i])
+        val = report(refined)
+        if val < winner_val:
+            winner_val, winner = val, refined
+    return winner_val, winner
+
+
 def minimize_annulus_deviation(
-    sampling: CircleSampling,
-    degree: int = 8,
-    starts: int = 10_000,
-    seed: int = 0,
-    refine_top: int = 6,
-    passes: int = 3,
-    batch: int = 512,
+    sampling: CircleSampling, degree: int = 8, starts: int = 10_000, seed: int = 0
 ) -> SearchResult:
     """Randomized minimization of the annulus deviation over degree-capped
     elements.  The search is the measurement; the model guarantees the true
     infimum is at least 1/3, so the found value sits above 1/3 minus the
     sampling slack."""
     rng = np.random.default_rng(seed)
-    points = sampling.annulus
-    powers = np.stack([points**k for k in range(1, degree + 1)])  # (deg, P)
-    coarse = powers[:, :: max(1, points.shape[0] // 4096)]
+    points = sampling.annulus[:: max(1, sampling.annulus.shape[0] // 4096)]
+    coarse = np.stack([points**k for k in range(1, degree + 1)])  # (deg, P)
     rim = np.stack([sampling.boundary**k for k in range(1, degree + 1)])
-    official, _ = _annulus_residual(powers)
-    residual, direction = _annulus_residual(coarse)
 
-    best_vals: list[float] = []
-    best_args: list[np.ndarray] = []
-    remaining = starts
-    while remaining > 0:
-        m = min(batch, remaining)
-        remaining -= m
-        cands = _coeff_matrix(rng, m, degree)
-        vals = np.abs(cands @ rim - 1.0).max(axis=1)  # maximum modulus
-        order = np.argsort(vals)[: refine_top]
-        best_vals.extend(vals[order].tolist())
-        best_args.extend(cands[order])
-    top = np.argsort(best_vals)[: refine_top]
-    winner_val = float("inf")
-    winner = None
-    for i in top:
-        refined = _refine_coordinates(residual, direction, best_args[i], passes)
-        val = float(np.abs(official(refined)).max())  # report on the official sampling
-        if val < winner_val:
-            winner_val, winner = val, refined
-    return SearchResult(winner_val, (np.concatenate([[0.0], winner]),), starts)
+    def element(c: np.ndarray) -> np.ndarray:
+        return np.concatenate([[0.0], c])
+
+    value, winner = _search(
+        starts,
+        lambda m: _coeff_matrix(rng, m, degree),
+        lambda cands: np.abs(cands @ rim - 1.0).max(axis=1),  # maximum modulus
+        *_annulus_residual(coarse),
+        lambda c: annulus_deviation(element(c), sampling),
+    )
+    return SearchResult(value, (element(winner),), starts)
 
 
 def minimize_product_deviation(
-    sampling: CircleSampling,
-    degree: int = 8,
-    starts: int = 10_000,
-    seed: int = 0,
-    refine_top: int = 6,
-    passes: int = 3,
-    batch: int = 512,
+    sampling: CircleSampling, degree: int = 8, starts: int = 10_000, seed: int = 0
 ) -> SearchResult:
     """Randomized minimization of sup|f1 f2 - z| over pairs of degree-capped
     elements."""
@@ -262,45 +271,36 @@ def minimize_product_deviation(
     circle = sampling.circle
     # product of two elements has degree 2..2*degree; precompute powers
     powers = np.stack([circle**k for k in range(0, 2 * degree + 1)])  # (2d+1, P)
-    target = circle
     stride = max(1, circle.shape[0] // 512)
-    official, _ = _product_residual(powers, target, degree)
-    residual, direction = _product_residual(powers[:, ::stride], target[::stride], degree)
 
-    best_vals: list[float] = []
-    best_args: list[np.ndarray] = []
-    remaining = starts
-    while remaining > 0:
-        m = min(batch, remaining)
-        remaining -= m
+    def draw(m: int) -> np.ndarray:  # row = f1's coefficients, then f2's
         c1 = _coeff_matrix(rng, m, degree)
-        c2 = _coeff_matrix(rng, m, degree)
+        return np.concatenate([c1, _coeff_matrix(rng, m, degree)], axis=1)
+
+    def screen(cands: np.ndarray) -> np.ndarray:
         # batched coefficient convolution through zero-padded FFT
         size = 2 * degree + 2
-        full1 = np.zeros((m, size), complex)
-        full2 = np.zeros((m, size), complex)
-        full1[:, 1 : degree + 1] = c1
-        full2[:, 1 : degree + 1] = c2
+        full1 = np.zeros((cands.shape[0], size), complex)
+        full2 = np.zeros((cands.shape[0], size), complex)
+        full1[:, 1 : degree + 1] = cands[:, :degree]
+        full2[:, 1 : degree + 1] = cands[:, degree:]
         nfft = 1 << (2 * size - 1).bit_length()
         prod = np.fft.ifft(np.fft.fft(full1, nfft) * np.fft.fft(full2, nfft))[
             :, : 2 * degree + 1
         ]
-        vals = np.abs(prod @ powers - target).max(axis=1)
-        order = np.argsort(vals)[: refine_top]
-        best_vals.extend(vals[order].tolist())
-        best_args.extend(np.concatenate([c1[i], c2[i]]) for i in order)
-    top = np.argsort(best_vals)[: refine_top]
+        return np.abs(prod @ powers - circle).max(axis=1)
 
-    winner_val = float("inf")
-    winner = None
-    for i in top:
-        refined = _refine_coordinates(residual, direction, best_args[i], passes)
-        val = float(np.abs(official(refined)).max())  # report on the official sampling
-        if val < winner_val:
-            winner_val, winner = val, refined
-    f1 = np.concatenate([[0.0], winner[:degree]])
-    f2 = np.concatenate([[0.0], winner[degree:]])
-    return SearchResult(winner_val, (f1, f2), starts)
+    def factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.concatenate([[0.0], x[:degree]]), np.concatenate([[0.0], x[degree:]])
+
+    value, winner = _search(
+        starts,
+        draw,
+        screen,
+        *_product_residual(powers[:, ::stride], circle[::stride], degree),
+        lambda x: product_deviation(*factors(x), sampling),
+    )
+    return SearchResult(value, factors(winner), starts)
 
 
 def disk_model(sampling: Optional[CircleSampling] = None, degree: int = 16) -> AlgebraModel:

@@ -5,23 +5,132 @@ Each scenario emits rows asserting ``residual <= bound``; rows carrying
 violate).  Statement identifiers are stable strings documented in the
 README.  Scenarios draw their randomness from a generator seeded per
 scenario, so reports are reproducible byte for byte apart from timing.
+The run contract they consume, ``ScenarioConfig`` and ``ReportRow``, is
+defined here; the CLI parses the one and writes the other as CSV.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import banach_module as bm
 from . import c0, disk, operators, wiener
-from .cli import TDZ_MAX_FREQUENCY, ReportRow, ScenarioConfig
 from .core import check_approximate_identity
-from .errors import DivisionFloorError
+from .errors import ConfigError, DivisionFloorError
 
 INF = float("inf")
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    scenario: str
+    model: str
+    statement_id: str
+    net_index: int
+    residual: float
+    bound: float
+    verdict: str
+    elapsed_ms: int
+
+
+#: Highest witness frequency of the ``tdz`` scenario; a witness needs a
+#: frequency below circle_samples/2.
+TDZ_MAX_FREQUENCY = 64
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Everything a scenario needs: model sizes, net schedule, tolerances,
+    seed and output directory."""
+
+    seed: int = 1
+    out: str = "results"
+    scenarios: tuple[str, ...] = ()
+    # model parameters
+    circle_samples: int = 4096
+    grid_points: int = 201
+    grid_half_width: float = 10.0
+    grid_tail_tol: float = 1e-3
+    matrix_size: int = 16
+    matrix_count: int = 10
+    disk_angles: int = 2048
+    disk_degree: int = 8
+    disk_starts: int = 10_000
+    module_exponent: float = 2.0
+    # net schedule
+    schedule: tuple[int, ...] = (8, 16, 32, 64, 128)
+    # tolerances
+    identity_tol: float = 1e-2
+    exact_tol: float = 1e-9
+    noise_sigma: float = 1e-3
+
+    def validate(self) -> None:
+        positive_ints = {
+            "circle_samples": self.circle_samples,
+            "grid_points": self.grid_points,
+            "matrix_size": self.matrix_size,
+            "matrix_count": self.matrix_count,
+            "disk_angles": self.disk_angles,
+            "disk_degree": self.disk_degree,
+            "disk_starts": self.disk_starts,
+        }
+        for name, value in positive_ints.items():
+            if value < 1:
+                raise ConfigError(f"{name} must be a positive integer")
+        # p = inf is the sup norm; every other float must be finite
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, float) and not math.isfinite(value):
+                if field.name != "module_exponent" or value != INF:
+                    raise ConfigError(f"{field.name} must be finite")
+        # um-net zeroes a column of an n x n operator and still needs a
+        # nonzero one
+        if self.matrix_size < 2:
+            raise ConfigError("matrix_size must be at least 2")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        if self.grid_half_width <= 0 or self.grid_tail_tol <= 0:
+            raise ConfigError("grid half width and tail tolerance must be positive")
+        if self.module_exponent < 1:
+            raise ConfigError("module exponent must satisfy p >= 1")
+        if not self.schedule:
+            raise ConfigError("net schedule must be non-empty")
+        if self.schedule[0] < 1 or any(
+            b <= a for a, b in zip(self.schedule, self.schedule[1:])
+        ):
+            raise ConfigError("net schedule must be strictly increasing and positive")
+        if self.circle_samples // 2 <= TDZ_MAX_FREQUENCY:
+            raise ConfigError(
+                f"circle_samples must exceed {2 * TDZ_MAX_FREQUENCY}: tdz "
+                f"evaluates witness frequencies up to {TDZ_MAX_FREQUENCY}"
+            )
+        if max(self.schedule) >= self.circle_samples // 2:
+            raise ConfigError(
+                f"net schedule order {max(self.schedule)} would alias on "
+                f"circle_samples = {self.circle_samples}; orders must stay "
+                f"below circle_samples/2"
+            )
+        if self.disk_angles < 1024:
+            raise ConfigError("disk_angles must be at least 1024")
+        if 2 * self.disk_degree >= self.disk_angles:
+            raise ConfigError("disk_degree must stay below disk_angles/2")
+        # c0's centered window family keeps a 2-cell ramp on each side of
+        # the center cell
+        if self.grid_points < 5:
+            raise ConfigError("grid_points must be at least 5")
+        for name, value in (
+            ("identity_tol", self.identity_tol),
+            ("exact_tol", self.exact_tol),
+        ):
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.noise_sigma < 0:
+            raise ConfigError("noise_sigma must be nonnegative")
 
 
 class _Rows:

@@ -406,19 +406,6 @@ def product_invertibility_check(
     )
 
 
-def nonvanishing_refuter(n: int, floor: Optional[float] = None):
-    """Model refuter: an exact (sub-floor) zero coefficient inside the band
-    excludes approximate invertibility in the truncated algebra."""
-
-    def refute(f: CircleSignal) -> Optional[str]:
-        bad = band_nonvanishing(f, n, floor)
-        if bad is not None:
-            return f"coefficient vanishes in band at frequency {bad}"
-        return None
-
-    return refute
-
-
 def _sample_bandlimited(
     grid: CircleGrid, rng: np.random.Generator, degree: int = 32, decay: float = 0.25
 ) -> CircleSignal:

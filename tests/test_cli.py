@@ -1,4 +1,6 @@
 import csv
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,10 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
         "[models]\ndisk_angles = 1024\ndisk_degree = 512\n",
         "[models]\ngrid_points = 2\n",
         "[models]\ngrid_points = 4\n",
+        "[models]\ngrid_half_width = nan\n",
+        "[models]\ngrid_tail_tol = inf\n",
+        "[models]\nmodule_exponent = nan\n",
+        "[models]\nmatrix_size = 1\n",
     ],
     ids=[
         "circle-samples-64",
@@ -163,6 +169,10 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
         "disk-degree-half-angles",
         "grid-points-2",
         "grid-points-4",
+        "grid-half-width-nan",
+        "grid-tail-tol-inf",
+        "module-exponent-nan",
+        "matrix-size-1",
     ],
 )
 def test_model_preconditions_exit_two(text, tmp_path, capsys):
@@ -172,6 +182,54 @@ def test_model_preconditions_exit_two(text, tmp_path, capsys):
     assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [
+        (section, key)
+        for section, keys in cli.CONFIG_SECTIONS.items()
+        for key in keys
+        if key != "out"
+    ],
+)
+def test_hostile_config_values_exit_two(section, key, tmp_path, capsys):
+    for value in ("nan", "inf", "-inf", "-1", "x"):
+        if (key, value) == ("module_exponent", "inf"):
+            continue  # p = inf is the sup norm
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, value
+        assert "config error" in capsys.readouterr().err, value
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _readme_config(tmp_path):
+    """The README's ``ini`` block as {section: [keys]}, and its documented
+    values written to a config file without the comments."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    sections: dict[str, list[str]] = {}
+    lines = []
+    for line in block.splitlines():
+        if line.startswith("["):
+            keys = sections.setdefault(line.strip("[]"), [])
+            lines.append(line)
+        elif line[:1].isalpha():
+            key, value = line.split(";", 1)[0].split("=", 1)
+            keys.append(key.strip())
+            lines.append(f"{key.strip()} = {value.strip()}")
+    path = tmp_path / "readme.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return sections, path
+
+
+def test_config_schema_matches_fields_and_readme(tmp_path):
+    documented, path = _readme_config(tmp_path)
+    assert {s: list(keys) for s, keys in cli.CONFIG_SECTIONS.items()} == documented
+    table_keys = [key for keys in cli.CONFIG_SECTIONS.values() for key in keys]
+    assert table_keys == [field.name for field in fields(scenarios.ScenarioConfig)]
+    assert cli.load_config(str(path)) == scenarios.ScenarioConfig()
 
 
 def test_flags_override_file_values(tmp_path):
@@ -207,6 +265,7 @@ def test_config_validation_bounds():
     with pytest.raises(ConfigError):
         cli.ScenarioConfig(module_exponent=0.5).validate()
     cli.ScenarioConfig().validate()
+    cli.ScenarioConfig(module_exponent=float("inf")).validate()
 
 
 def test_rows_assert_residual_bounds(tmp_path):

@@ -109,7 +109,6 @@ def test_candidate_nets_stay_away_from_generator(sampling, rng):
         lambda c: circle * disk.poly_eval(np.concatenate([[0.0], c]), circle) - circle,
         lambda c, k: circle ** (k + 2),
         disk.random_a0(rng, 8)[1:],
-        passes=3,
     )
     best = min(best, disk.product_deviation(chi, np.concatenate([[0.0], refined]), sampling))
     assert best >= BOUND
@@ -126,7 +125,6 @@ def test_zero_identity_candidate_is_coordinatewise_minimal(sampling):
         lambda c: disk.poly_eval(np.concatenate([[0.0], c]), sampling.annulus) - 1.0,
         lambda c, k: sampling.annulus ** (k + 1),
         zero,
-        passes=1,
     )
     assert objective(refined) >= 1.0 - 1e-12
 
