@@ -276,6 +276,7 @@ def c0_model(space: GridSpace) -> AlgebraModel:
         norm=sup_norm,
         involution=np.conj,
         unital=False,
+        commutative=True,
         sample=lambda rng: _sample_element(space, rng),
     )
 

@@ -8,8 +8,10 @@ after it plus a shared ``summary.txt``; given the same seed and
 configuration the CSV bytes are identical across runs except for the
 elapsed-time column.
 
-Exit status: 0 when every emitted row passes, 1 when any row fails, 2 on a
-configuration error.
+Exit status: 0 when every emitted row passes, 1 when any row fails or a
+scenario raises, 2 on a configuration error.  A scenario that raises is
+recorded as ``<name>: ERROR (<ExceptionType>)`` in ``summary.txt`` and on
+stderr, and the remaining scenarios still run.
 """
 
 from __future__ import annotations
@@ -199,22 +201,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    failures: dict[str, int] = {}
-    counts: dict[str, int] = {}
+    lines = []
+    failed = False
     for name in names:
-        rows = run_scenario(name, config)
-        counts[name] = len(rows)
-        failures[name] = sum(row.verdict == "fail" for row in rows)
+        try:
+            rows = run_scenario(name, config)
+        except Exception as err:  # one broken scenario must not lose the others
+            line = f"{name}: ERROR ({type(err).__name__})"
+            print(line, file=sys.stderr)
+            lines.append(line)
+            failed = True
+            continue
+        failures = sum(row.verdict == "fail" for row in rows)
+        failed = failed or failures > 0
+        status = "PASS" if failures == 0 else "FAIL"
+        lines.append(f"{name}: {status} ({len(rows)} rows, {failures} failures)")
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for name in names:
-        status = "PASS" if failures[name] == 0 else "FAIL"
-        lines.append(
-            f"{name}: {status} ({counts[name]} rows, {failures[name]} failures)"
-        )
-    overall = "PASS" if sum(failures.values()) == 0 else "FAIL"
+    overall = "FAIL" if failed else "PASS"
     lines.append(f"overall: {overall}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))

@@ -41,6 +41,12 @@ class AlgebraModel:
     and property checks).  ``zeta_exact`` optionally returns an exact
     ``(value, unit-norm witness)`` pair for the zero-divisor modulus, which
     then replaces sampling.
+
+    ``commutative`` is declared by the model factory, like ``unital``: it
+    states that ``mul(a, b)`` equals ``mul(b, a)`` up to rounding.  The
+    verifiers then evaluate one side only, since left and right residuals
+    (and left and right inverse nets) coincide.  The circle, c0 and disk
+    models declare it; the matrix models do not.
     """
 
     name: str
@@ -50,6 +56,7 @@ class AlgebraModel:
     norm: Callable[[Element], float]
     involution: Optional[Callable[[Element], Element]] = None
     unital: bool = False
+    commutative: bool = False
     unit: Optional[Element] = None
     sample: Optional[Callable[[np.random.Generator], Element]] = None
     zeta_exact: Optional[Callable[[Element], tuple[float, Element]]] = None
@@ -237,9 +244,10 @@ def check_approximate_identity(
 
     For each test element x and each index j the trace records
     ``max(norm(e_j . x - x), norm(x . e_j - x))`` together with the member
-    norm; both one-sided residuals are kept as diagnostics.  The report
-    passes iff every final residual is at most ``tol`` and, when the family
-    declares a norm bound, every evaluated member respects it.
+    norm; both one-sided residuals are kept as diagnostics.  A commutative
+    model evaluates ``norm(e_j . x - x)`` once and records it as both sides.
+    The report passes iff every final residual is at most ``tol`` and, when
+    the family declares a norm bound, every evaluated member respects it.
     """
     if len(test_set) == 0:
         raise ValueError("test set must be non-empty")
@@ -256,7 +264,10 @@ def check_approximate_identity(
             bound_ok = False
         for i, x in enumerate(test_set):
             left = _checked_norm(model, model.sub(model.mul(e, x), x))
-            right = _checked_norm(model, model.sub(model.mul(x, e), x))
+            if model.commutative:
+                right = left
+            else:
+                right = _checked_norm(model, model.sub(model.mul(x, e), x))
             entries[i].append(
                 TraceEntry(j, max(left, right), member, left, right)
             )
@@ -312,7 +323,9 @@ def check_approx_invertible(
     The candidate families ``j -> x . r_j`` (right) and ``j -> r_j . x``
     (left) are both handed to :func:`check_approximate_identity`; the
     aggregated worst-case traces over the test set are recorded in the
-    certificate.  A model-specific ``refuter`` may veto ``x`` outright
+    certificate.  In a commutative model the two families coincide, so the
+    right family is checked once and its trace stands for both sides.  A
+    model-specific ``refuter`` may veto ``x`` outright
     (e.g. a rank or non-vanishing check); without a refuter a failed trace
     only yields ``inconclusive``.
     """
@@ -330,15 +343,18 @@ def check_approx_invertible(
         )
 
     right_family = ApproxIdentityFamily(lambda j: model.mul(x, net(j)))
-    left_family = ApproxIdentityFamily(lambda j: model.mul(net(j), x))
     right = check_approximate_identity(
         model, right_family, test_set, tol, max_index, schedule
     )
-    left = check_approximate_identity(
-        model, left_family, test_set, tol, max_index, schedule
-    )
     right_trace = _aggregate(right.traces, tol)
-    left_trace = _aggregate(left.traces, tol)
+    if model.commutative:
+        left, left_trace = right, right_trace
+    else:
+        left_family = ApproxIdentityFamily(lambda j: model.mul(net(j), x))
+        left = check_approximate_identity(
+            model, left_family, test_set, tol, max_index, schedule
+        )
+        left_trace = _aggregate(left.traces, tol)
 
     right_ok = bool(residual_decay_verdict(right_trace, tol))
     left_ok = bool(residual_decay_verdict(left_trace, tol))

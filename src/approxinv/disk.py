@@ -323,5 +323,6 @@ def disk_model(sampling: Optional[CircleSampling] = None, degree: int = 16) -> A
         norm=lambda p: sup_norm_disk(p, sampling),
         involution=np.conj,
         unital=False,
+        commutative=True,
         sample=lambda rng: random_a0(rng, degree),
     )

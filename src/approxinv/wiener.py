@@ -72,16 +72,27 @@ class CircleSignal:
     """A complex signal on the sampled circle, stored by its coefficients.
 
     ``coeffs[k % M]`` is the coefficient of ``exp(i k theta)``.  Values on
-    the grid are derived lazily and cached.  Instances are immutable.
+    the grid are derived lazily and cached.  Instances are immutable: the
+    constructor copies the caller's array, while the operations of this
+    module hand over arrays they have just allocated (:meth:`_adopt`), and
+    both end read-only.
     """
 
     __slots__ = ("coeffs", "_values")
 
     def __init__(self, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
+        self._bind(np.array(coeffs, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "CircleSignal":
+        """Take ownership of a fresh complex array nothing else refers to."""
+        signal = cls.__new__(cls)
+        signal._bind(coeffs)
+        return signal
+
+    def _bind(self, coeffs: np.ndarray) -> None:
         if coeffs.ndim != 1 or coeffs.shape[0] < 8:
             raise ValueError("coefficient array must be 1-D with length >= 8")
-        coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_values", None)
@@ -92,7 +103,9 @@ class CircleSignal:
     @classmethod
     def from_values(cls, values: Sequence[complex]) -> "CircleSignal":
         values = np.asarray(values, dtype=complex)
-        return cls(np.fft.fft(values) / values.shape[0])
+        coeffs = np.fft.fft(values)
+        coeffs /= values.shape[0]
+        return cls._adopt(coeffs)
 
     @classmethod
     def from_band(cls, grid: CircleGrid, band: dict[int, complex]) -> "CircleSignal":
@@ -102,7 +115,7 @@ class CircleSignal:
             if abs(k) >= grid.M // 2:
                 raise AliasingError(f"frequency {k} outside band of M={grid.M}")
             coeffs[k % grid.M] = c
-        return cls(coeffs)
+        return cls._adopt(coeffs)
 
     @property
     def grid_size(self) -> int:
@@ -112,7 +125,8 @@ class CircleSignal:
     def values(self) -> np.ndarray:
         cached = self._values
         if cached is None:
-            cached = np.fft.ifft(self.coeffs) * self.grid_size
+            cached = np.fft.ifft(self.coeffs)
+            cached *= self.grid_size
             cached.setflags(write=False)
             object.__setattr__(self, "_values", cached)
         return cached
@@ -123,20 +137,20 @@ class CircleSignal:
     # linear structure (pointwise on coefficients, hence on values)
     def __add__(self, other: "CircleSignal") -> "CircleSignal":
         _check_same_grid(self, other)
-        return CircleSignal(self.coeffs + other.coeffs)
+        return CircleSignal._adopt(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "CircleSignal") -> "CircleSignal":
         _check_same_grid(self, other)
-        return CircleSignal(self.coeffs - other.coeffs)
+        return CircleSignal._adopt(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: complex) -> "CircleSignal":
-        return CircleSignal(self.coeffs * complex(scalar))
+        return CircleSignal._adopt(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def involution(self) -> "CircleSignal":
         """The group-algebra involution conj(f(-theta))."""
-        return CircleSignal(np.conj(self.coeffs))
+        return CircleSignal._adopt(np.conj(self.coeffs))
 
     def __repr__(self) -> str:
         return f"CircleSignal(M={self.grid_size})"
@@ -183,7 +197,7 @@ def convolve(f: CircleSignal, g: CircleSignal) -> CircleSignal:
     to rounding for band-limited inputs.
     """
     _check_same_grid(f, g)
-    return CircleSignal(f.coeffs * g.coeffs)
+    return CircleSignal._adopt(f.coeffs * g.coeffs)
 
 
 @dataclass(frozen=True)
@@ -208,13 +222,13 @@ def fourier(f: CircleSignal, n_max: int) -> FourierCoeffs:
     if n_max >= f.grid_size // 2:
         raise AliasingError(f"n_max={n_max} exceeds band of M={f.grid_size}")
     ks = np.arange(-n_max, n_max + 1)
-    return FourierCoeffs(f.coeffs[ks % f.grid_size].copy(), n_max)
+    return FourierCoeffs(f.coeffs[ks % f.grid_size], n_max)
 
 
 def constant_signal(grid: CircleGrid, value: complex = 1.0) -> CircleSignal:
     coeffs = np.zeros(grid.M, dtype=complex)
     coeffs[0] = value
-    return CircleSignal(coeffs)
+    return CircleSignal._adopt(coeffs)
 
 
 def character(grid: CircleGrid, k: int) -> CircleSignal:
@@ -223,7 +237,7 @@ def character(grid: CircleGrid, k: int) -> CircleSignal:
         raise AliasingError(f"frequency {k} outside band of M={grid.M}")
     coeffs = np.zeros(grid.M, dtype=complex)
     coeffs[k % grid.M] = 1.0
-    return CircleSignal(coeffs)
+    return CircleSignal._adopt(coeffs)
 
 
 def fejer_kernel(grid: CircleGrid, n: int) -> CircleSignal:
@@ -237,7 +251,7 @@ def fejer_kernel(grid: CircleGrid, n: int) -> CircleSignal:
     if n >= grid.M // 2:
         raise AliasingError(f"order n={n} would alias on M={grid.M} samples")
     tri = np.maximum(0.0, 1.0 - np.abs(grid.frequencies) / n)
-    return CircleSignal(tri.astype(complex))
+    return CircleSignal._adopt(tri.astype(complex))
 
 
 def fejer_family(grid: CircleGrid) -> ApproxIdentityFamily:
@@ -250,7 +264,7 @@ def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
         raise ValueError("radius must lie in [0, 1)")
     with np.errstate(under="ignore"):
         coeffs = (r ** np.abs(grid.frequencies)).astype(complex)
-    return CircleSignal(coeffs)
+    return CircleSignal._adopt(coeffs)
 
 
 def gelfand_sup_bound(f: CircleSignal) -> tuple[float, float]:
@@ -288,7 +302,15 @@ def band_nonvanishing(
     f: CircleSignal, n: int, floor: Optional[float] = None
 ) -> Optional[int]:
     """First frequency (by increasing |k|, positive first) where |fhat| fails
-    to clear the floor on the band |k| < n, or None when all clear."""
+    to clear the floor on the band |k| < n, or None when all clear.
+
+    Raises ``ValueError`` for n < 1 and :class:`AliasingError` for n >= M/2,
+    where the band would wrap onto itself.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if n >= f.grid_size // 2:
+        raise AliasingError(f"order n={n} would alias on M={f.grid_size} samples")
     if floor is None:
         floor = default_floor(f)
     ks = np.arange(1, n)
@@ -307,25 +329,21 @@ def band_division(
     |k| < n and zero beyond; ``numerator`` maps an array of signed band
     frequencies to their numerator coefficients.
 
-    Raises ``ValueError`` for n < 1, :class:`AliasingError` for n >= M/2 and
-    :class:`DivisionFloorError` at the first band frequency whose
-    coefficient does not clear the floor.
+    Raises ``ValueError`` for n < 1, :class:`AliasingError` for n >= M/2
+    (both from :func:`band_nonvanishing`) and :class:`DivisionFloorError` at
+    the first band frequency whose coefficient does not clear the floor.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    M = f.grid_size
-    if n >= M // 2:
-        raise AliasingError(f"order n={n} would alias on M={M} samples")
     if floor is None:
         floor = default_floor(f)
     bad = band_nonvanishing(f, n, floor)
     if bad is not None:
         raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
+    M = f.grid_size
     ks = np.fft.fftfreq(M, 1.0 / M).astype(int)
     band = np.abs(ks) < n
     coeffs = np.zeros(M, dtype=complex)
     coeffs[band] = numerator(ks[band]) / f.coeffs[band]
-    return CircleSignal(coeffs)
+    return CircleSignal._adopt(coeffs)
 
 
 def wiener_division(
@@ -438,8 +456,8 @@ def _zeta_exact(f: CircleSignal) -> tuple[float, CircleSignal]:
     if mags[kmin] < 1e-290:  # includes exact zeros; inverse would overflow
         witness_coeffs = np.zeros(f.grid_size, dtype=complex)
         witness_coeffs[kmin] = 1.0  # unit-norm character at the argmin bin
-        return float(mags[kmin]), CircleSignal(witness_coeffs)
-    h = CircleSignal(1.0 / f.coeffs)
+        return float(mags[kmin]), CircleSignal._adopt(witness_coeffs)
+    h = CircleSignal._adopt(1.0 / f.coeffs)
     nh = l1_norm(h)
     return 1.0 / nh, (1.0 / nh) * h
 
@@ -458,6 +476,7 @@ def l1_circle_model(grid: CircleGrid) -> AlgebraModel:
         norm=l1_norm,
         involution=lambda a: a.involution(),
         unital=False,
+        commutative=True,
         sample=lambda rng: _sample_bandlimited(grid, rng),
         zeta_exact=_zeta_exact,
     )

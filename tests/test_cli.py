@@ -1,5 +1,5 @@
 import csv
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -269,11 +269,77 @@ def test_config_validation_bounds():
 
 
 def test_rows_assert_residual_bounds(tmp_path):
-    from dataclasses import replace
-
     cfg = _fast_config(tmp_path)
     config = replace(cli.load_config(cfg), out=str(tmp_path / "rows"))
     rows = cli.run_scenario("tdz", config)
     assert (tmp_path / "rows" / "tdz.csv").exists()
     for row in rows:
         assert (row.verdict == "pass") == (row.residual <= row.bound)
+
+
+def test_raising_scenario_is_recorded_and_the_rest_run(tmp_path, monkeypatch, capsys):
+    def broken(config, seed):
+        raise RuntimeError("broken scenario")
+
+    monkeypatch.setitem(
+        scenarios.REGISTRY, "fejer", replace(scenarios.REGISTRY["fejer"], run=broken)
+    )
+    out = tmp_path / "o"
+    status = cli.main(
+        ["--config", _fast_config(tmp_path), "--out", str(out)]
+        + ["--scenario", "fejer", "--scenario", "tdz"]
+    )
+    assert status == 1
+    summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert summary[0] == "fejer: ERROR (RuntimeError)"
+    assert summary[1].startswith("tdz: PASS (")
+    assert summary[2] == "overall: FAIL"
+    err = capsys.readouterr().err
+    assert "fejer: ERROR (RuntimeError)" in err
+    assert "Traceback" not in err
+    assert not (out / "fejer.csv").exists()
+    assert (out / "tdz.csv").exists()
+
+
+# rows recorded with the two-sided checks, before commutative models
+# evaluated one side: (statement, net_index, residual at .12e)
+FEJER_IDENTITY_ROWS = {
+    4096: [
+        (8, "1.060816987119e-01"),
+        (16, "5.305171514017e-02"),
+        (32, "2.652583107232e-02"),
+        (64, "1.326291553614e-02"),
+        (128, "6.631457768070e-03"),
+    ],
+    16384: [
+        (8, "1.060817264937e-01"),
+        (16, "5.305169919047e-02"),
+        (32, "2.652582299926e-02"),
+        (64, "1.326291149961e-02"),
+        (128, "6.631455749806e-03"),
+    ],
+}
+C0_INTERIOR_ROWS = [
+    ("criterion-equivalence", 50, "0.000000000000e+00"),
+    ("perturbation-distance", 1, "7.870545448172e-03"),
+    ("perturbation-zero", 1, "0.000000000000e+00"),
+    ("perturbation-distance", 2, "3.158595288125e-04"),
+    ("perturbation-zero", 2, "0.000000000000e+00"),
+]
+
+
+def _recorded(name, config):
+    rows = scenarios.REGISTRY[name].run(config, cli.derive_seed(config.seed, name))
+    assert all(row.verdict == "pass" for row in rows)
+    return [(row.statement_id, row.net_index, f"{row.residual:.12e}") for row in rows]
+
+
+@pytest.mark.parametrize("samples", sorted(FEJER_IDENTITY_ROWS))
+def test_fejer_identity_rows_match_recorded_values(samples):
+    rows = _recorded("fejer", scenarios.ScenarioConfig(circle_samples=samples))
+    identity = [(index, value) for sid, index, value in rows if sid == "fejer-identity"]
+    assert identity == FEJER_IDENTITY_ROWS[samples]
+
+
+def test_c0_interior_rows_match_recorded_values():
+    assert _recorded("c0-interior", scenarios.ScenarioConfig(seed=1)) == C0_INTERIOR_ROWS

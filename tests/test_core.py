@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,6 +443,80 @@ def test_verdict_invariant_under_scaling_on_standard_models(model_index, seed, e
     assert verdict(1.0) == expected
     assert verdict(c) == expected
 
+
+
+def _commutator_ratio(model, a, b):
+    """norm(ab - ba) / (norm(a) norm(b))."""
+    gap = model.norm(model.sub(model.mul(a, b), model.mul(b, a)))
+    return gap / (model.norm(a) * model.norm(b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model_index=st.integers(0, len(_STANDARD_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_declared_commutative_models_commute(model_index, seed):
+    model = _STANDARD_MODELS[model_index]
+    rng = np.random.default_rng(seed)
+    a, b = model.sample(rng), model.sample(rng)
+    if model.commutative:
+        assert _commutator_ratio(model, a, b) <= 1e-12
+
+
+def test_commutative_declarations_of_standard_models():
+    declared = {model.name: model.commutative for model in _STANDARD_MODELS}
+    assert {name for name, flag in declared.items() if flag} == {
+        "l1-circle-512", "c0-grid-201", "disk-a0-deg16"
+    }
+    rng = np.random.default_rng(11)
+    for model in _STANDARD_MODELS:
+        if not model.commutative:
+            assert model.name.startswith("matrices-")
+            ratios = [
+                _commutator_ratio(model, model.sample(rng), model.sample(rng))
+                for _ in range(4)
+            ]
+            assert max(ratios) > 1e-12, model.name
+
+
+def _counted(model):
+    """The model with ``norm`` and ``mul`` wrapped in call counters."""
+    calls = {"norm": 0, "mul": 0}
+
+    def norm(x):
+        calls["norm"] += 1
+        return model.norm(x)
+
+    def mul(a, b):
+        calls["mul"] += 1
+        return model.mul(a, b)
+
+    return replace(model, norm=norm, mul=mul), calls
+
+
+@pytest.mark.parametrize(
+    "model", _STANDARD_MODELS, ids=[model.name for model in _STANDARD_MODELS]
+)
+def test_commutative_models_check_one_side(model):
+    rng = np.random.default_rng(3)
+    x, net = _element_and_net(model, rng)
+    tests = [model.sample(rng) for _ in range(3)]
+    sched = (2, 4, 8, 16)
+    counted, calls = _counted(model)
+    cert = check_approx_invertible(
+        counted, x, InverseNet(net), tests, tol=1e-2, schedule=sched
+    )
+    if model.commutative:
+        expected = 1 + len(sched) * (1 + len(tests))
+        assert cert.left_trace is cert.right_trace
+        for entry in cert.right_trace.entries:
+            assert entry.left == entry.right == entry.residual
+    else:
+        expected = 1 + 2 * len(sched) * (1 + 2 * len(tests))
+    assert calls["norm"] == expected
+    # one product per member, one per (member, test element) and side
+    assert calls["mul"] == expected - 1
 
 _small_matrices = arrays(
     np.complex128,

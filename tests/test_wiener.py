@@ -408,6 +408,67 @@ def test_signal_immutable(grid512):
         f.coeffs[0] = 2.0
 
 
+
+def test_signal_copies_caller_arrays(grid512):
+    coeffs = np.zeros(grid512.M, complex)
+    coeffs[1] = 1.0
+    values = np.ones(grid512.M, complex)
+    f = wiener.CircleSignal(coeffs)
+    g = wiener.CircleSignal.from_values(values)
+    coeffs[1] = 5.0
+    values[:] = 3.0
+    assert coeffs.flags.writeable and values.flags.writeable
+    assert f.coeff(1) == 1.0
+    assert g.coeff(0) == 1.0
+    assert np.allclose(g.values, 1.0)
+
+
+def test_operation_results_are_read_only_and_unshared(grid512):
+    f = wiener.poisson_kernel(grid512, 0.5)
+    g = wiener.fejer_kernel(grid512, 8)
+    results = [
+        f + g,
+        f - g,
+        2.0 * f,
+        f * 2.0,
+        f.involution(),
+        wiener.convolve(f, g),
+        wiener.wiener_division(f, 8),
+        wiener.character(grid512, 3),
+        wiener.constant_signal(grid512),
+        wiener.CircleSignal.from_band(grid512, {2: 1.0}),
+        wiener.CircleSignal.from_values(np.ones(grid512.M)),
+        f,
+        g,
+    ]
+    for result in results:
+        for array in (result.coeffs, result.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+        for operand in (f, g):
+            if result is not operand:
+                assert not np.shares_memory(result.coeffs, operand.coeffs)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_band_nonvanishing_rejects_aliasing_order(n):
+    # at n >= M/2 the band |k| < n would read the Nyquist bin twice
+    f = wiener.poisson_kernel(wiener.CircleGrid(16), 0.5)
+    with pytest.raises(AliasingError):
+        wiener.band_nonvanishing(f, n)
+    assert wiener.band_nonvanishing(f, 7) is None
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_band_nonvanishing_rejects_empty_band(n):
+    # an order below one has an empty band, so frequency 0 lies outside it
+    f = wiener.character(wiener.CircleGrid(16), 1)
+    with pytest.raises(ValueError) as err:
+        wiener.band_nonvanishing(f, n)
+    assert not isinstance(err.value, AliasingError)
+    assert wiener.band_nonvanishing(f, 1) == 0
+
 def _band_from_data(grid, data):
     band = {}
     for k, c in data:
