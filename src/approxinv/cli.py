@@ -9,9 +9,10 @@ configuration the CSV bytes are identical across runs except for the
 elapsed-time column.
 
 Exit status: 0 when every emitted row passes, 1 when any row fails or a
-scenario raises, 2 on a configuration error.  A scenario that raises is
-recorded as ``<name>: ERROR (<ExceptionType>)`` in ``summary.txt`` and on
-stderr, and the remaining scenarios still run.
+scenario raises, 2 on a configuration error (an output directory that
+cannot be created included).  A scenario that raises is recorded as
+``<name>: ERROR (<ExceptionType>)`` in ``summary.txt`` and on stderr, and
+the remaining scenarios still run.
 """
 
 from __future__ import annotations
@@ -197,6 +198,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if name not in scenarios.REGISTRY:
                 raise ConfigError(f"unknown scenario {name!r}")
         config.validate()
+        out_dir = Path(config.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory: {err}") from None
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -217,8 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = "PASS" if failures == 0 else "FAIL"
         lines.append(f"{name}: {status} ({len(rows)} rows, {failures} failures)")
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     overall = "FAIL" if failed else "PASS"
     lines.append(f"overall: {overall}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

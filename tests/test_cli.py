@@ -301,8 +301,18 @@ def test_raising_scenario_is_recorded_and_the_rest_run(tmp_path, monkeypatch, ca
     assert (out / "tdz.csv").exists()
 
 
-# rows recorded with the two-sided checks, before commutative models
-# evaluated one side: (statement, net_index, residual at .12e)
+
+def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert cli.main(["--scenario", "tdz", "--out", str(taken)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == ""
+
+
+# recorded with both one-sided residuals evaluated: fejer-identity rows as
+# (net_index, residual at .12e), c0-interior rows as (statement, net_index,
+# residual at .12e)
 FEJER_IDENTITY_ROWS = {
     4096: [
         (8, "1.060816987119e-01"),

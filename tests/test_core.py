@@ -444,7 +444,6 @@ def test_verdict_invariant_under_scaling_on_standard_models(model_index, seed, e
     assert verdict(c) == expected
 
 
-
 def _commutator_ratio(model, a, b):
     """norm(ab - ba) / (norm(a) norm(b))."""
     gap = model.norm(model.sub(model.mul(a, b), model.mul(b, a)))
@@ -517,6 +516,7 @@ def test_commutative_models_check_one_side(model):
     assert calls["norm"] == expected
     # one product per member, one per (member, test element) and side
     assert calls["mul"] == expected - 1
+
 
 _small_matrices = arrays(
     np.complex128,

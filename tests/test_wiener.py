@@ -408,7 +408,6 @@ def test_signal_immutable(grid512):
         f.coeffs[0] = 2.0
 
 
-
 def test_signal_copies_caller_arrays(grid512):
     coeffs = np.zeros(grid512.M, complex)
     coeffs[1] = 1.0
