@@ -169,13 +169,12 @@ class _Rows:
 def _fejer(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     grid = wiener.CircleGrid(config.circle_samples)
     rows = _Rows("fejer", f"l1-circle-{grid.M}")
-    freqs = np.fft.fftfreq(grid.M, 1.0 / grid.M).astype(int)
     for n in config.schedule:
         kernel = wiener.fejer_kernel(grid, n)
         rows.add(
             "fejer-unit-norm", n, abs(wiener.l1_norm(kernel) - 1.0), config.exact_tol
         )
-        tri = np.maximum(0.0, 1.0 - np.abs(freqs) / n)
+        tri = np.maximum(0.0, 1.0 - np.abs(grid.frequencies) / n)
         rows.add(
             "fejer-coefficients", n, float(np.abs(kernel.coeffs - tri).max()), 1e-10
         )
@@ -312,16 +311,18 @@ def _disk13(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     sampling = disk.CircleSampling(config.disk_angles)
     rows = _Rows("disk13", f"disk-a0-deg{config.disk_degree}")
     margin = disk.ONE_THIRD - 1e-2
-    annulus = disk.minimize_annulus_deviation(
-        sampling, config.disk_degree, config.disk_starts, seed
-    )
-    rows.add("annulus-found-minimum", annulus.starts, annulus.value)
-    rows.add("annulus-margin", annulus.starts, max(0.0, margin - annulus.value), 0.0)
-    product = disk.minimize_product_deviation(
-        sampling, config.disk_degree, config.disk_starts, seed + 1
-    )
-    rows.add("product-found-minimum", product.starts, product.value)
-    rows.add("product-margin", product.starts, max(0.0, margin - product.value), 0.0)
+    degree, starts = config.disk_degree, config.disk_starts
+    zero = np.zeros(degree + 1, dtype=complex)  # attains the certified optimum 1
+    elements = disk.random_elements(np.random.default_rng(seed), starts, degree)
+    lower = disk.annulus_lower_bound(elements, sampling)
+    rows.add("annulus-found-minimum", starts, disk.annulus_deviation(zero, sampling))
+    rows.add("annulus-margin", starts, max(0.0, margin - lower), 0.0)
+    rng = np.random.default_rng(seed + 1)
+    first = disk.random_elements(rng, starts, degree)
+    second = disk.random_elements(rng, starts, degree)
+    lower = disk.product_lower_bound(first, second, sampling)
+    rows.add("product-found-minimum", starts, disk.product_deviation(zero, zero, sampling))
+    rows.add("product-margin", starts, max(0.0, margin - lower), 0.0)
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     for _ in range(50):

@@ -339,10 +339,10 @@ def band_division(
     if bad is not None:
         raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
     M = f.grid_size
-    ks = np.fft.fftfreq(M, 1.0 / M).astype(int)
-    band = np.abs(ks) < n
+    ks = np.arange(1 - n, n)
+    bins = ks % M
     coeffs = np.zeros(M, dtype=complex)
-    coeffs[band] = numerator(ks[band]) / f.coeffs[band]
+    coeffs[bins] = numerator(ks) / f.coeffs[bins]
     return CircleSignal._adopt(coeffs)
 
 

@@ -6,15 +6,10 @@ sums, kernel values come from the closed trigonometric form, singular
 values are extracted through the characteristic polynomial, full singular
 systems come from :func:`jacobi_svd`, a pure-Python one-sided Jacobi sweep
 that serves as the independent reference for the LAPACK route of
-``approxinv.operators.svd``, and :func:`full_objective_refine` re-evaluates
-the whole objective at every golden-section probe, the reference for the
-rank-1 probe updates of ``approxinv.disk._refine_coordinates`` (it shares
-only the golden-section step).
+``approxinv.operators.svd``.
 """
 
 import numpy as np
-
-from approxinv.disk import _golden_min
 
 
 def direct_convolve(f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
@@ -147,24 +142,3 @@ def jacobi_svd(
         q_full, _ = np.linalg.qr(np.hstack([u[:, :rank], np.eye(n)]))
         u[:, rank:] = q_full[:, rank:n]
     return lam, u, v
-
-
-def full_objective_refine(objective, x: np.ndarray, passes: int = 3, span: float = 2.2) -> np.ndarray:
-    """Per-coordinate golden-section refinement, sweeping the real and
-    imaginary axis of every coefficient once per pass.  The span covers the
-    whole sampling disk so a coordinate can travel to any admissible value."""
-    x = x.copy()
-    for _ in range(passes):
-        for i in range(x.shape[0]):
-            for axis in (1.0, 1j):
-                base = x[i]
-
-                def fn(offset, i=i, axis=axis, base=base):
-                    x[i] = base + axis * offset
-                    return objective(x)
-
-                best = _golden_min(fn, -span, span)
-                if fn(best) > fn(0.0):  # golden section assumes unimodality
-                    best = 0.0
-                x[i] = base + axis * best
-    return x

@@ -182,21 +182,34 @@ def test_criterion_05_schatten_contracts():
 
 
 def test_criterion_06_disk_separation():
+    # a lower bound of 1 clears the asserted 1/3 - 1e-2 separation threefold
+    checks = []
+    for angles in (1024, 2048):
+        sampling = disk.CircleSampling(angles)
+        zero = np.zeros(9, complex)
+        rng = np.random.default_rng(6)
+        elements, first, second = (disk.random_elements(rng, 10_000, 8) for _ in range(3))
+        results = {
+            "annulus": (
+                disk.annulus_deviation(zero, sampling),
+                disk.annulus_lower_bound(elements, sampling),
+            ),
+            "product": (
+                disk.product_deviation(zero, zero, sampling),
+                disk.product_lower_bound(first, second, sampling),
+            ),
+        }
+        for kind, (found, lower) in results.items():
+            checks.append((abs(found - 1.0) <= 1e-12, f"{angles}: {kind} minimum {found!r} = 1"))
+            checks.append((lower >= 1.0 - 1e-12, f"{angles}: {kind} lower bound {lower!r} >= 1"))
     sampling = disk.CircleSampling(1024)
-    bound = disk.ONE_THIRD - 1e-2
-    annulus = disk.minimize_annulus_deviation(sampling, degree=8, starts=10_000, seed=6)
-    product = disk.minimize_product_deviation(sampling, degree=8, starts=10_000, seed=7)
     rng = np.random.default_rng(8)
     worst_iso = 0.0
     for _ in range(200):
         p = disk.random_a0(rng, int(rng.integers(1, 17)))
         with_chi, plain = disk.chi1_isometry_check(p, sampling)
         worst_iso = max(worst_iso, abs(with_chi - plain))
-    checks = [
-        (annulus.value >= bound, f"annulus minimum {annulus.value:.4f} >= {bound:.4f}"),
-        (product.value >= bound, f"product minimum {product.value:.4f} >= {bound:.4f}"),
-        (worst_iso <= 1e-12, f"generator isometry, worst {worst_iso:.2e}"),
-    ]
+    checks.append((worst_iso <= 1e-12, f"generator isometry, worst {worst_iso:.2e}"))
     _report(6, "separation bounds in the origin-vanishing disk algebra", checks)
 
 

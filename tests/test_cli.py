@@ -1,10 +1,12 @@
 import csv
 from dataclasses import fields, replace
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from approxinv import cli, scenarios
+from approxinv import cli, disk, scenarios
 from approxinv.errors import ConfigError
 
 FAST_ARGS = [
@@ -299,6 +301,26 @@ def test_raising_scenario_is_recorded_and_the_rest_run(tmp_path, monkeypatch, ca
     assert "Traceback" not in err
     assert not (out / "fejer.csv").exists()
     assert (out / "tdz.csv").exists()
+
+
+class _PeriodFourSampling(disk.CircleSampling):
+    """A defective sampling whose circle repeats 1, i, -1, -i: z^4 averages
+    to 1 instead of 0, so the mean-value certificate no longer holds."""
+
+    @cached_property
+    def circle(self):
+        return 1j ** (np.arange(self.angles) % 4)
+
+
+def test_aliased_sampling_fails_both_disk_margins(tmp_path, monkeypatch):
+    monkeypatch.setattr(disk, "CircleSampling", _PeriodFourSampling)
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "disk13", "--out", str(out)]) == 1
+    with open(out / "disk13.csv", encoding="utf-8", newline="") as handle:
+        verdicts = {row["statement_id"]: row["verdict"] for row in csv.DictReader(handle)}
+    assert verdicts["annulus-margin"] == "fail"
+    assert verdicts["product-margin"] == "fail"
+    assert verdicts["monomial-isometry"] == "pass"
 
 
 

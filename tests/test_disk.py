@@ -3,9 +3,8 @@ import pytest
 
 from approxinv import disk
 
-from .oracles import full_objective_refine
-
-BOUND = disk.ONE_THIRD - 1e-2
+#: Rounding allowance of the certified optimum 1 and of its lower bound.
+EXACT = 1e-12
 
 
 def test_sup_norm_monomials(sampling):
@@ -47,6 +46,7 @@ def test_product_deviation_values(sampling):
     assert disk.product_deviation(chi, chi, sampling) == pytest.approx(2.0, abs=1e-12)
     zero = np.array([0.0], complex)
     assert disk.product_deviation(chi, zero, sampling) == pytest.approx(1.0, abs=1e-12)
+    assert disk.product_deviation(zero, zero, sampling) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi1_multiplication_is_isometric(sampling, rng):
@@ -79,54 +79,74 @@ def test_sampled_sup_monotone_under_refinement(rng):
         assert disk.annulus_deviation(p, fine) >= disk.annulus_deviation(p, coarse) - 1e-15
 
 
-def test_annulus_search_respects_bound(sampling):
-    result = disk.minimize_annulus_deviation(sampling, degree=8, starts=1000, seed=3)
-    assert result.value >= BOUND
-    # interior circles average any admissible element to zero, so no element
-    # gets below deviation one on this sampling (up to sampling slack)
-    assert result.value >= 1.0 - 1e-3
-    assert result.argument[0][0] == 0.0
+@pytest.mark.parametrize("angles", [1024, 2048])
+def test_annulus_certificate_is_exact(angles):
+    # the zero element attains 1 and no seeded element gets below 1, so the
+    # infimum over degree-8 elements is exactly 1 on this sampling
+    sampling = disk.CircleSampling(angles)
+    zero = np.zeros(9, complex)
+    assert abs(disk.annulus_deviation(zero, sampling) - 1.0) <= EXACT
+    elements = disk.random_elements(np.random.default_rng(3), 10_000, 8)
+    assert disk.annulus_lower_bound(elements, sampling) >= 1.0 - EXACT
+    # the certificate never exceeds the objective it bounds
+    for p in elements[:100]:
+        lower = disk.annulus_lower_bound(p[None, :], sampling)
+        assert lower <= disk.annulus_deviation(p, sampling) + EXACT
 
 
-def test_product_search_respects_bound(sampling):
-    result = disk.minimize_product_deviation(sampling, degree=8, starts=1000, seed=4)
-    assert result.value >= BOUND
-    assert result.value >= 1.0 - 1e-3
-    f1, f2 = result.argument
-    assert f1[0] == 0.0 and f2[0] == 0.0
+@pytest.mark.parametrize("angles", [1024, 2048])
+def test_product_certificate_is_exact(angles):
+    sampling = disk.CircleSampling(angles)
+    zero = np.zeros(9, complex)
+    assert abs(disk.product_deviation(zero, zero, sampling) - 1.0) <= EXACT
+    rng = np.random.default_rng(4)
+    first = disk.random_elements(rng, 10_000, 8)
+    second = disk.random_elements(rng, 10_000, 8)
+    assert disk.product_lower_bound(first, second, sampling) >= 1.0 - EXACT
+    for f1, f2 in zip(first[:100], second[:100]):
+        lower = disk.product_lower_bound(f1[None, :], f2[None, :], sampling)
+        assert lower <= disk.product_deviation(f1, f2, sampling) + EXACT
+
+
+def test_certificates_see_a_constant_term(sampling):
+    # elements outside A0 are not covered: the unit constant has annulus mean
+    # 1 - 1 = 0, and 1 * z pairs with conj(z) to 1, so both bounds drop to 0
+    one = np.zeros((1, 9), complex)
+    one[0, 0] = 1.0
+    chi = np.zeros((1, 9), complex)
+    chi[0, 1] = 1.0
+    assert disk.annulus_lower_bound(one, sampling) <= EXACT
+    assert disk.product_lower_bound(one, chi, sampling) <= EXACT
 
 
 def test_candidate_nets_stay_away_from_generator(sampling, rng):
-    # every degree-capped candidate net member keeps sup|chi1 g - chi1| large,
-    # so no approximate identity can form in this model
+    # every degree-capped candidate net member keeps sup|chi1 g - chi1| at
+    # least one, so no approximate identity can form in this model
     chi = disk.chi1()
-    best = np.inf
-    for _ in range(200):
-        g = disk.random_a0(rng, 8)
-        best = min(best, disk.product_deviation(chi, g, sampling))
-    circle = sampling.circle
-    refined = disk._refine_coordinates(
-        lambda c: circle * disk.poly_eval(np.concatenate([[0.0], c]), circle) - circle,
-        lambda c, k: circle ** (k + 2),
-        disk.random_a0(rng, 8)[1:],
-    )
-    best = min(best, disk.product_deviation(chi, np.concatenate([[0.0], refined]), sampling))
-    assert best >= BOUND
-    assert best >= 1.0 - 1e-3
+    candidates = disk.random_elements(rng, 10_000, 8)
+    for g in candidates[:200]:
+        assert disk.product_deviation(chi, g, sampling) >= 1.0 - EXACT
+    generator = np.zeros_like(candidates)
+    generator[:, 1] = 1.0
+    lower = disk.product_lower_bound(generator, candidates, sampling)
+    assert lower >= 1.0 - EXACT
 
 
 def test_zero_identity_candidate_is_coordinatewise_minimal(sampling):
-    # the zero element realizes deviation exactly one; no single-coordinate
-    # move improves it, matching the search floor above
-    objective = lambda c: disk.annulus_deviation(np.concatenate([[0.0], c]), sampling)
-    zero = np.zeros(8, complex)
-    assert objective(zero) == pytest.approx(1.0, abs=1e-12)
-    refined = disk._refine_coordinates(
-        lambda c: disk.poly_eval(np.concatenate([[0.0], c]), sampling.annulus) - 1.0,
-        lambda c, k: sampling.annulus ** (k + 1),
-        zero,
-    )
-    assert objective(refined) >= 1.0 - 1e-12
+    # the zero element realizes deviation exactly one, and no move of a
+    # single coefficient along either axis, anywhere in the sampling disk,
+    # improves it
+    zero = np.zeros(9, complex)
+    assert disk.annulus_deviation(zero, sampling) == pytest.approx(1.0, abs=EXACT)
+    moves = []
+    for k in range(1, 9):
+        for step in np.linspace(-2.2, 2.2, 23):
+            for axis in (1.0, 1j):
+                p = zero.copy()
+                p[k] = axis * step
+                moves.append(p)
+                assert disk.annulus_deviation(p, sampling) >= 1.0 - EXACT
+    assert disk.annulus_lower_bound(np.array(moves), sampling) >= 1.0 - EXACT
 
 
 @pytest.mark.parametrize("angles", [1024, 2048])
@@ -139,42 +159,3 @@ def test_boundary_screen_equals_annulus_max(angles, rng):
         p = disk.random_a0(rng, 8)
         rim = float(np.abs(disk.poly_eval(p, sampling.boundary) - 1.0).max())
         assert rim == disk.annulus_deviation(p, sampling)
-
-
-def test_searches_match_recorded_values(sampling):
-    # recorded from the full-annulus screen and the full-objective refinement
-    annulus = disk.minimize_annulus_deviation(sampling, starts=10_000, seed=6)
-    product = disk.minimize_product_deviation(sampling, starts=10_000, seed=7)
-    assert f"{annulus.value:.12e}" == "2.108460192366e+00"
-    assert f"{product.value:.12e}" == "2.497014156108e+00"
-
-
-def _annulus_surrogate(sampling, degree):
-    points = sampling.annulus
-    powers = np.stack([points**k for k in range(1, degree + 1)])
-    return disk._annulus_residual(powers[:, :: max(1, points.shape[0] // 4096)])
-
-
-def _product_surrogate(sampling, degree):
-    circle = sampling.circle
-    powers = np.stack([circle**k for k in range(2 * degree + 1)])
-    stride = max(1, circle.shape[0] // 512)
-    return disk._product_residual(powers[:, ::stride], circle[::stride], degree)
-
-
-@pytest.mark.parametrize("kind", ["annulus", "product"])
-def test_rank1_refinement_matches_full_objective_oracle(kind, sampling):
-    degree = 8
-    make, width = {
-        "annulus": (_annulus_surrogate, degree),
-        "product": (_product_surrogate, 2 * degree),
-    }[kind]
-    residual, direction = make(sampling, degree)
-    objective = lambda x: float(np.abs(residual(x)).max())
-    rng = np.random.default_rng(21)
-    starts = [np.zeros(width, complex)] + list(disk._coeff_matrix(rng, 3, width))
-    for x0 in starts:
-        expected = full_objective_refine(objective, x0)
-        got = disk._refine_coordinates(residual, direction, x0)
-        assert np.abs(got - expected).max() <= 1e-12
-        assert f"{objective(got):.12e}" == f"{objective(expected):.12e}"

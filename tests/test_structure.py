@@ -9,6 +9,7 @@ import pytest
 import approxinv
 
 PACKAGE = Path(approxinv.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported_names(node: ast.AST) -> list[str]:
@@ -47,3 +48,44 @@ def test_package_import_graph_has_no_cycle():
         list(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as err:
         pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public names a module binds at top level: functions, classes and
+    plainly assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _referenced_identifiers(tree: ast.AST) -> set[str]:
+    """Identifiers a source file reads: loaded names, attribute names and
+    imported names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    referenced = set()
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= _referenced_identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    orphans = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in referenced
+    )
+    assert not orphans, f"public names nobody reads: {orphans}"
