@@ -192,16 +192,17 @@ def strong_convergence_check(
 
 
 def right_inverse_net(
-    a: np.ndarray, threshold: Optional[float] = None
+    a: np.ndarray | SingularSystem, threshold: Optional[float] = None
 ) -> InverseNet:
     """The net ``m -> U_m`` inverting the operator on its leading singular
     directions, arranged so that a . U_m is the orthogonal projection onto
-    the span of the first m output vectors.
+    the span of the first m output vectors.  ``a`` may be the operator's
+    singular system, so a caller that already holds it decomposes once.
 
     Refuses rank-deficient input: a singular value at or below the threshold
     refutes dense range at this truncation.
     """
-    system = svd(a)
+    system = a if isinstance(a, SingularSystem) else svd(a)
     if threshold is None:
         threshold = RANK_THRESHOLD_REL * (system.values[0] if system.values[0] > 0 else 1.0)
     small = np.flatnonzero(system.values <= threshold)
@@ -279,32 +280,56 @@ def _unit_vector(vector: np.ndarray) -> np.ndarray:
 
 def min_pure_state_norm(
     a: np.ndarray, count: int = 1000, seed: int = 0, sweeps: int = 60
-) -> float:
+) -> float | np.ndarray:
     """min over unit vectors of ||T* a||, by seeded sampling followed by
     regularized inverse iteration on T T*.
+
+    ``a`` is one operator, giving a float, or a stack of k operators, giving
+    the k minima; a single operator is a stack of one.  Operator j of a stack
+    screens ``count`` candidates drawn from ``default_rng(seed + j)``, so a
+    stack answers exactly as its members called one by one with consecutive
+    seeds.  Each regularized Gram matrix is inverted once and the sweeps
+    apply the inverses to the whole stack (inverse iteration with a reused
+    factorization: Golub & Van Loan, *Matrix Computations*, 7.6.1).  The
+    final norm is taken through T itself, not the Gram matrix, so the
+    singular case resolves down to rounding level.
 
     Equals the smallest singular value up to refinement error; together with
     :func:`range_kernel_refuter` this realizes the pure-state criterion for
     right invertibility.
     """
-    a = _as_operator(a)
+    stack = np.asarray(a, dtype=complex)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[0] == 0:
+        raise ValueError("operators must be one square array or a non-empty stack")
     if count < 1:
         raise ValueError("count must be positive")
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    cands = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-    cands /= np.linalg.norm(cands, axis=0)
-    vals = np.linalg.norm(a.conj().T @ cands, axis=0)
-    best = cands[:, int(np.argmin(vals))]
-    gram = a @ a.conj().T
-    eps = 1e-12 * max(float(np.trace(gram).real), 1.0)
-    regularized = gram + eps * np.eye(n)
-    vec = best
+    k, n = stack.shape[:2]
+    screened = np.empty(k)
+    vecs = np.empty((k, n), dtype=complex)
+    for j in range(k):
+        adjoint = _as_operator(stack[j]).conj().T
+        rng = np.random.default_rng(seed + j)
+        cands = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
+        cands /= np.linalg.norm(cands, axis=0)
+        vals = np.linalg.norm(adjoint @ cands, axis=0)
+        best = int(np.argmin(vals))
+        screened[j] = vals[best]
+        vecs[j] = cands[:, best]
+    gram = stack @ stack.conj().swapaxes(1, 2)
+    eps = 1e-12 * np.maximum(np.trace(gram, axis1=1, axis2=2).real, 1.0)
+    diagonal = np.arange(n)
+    gram[:, diagonal, diagonal] += eps[:, None]
+    inverse = np.linalg.inv(gram)
     for _ in range(sweeps):
-        vec = np.linalg.solve(regularized, vec)
-        vec /= np.linalg.norm(vec)
-    refined = float(np.linalg.norm(a.conj().T @ vec))
-    return min(float(vals.min()), refined)
+        vecs = np.einsum("kij,kj->ki", inverse, vecs)
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    # T^T conj(v) is the conjugate of T* v, so no adjoint copy of the stack.
+    refined = np.linalg.norm(np.einsum("kji,kj->ki", stack, vecs.conj()), axis=1)
+    minima = np.minimum(screened, refined)
+    return float(minima[0]) if single else minima
 
 
 def adjoint_duality_check(a: np.ndarray, threshold: Optional[float] = None) -> bool:
@@ -319,8 +344,8 @@ def adjoint_duality_check(a: np.ndarray, threshold: Optional[float] = None) -> b
         return False
     if not fwd.dense_range:
         return True
-    net = right_inverse_net(a, threshold)
     system = svd(a)
+    net = right_inverse_net(system, threshold)
     for m in (1, system.dim // 2, system.dim):
         if m < 1:
             continue

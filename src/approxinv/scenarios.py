@@ -226,8 +226,8 @@ def _um_net(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     worst_final = 0.0
     for _ in range(config.matrix_count):
         t = _full_rank_operator(n, rng)
-        net = operators.right_inverse_net(t)
         system = operators.svd(t)
+        net = operators.right_inverse_net(system)
         for m in range(1, n + 1):
             proj = operators.output_projection(system, m)
             worst_proj[m - 1] = max(
@@ -259,17 +259,19 @@ def _pure_state(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     threshold = 1e-8
     disagreements = 0
     cases = 10 * config.matrix_count
-    for i in range(cases):
-        t = operators._sample_operator(n, rng)
-        if i % 3 == 0:  # deliberately singular third
-            t[:, i % n] = 0.0
-        by_rank = operators.range_kernel_refuter(t, threshold).dense_range
-        by_sigma = bool(operators.singular_values(t)[-1] > threshold)
-        by_state = bool(
-            operators.min_pure_state_norm(t, 200, seed=seed + i) > threshold
-        )
-        if not (by_rank == by_sigma == by_state):
-            disagreements += 1
+    # one block of 10 per matrix_count step: memory does not grow with the count
+    for start in range(0, cases, 10):
+        block = np.empty((10, n, n), dtype=complex)
+        for j, i in enumerate(range(start, start + 10)):
+            block[j] = operators._sample_operator(n, rng)
+            if i % 3 == 0:  # deliberately singular third
+                block[j, :, i % n] = 0.0
+        by_state = operators.min_pure_state_norm(block, 200, seed=seed + start) > threshold
+        for t, state in zip(block, by_state):
+            report = operators.range_kernel_refuter(t, threshold)
+            by_sigma = report.min_singular_value > threshold
+            if not (report.dense_range == by_sigma == state):
+                disagreements += 1
     rows.add("criterion-agreement", cases, float(disagreements), 0.0)
     return rows.rows
 

@@ -6,7 +6,9 @@ sums, kernel values come from the closed trigonometric form, singular
 values are extracted through the characteristic polynomial, full singular
 systems come from :func:`jacobi_svd`, a pure-Python one-sided Jacobi sweep
 that serves as the independent reference for the LAPACK route of
-``approxinv.operators.svd``.
+``approxinv.operators.svd``, and :func:`solved_pure_state_minimum` is the
+one-operator, solve-per-sweep form of the stacked inverse iteration in
+``approxinv.operators.min_pure_state_norm``.
 """
 
 import numpy as np
@@ -142,3 +144,24 @@ def jacobi_svd(
         q_full, _ = np.linalg.qr(np.hstack([u[:, :rank], np.eye(n)]))
         u[:, rank:] = q_full[:, rank:n]
     return lam, u, v
+
+
+def solved_pure_state_minimum(
+    t: np.ndarray, count: int, seed: int, sweeps: int = 60
+) -> float:
+    """min over unit vectors of ||T* v|| for one operator: the seeded screen
+    of ``count`` candidates, then inverse iteration on T T* + eps I with a
+    fresh ``np.linalg.solve`` per sweep."""
+    t = np.asarray(t, complex)
+    n = t.shape[0]
+    rng = np.random.default_rng(seed)
+    cands = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
+    cands /= np.linalg.norm(cands, axis=0)
+    vals = np.linalg.norm(t.conj().T @ cands, axis=0)
+    gram = t @ t.conj().T
+    regularized = gram + 1e-12 * max(float(np.trace(gram).real), 1.0) * np.eye(n)
+    vec = cands[:, int(np.argmin(vals))]
+    for _ in range(sweeps):
+        vec = np.linalg.solve(regularized, vec)
+        vec /= np.linalg.norm(vec)
+    return min(float(vals.min()), float(np.linalg.norm(t.conj().T @ vec)))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from approxinv import cli, disk, scenarios
+from approxinv import cli, disk, operators, scenarios
 from approxinv.errors import ConfigError
 
 FAST_ARGS = [
@@ -322,6 +322,22 @@ def test_aliased_sampling_fails_both_disk_margins(tmp_path, monkeypatch):
     assert verdicts["product-margin"] == "fail"
     assert verdicts["monomial-isometry"] == "pass"
 
+
+
+def test_state_route_alone_can_fail_the_pure_state_row(tmp_path, monkeypatch):
+    # by_rank and by_sigma read the same LAPACK values, so only the state
+    # route can disagree; a route that sees every operator annihilated must.
+    def annihilated(a, count=1000, seed=0, sweeps=60):
+        return np.zeros(len(a))
+
+    monkeypatch.setattr(operators, "min_pure_state_norm", annihilated)
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "pure-state", "--out", str(out)]) == 1
+    with open(out / "pure-state.csv", encoding="utf-8", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["statement_id"] == "criterion-agreement"
+    assert float(row["residual"]) > 0.0
+    assert row["verdict"] == "fail"
 
 
 def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):

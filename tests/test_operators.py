@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from approxinv import operators
+from approxinv import operators, scenarios
 from approxinv.core import check_approximate_identity
 from approxinv.errors import RankDeficientError
 
-from .oracles import charpoly_singular_values, jacobi_svd
+from .oracles import charpoly_singular_values, jacobi_svd, solved_pure_state_minimum
 
 
 def _random_operator(n, rng, scale=1.0):
@@ -253,9 +255,11 @@ def test_right_inverse_net_seeded(rng):
         t = _full_rank(n, rng)
         net = operators.right_inverse_net(t)
         system = operators.svd(t)
+        from_system = operators.right_inverse_net(system)
         for m in (1, 5, 16):
             proj = operators.output_projection(system, m)
             assert np.abs(t @ net(m) - proj).max() <= 1e-9
+            assert np.array_equal(from_system(m), net(m))
         for _ in range(5):
             c = _random_operator(n, rng)
             assert operators.schatten_norm(t @ net(n) @ c - c, 2.0) <= 1e-9
@@ -263,9 +267,10 @@ def test_right_inverse_net_seeded(rng):
 
 def test_right_inverse_net_refuses_singular():
     t = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(RankDeficientError) as err:
-        operators.right_inverse_net(t)
-    assert err.value.index == 2
+    for source in (t, operators.svd(t)):
+        with pytest.raises(RankDeficientError) as err:
+            operators.right_inverse_net(source)
+        assert err.value.index == 2
 
 
 def test_matrix_model_names_and_norms(rng):
@@ -331,6 +336,95 @@ def test_three_way_criterion_agreement(rng):
             operators.min_pure_state_norm(t, 200, seed=trial) > threshold
         )
         assert by_rank == by_sigma == by_state
+
+
+def _stack_with_singular_members(n, k, rng):
+    stack = np.array([_random_operator(n, rng) for _ in range(k)])
+    for j in range(0, k, 3):
+        stack[j, :, j % n] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_stacked_minima_match_smallest_singular_values(n, rng):
+    stack = _stack_with_singular_members(n, 10, rng)
+    minima = operators.min_pure_state_norm(stack, 200, seed=3)
+    assert minima.shape == (10,)
+    for t, est in zip(stack, minima):
+        assert abs(est - operators.singular_values(t)[-1]) <= 1e-6
+    assert np.all(minima[::3] <= 1e-12)
+
+
+def test_stack_of_one_equals_the_single_call(rng):
+    t = _stack_with_singular_members(12, 1, rng)[0]
+    single = operators.min_pure_state_norm(t, 200, seed=8)
+    assert isinstance(single, float)
+    assert operators.min_pure_state_norm(t[None], 200, seed=8).tolist() == [single]
+
+
+def test_stack_matches_the_per_operator_solve_oracle(rng):
+    stack = _stack_with_singular_members(12, 5, rng)
+    together = operators.min_pure_state_norm(list(stack), 200, seed=7)
+    for j, t in enumerate(stack):
+        assert abs(together[j] - solved_pure_state_minimum(t, 200, 7 + j)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "operators_in",
+    [
+        np.zeros((2, 3, 4), complex),
+        np.full((1, 3, 3), np.nan),
+        np.array([np.eye(3), np.diag([1.0, np.inf, 1.0])]),
+        np.zeros((0, 3, 3), complex),
+        [],
+        np.zeros(3),
+    ],
+    ids=["non-square", "nan", "inf-member", "empty-stack", "empty-list", "vector"],
+)
+def test_pure_state_minimum_rejects_bad_stacks(operators_in):
+    with pytest.raises(ValueError):
+        operators.min_pure_state_norm(operators_in, 10)
+
+
+def test_pure_state_minimum_rejects_empty_screen():
+    with pytest.raises(ValueError):
+        operators.min_pure_state_norm(np.eye(3), 0)
+
+
+def test_pure_state_route_inverts_each_gram_matrix_once(monkeypatch):
+    calls = {"inverted": 0, "solve": 0}
+    inv, solve = np.linalg.inv, np.linalg.solve
+
+    def counting_inv(a):
+        calls["inverted"] += 1 if np.ndim(a) == 2 else len(a)
+        return inv(a)
+
+    def counting_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    config = scenarios.ScenarioConfig(matrix_size=8, matrix_count=3)
+    rows = scenarios.REGISTRY["pure-state"].run(config, 5)
+    assert rows[0].verdict == "pass"
+    assert calls == {"inverted": 30, "solve": 0}
+
+
+def _pure_state_peak(matrix_count):
+    config = scenarios.ScenarioConfig(matrix_size=24, matrix_count=matrix_count)
+    tracemalloc.start()
+    try:
+        scenarios.REGISTRY["pure-state"].run(config, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pure_state_memory_does_not_grow_with_matrix_count():
+    _pure_state_peak(1)  # first-call allocations (lazy imports, caches)
+    small, large = _pure_state_peak(5), _pure_state_peak(20)
+    assert abs(large - small) <= 0.1 * small
 
 
 def test_adjoint_duality(rng):
