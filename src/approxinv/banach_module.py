@@ -43,8 +43,8 @@ class ModuleSignal:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("module exponent must satisfy p >= 1")
+        if not self.p >= 1:  # also rejects NaN
+            raise ValueError(f"module exponent must satisfy p >= 1, got {self.p}")
 
     @property
     def grid_size(self) -> int:

@@ -22,6 +22,7 @@ is checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -123,10 +124,16 @@ class CircleSignal:
 
     @property
     def values(self) -> np.ndarray:
+        """Grid values: real, from the half spectrum, when the coefficients
+        are bitwise Hermitian; complex otherwise."""
         cached = self._values
         if cached is None:
-            cached = np.fft.ifft(self.coeffs)
-            cached *= self.grid_size
+            M = self.grid_size
+            if _is_hermitian(self.coeffs):
+                cached = np.fft.irfft(self.coeffs[: M // 2 + 1], M)
+            else:
+                cached = np.fft.ifft(self.coeffs)
+            cached *= M
             cached.setflags(write=False)
             object.__setattr__(self, "_values", cached)
         return cached
@@ -156,6 +163,17 @@ class CircleSignal:
         return f"CircleSignal(M={self.grid_size})"
 
 
+def _is_hermitian(c: np.ndarray) -> bool:
+    """True when c[0] is real and c[k] == conj(c[M - k]) for every k, so the
+    synthesized values are real; any NaN fails the comparisons."""
+    M = c.shape[0]
+    # the DC bin and the first mirror pair reject most arrays before the full pass
+    if not (c[0] == c[0].conjugate() and c[1] == c[-1].conjugate()):
+        return False
+    half = M // 2
+    return np.array_equal(c[1 : half + 1], np.conj(c[: M - half - 1 : -1]))
+
+
 def _check_same_grid(f: CircleSignal, g: CircleSignal) -> None:
     if f.grid_size != g.grid_size:
         raise ValueError(
@@ -169,9 +187,15 @@ def l1_norm(f: CircleSignal) -> float:
 
 
 def lp_norm(f: CircleSignal, p: float) -> float:
-    """Normalized p-norm of the grid values; p = inf gives the sup."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    """Normalized p-norm of the grid values; p = inf gives the sup.
+
+    p = 2 reads the coefficients: under unit Haar mass Parseval gives
+    mean |values|^2 = sum |fhat(k)|^2, so nothing is synthesized.
+    """
+    if not p >= 1:  # also rejects NaN
+        raise ValueError(f"p must be >= 1, got {p}")
+    if p == 2:
+        return float(np.sqrt(np.vdot(f.coeffs, f.coeffs).real))
     mags = np.abs(f.values)
     if np.isinf(p):
         return float(mags.max())
@@ -218,7 +242,9 @@ class FourierCoeffs:
 
 
 def fourier(f: CircleSignal, n_max: int) -> FourierCoeffs:
-    """Extract the coefficients on the band |k| <= n_max (n_max < M/2)."""
+    """Extract the coefficients on the band |k| <= n_max (0 <= n_max < M/2)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max >= f.grid_size // 2:
         raise AliasingError(f"n_max={n_max} exceeds band of M={f.grid_size}")
     ks = np.arange(-n_max, n_max + 1)
@@ -240,18 +266,29 @@ def character(grid: CircleGrid, k: int) -> CircleSignal:
     return CircleSignal._adopt(coeffs)
 
 
+def _whole_order(n) -> int:
+    """A kernel or band order as an int; ``ValueError`` unless it is a
+    whole number (net indices are integers)."""
+    if not float(n).is_integer():
+        raise ValueError(f"order must be an integer, got {n!r}")
+    return int(n)
+
+
 def fejer_kernel(grid: CircleGrid, n: int) -> CircleSignal:
     """Order-n kernel with triangular coefficients (1 - |k|/n)_+.
 
     Pointwise nonnegative with unit algebra norm; the canonical norm-one
     approximate identity of the circle algebra.
     """
+    n = _whole_order(n)
     if n < 1:
         raise ValueError("kernel order must be >= 1")
     if n >= grid.M // 2:
         raise AliasingError(f"order n={n} would alias on M={grid.M} samples")
-    tri = np.maximum(0.0, 1.0 - np.abs(grid.frequencies) / n)
-    return CircleSignal._adopt(tri.astype(complex))
+    ks = np.arange(1 - n, n)
+    coeffs = np.zeros(grid.M, dtype=complex)
+    coeffs[ks % grid.M] = 1.0 - np.abs(ks) / n
+    return CircleSignal._adopt(coeffs)
 
 
 def fejer_family(grid: CircleGrid) -> ApproxIdentityFamily:
@@ -262,8 +299,16 @@ def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
     """Kernel with coefficients r^|k|; nonnegative with unit algebra norm."""
     if not 0 <= r < 1:
         raise ValueError("radius must lie in [0, 1)")
+    M, half = grid.M, grid.M // 2
+    # r^k <= 2^-1100 from k = cut on, far below the smallest subnormal
+    # (2^-1074), so those coefficients are exact zeros
+    cut = 1 if r == 0 else math.ceil(1100 / -math.log2(r))
+    ks = np.arange(min(half + 1, cut))
     with np.errstate(under="ignore"):
-        coeffs = (r ** np.abs(grid.frequencies)).astype(complex)
+        powers = r**ks
+    coeffs = np.zeros(M, dtype=complex)
+    coeffs[ks] = powers
+    coeffs[M - ks[1 : M - half]] = powers[1 : M - half]
     return CircleSignal._adopt(coeffs)
 
 
@@ -304,9 +349,11 @@ def band_nonvanishing(
     """First frequency (by increasing |k|, positive first) where |fhat| fails
     to clear the floor on the band |k| < n, or None when all clear.
 
-    Raises ``ValueError`` for n < 1 and :class:`AliasingError` for n >= M/2,
-    where the band would wrap onto itself.
+    Raises ``ValueError`` for n < 1 or a non-integral n and
+    :class:`AliasingError` for n >= M/2, where the band would wrap onto
+    itself.
     """
+    n = _whole_order(n)
     if n < 1:
         raise ValueError("order must be >= 1")
     if n >= f.grid_size // 2:
@@ -329,10 +376,12 @@ def band_division(
     |k| < n and zero beyond; ``numerator`` maps an array of signed band
     frequencies to their numerator coefficients.
 
-    Raises ``ValueError`` for n < 1, :class:`AliasingError` for n >= M/2
-    (both from :func:`band_nonvanishing`) and :class:`DivisionFloorError` at
-    the first band frequency whose coefficient does not clear the floor.
+    Raises ``ValueError`` for n < 1 or a non-integral n,
+    :class:`AliasingError` for n >= M/2 (both from :func:`band_nonvanishing`)
+    and :class:`DivisionFloorError` at the first band frequency whose
+    coefficient does not clear the floor.
     """
+    n = _whole_order(n)
     if floor is None:
         floor = default_floor(f)
     bad = band_nonvanishing(f, n, floor)

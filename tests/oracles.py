@@ -8,7 +8,10 @@ systems come from :func:`jacobi_svd`, a pure-Python one-sided Jacobi sweep
 that serves as the independent reference for the LAPACK route of
 ``approxinv.operators.svd``, and :func:`solved_pure_state_minimum` is the
 one-operator, solve-per-sweep form of the stacked inverse iteration in
-``approxinv.operators.min_pure_state_norm``.
+``approxinv.operators.min_pure_state_norm``.  :func:`complex_synthesis`,
+:func:`fejer_coeffs_full` and :func:`poisson_coeffs_full` are the full-grid
+forms that ``approxinv.wiener`` replaced by real synthesis for Hermitian
+spectra and by kernels built on their band.
 """
 
 import numpy as np
@@ -32,6 +35,27 @@ def direct_coeff(values: np.ndarray, k: int) -> complex:
     m = values.shape[0]
     theta = 2.0 * np.pi * np.arange(m) / m
     return complex(values @ np.exp(-1j * k * theta) / m)
+
+
+def complex_synthesis(coeffs: np.ndarray) -> np.ndarray:
+    """Grid values sum_k c_k exp(i k theta_m) through a complex inverse FFT."""
+    coeffs = np.asarray(coeffs, complex)
+    return np.fft.ifft(coeffs) * coeffs.shape[0]
+
+
+def _signed_frequencies(M: int) -> np.ndarray:
+    return np.fft.fftfreq(M, 1.0 / M).astype(int)
+
+
+def fejer_coeffs_full(M: int, n: int) -> np.ndarray:
+    """Triangular coefficients (1 - |k|/n)_+ evaluated on every bin."""
+    return np.maximum(0.0, 1.0 - np.abs(_signed_frequencies(M)) / n).astype(complex)
+
+
+def poisson_coeffs_full(M: int, r: float) -> np.ndarray:
+    """Coefficients r^|k| evaluated on every bin."""
+    with np.errstate(under="ignore"):
+        return (r ** np.abs(_signed_frequencies(M))).astype(complex)
 
 
 def fejer_values_closed_form(M: int, n: int) -> np.ndarray:

@@ -185,3 +185,8 @@ def test_noise_spec_validation():
         bm.NoiseSpec(sigma=-1.0)
     with pytest.raises(ValueError):
         bm.ModuleSignal(wiener.constant_signal(wiener.CircleGrid(8)), p=0.5)
+
+
+def test_module_signal_rejects_nan_exponent():
+    with pytest.raises(ValueError):
+        bm.ModuleSignal(wiener.constant_signal(wiener.CircleGrid(8)), p=float("nan"))

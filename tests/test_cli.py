@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from approxinv import cli, disk, operators, scenarios
+from approxinv import c0, cli, disk, operators, scenarios
 from approxinv.errors import ConfigError
 
 FAST_ARGS = [
@@ -340,6 +340,38 @@ def test_state_route_alone_can_fail_the_pure_state_row(tmp_path, monkeypatch):
     assert row["verdict"] == "fail"
 
 
+def _c0_rows(out):
+    with open(out / "c0-interior.csv", encoding="utf-8", newline="") as handle:
+        return {row["statement_id"]: row for row in csv.DictReader(handle)}
+
+
+def test_c0_interior_passes_on_every_small_grid(tmp_path):
+    # small grids leave some non-vanishing elements inconclusive; that is
+    # recorded, not counted as a contradiction
+    inconclusive = 0
+    for points in range(5, 64):
+        config = tmp_path / f"grid{points}.cfg"
+        config.write_text(f"[models]\ngrid_points = {points}\n", encoding="utf-8")
+        out = tmp_path / f"o{points}"
+        argv = ["--config", str(config), "--scenario", "c0-interior", "--out", str(out)]
+        assert cli.main(argv) == 0, points
+        rows = _c0_rows(out)
+        assert rows["inconclusive-count"]["bound"] == "inf"
+        inconclusive += float(rows["inconclusive-count"]["residual"]) > 0
+    assert inconclusive > 0
+
+
+def test_c0_interior_contradiction_fails_the_equivalence_row(tmp_path, monkeypatch):
+    # every element reported as vanishing: each certificate contradicts it
+    monkeypatch.setattr(c0, "is_nonvanishing", lambda f, tol: np.False_)
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "c0-interior", "--out", str(out)]) == 1
+    rows = _c0_rows(out)
+    assert rows["criterion-equivalence"]["verdict"] == "fail"
+    assert float(rows["criterion-equivalence"]["residual"]) > 0.0
+    assert rows["inconclusive-count"]["verdict"] == "pass"
+
+
 def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
@@ -369,6 +401,7 @@ FEJER_IDENTITY_ROWS = {
 }
 C0_INTERIOR_ROWS = [
     ("criterion-equivalence", 50, "0.000000000000e+00"),
+    ("inconclusive-count", 50, "0.000000000000e+00"),
     ("perturbation-distance", 1, "7.870545448172e-03"),
     ("perturbation-zero", 1, "0.000000000000e+00"),
     ("perturbation-distance", 2, "3.158595288125e-04"),

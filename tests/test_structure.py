@@ -89,3 +89,32 @@ def test_every_public_name_has_a_reader():
         if name not in referenced
     )
     assert not orphans, f"public names nobody reads: {orphans}"
+
+
+INVERSE_FFTS = {"ifft", "irfft", "hfft"}
+
+
+def _inverse_fft_calls(node: ast.AST, scope: tuple[str, ...] = ()):
+    """(scope, name) of every call to an inverse FFT under ``node``, where
+    scope is the chain of enclosing class and function names."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in INVERSE_FFTS:
+                yield inner, name
+        yield from _inverse_fft_calls(child, inner)
+
+
+def test_values_is_the_only_synthesis_site():
+    sites = sorted(
+        (path.stem, ".".join(scope), name)
+        for path in PACKAGE.glob("*.py")
+        for scope, name in _inverse_fft_calls(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert {(module, scope) for module, scope, _ in sites} == {
+        ("wiener", "CircleSignal.values")
+    }, sites

@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxinv import wiener
+from approxinv import banach_module as bm
+from approxinv import scenarios, wiener
 from approxinv.core import check_approx_invertible
 from approxinv.errors import AliasingError, DivisionFloorError
 
-from .oracles import direct_coeff, direct_convolve, fejer_values_closed_form
+from .oracles import (
+    complex_synthesis,
+    direct_coeff,
+    direct_convolve,
+    fejer_coeffs_full,
+    fejer_values_closed_form,
+    poisson_coeffs_full,
+)
 
 # (1/M) sum |2 sin theta_m| at M = 4096; the quadrature value of 4/pi
 TWO_SINE_L1 = 1.2732392950638007
@@ -513,3 +521,206 @@ def test_convolution_associates_and_distributes(data1, data2):
     dist = wiener.convolve(f + g, h)
     split = wiener.convolve(f, h) + wiener.convolve(g, h)
     assert np.allclose(dist.coeffs, split.coeffs, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Synthesis: real values for Hermitian spectra, Parseval for p = 2, kernels
+# built on their band
+
+
+@pytest.mark.parametrize("M", [8, 9, 512, 4096])
+def test_hermitian_spectra_synthesize_real_read_only_values(M, rng):
+    grid = wiener.CircleGrid(M)
+    signals = [wiener.poisson_kernel(grid, 0.5), wiener.fejer_kernel(grid, 3)]
+    signals.append(signals[0] - signals[1])
+    # an exactly mirrored random spectrum
+    half = rng.standard_normal(M // 2 + 1) + 1j * rng.standard_normal(M // 2 + 1)
+    half[0] = half[0].real
+    if M % 2 == 0:
+        half[-1] = half[-1].real
+    full = np.concatenate((half, np.conj(half[1 : (M + 1) // 2][::-1])))
+    signals.append(wiener.CircleSignal(full))
+    for f in signals:
+        values = f.values
+        expected = complex_synthesis(f.coeffs)
+        assert values.dtype == np.float64
+        assert not values.flags.writeable
+        assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _broken_spectra(M):
+    base = wiener.poisson_kernel(wiener.CircleGrid(M), 0.5).coeffs
+    mirror = base.copy()
+    mirror[3] += 1e-9j
+    dc = base.copy()
+    dc[0] += 0.25j
+    nyquist = base.copy()
+    nyquist[M // 2] += 0.25j
+    nan = base.copy()
+    nan[5] = nan[M - 5] = np.nan
+    nan_dc = base.copy()
+    nan_dc[0] = np.nan
+    return {"mirror": mirror, "dc": dc, "nyquist": nyquist, "nan": nan, "nan-dc": nan_dc}
+
+
+@pytest.mark.parametrize("case", ["mirror", "dc", "nyquist", "nan", "nan-dc"])
+@pytest.mark.parametrize("M", [8, 512])
+def test_non_hermitian_spectra_take_the_complex_route(M, case):
+    coeffs = _broken_spectra(M)[case]
+    values = wiener.CircleSignal(coeffs).values
+    expected = complex_synthesis(coeffs)
+    assert values.dtype == np.complex128
+    assert not values.flags.writeable
+    if case.startswith("nan"):
+        assert np.isnan(values).all() and np.isnan(expected).all()
+    else:
+        assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    data=_band_data,
+    M=st.sampled_from([8, 9, 64, 1000]),
+    hermitian=st.booleans(),
+)
+def test_p2_norm_by_parseval_matches_the_value_route(data, M, hermitian):
+    grid = wiener.CircleGrid(M)
+    f = _band_from_data(grid, [(k % (M // 2), c) for k, c in data])
+    if hermitian:
+        f = f + f.involution()
+    values = complex_synthesis(f.coeffs)
+    by_values = float(np.mean(np.abs(values) ** 2) ** 0.5)
+    assert wiener.lp_norm(f, 2) == pytest.approx(by_values, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("M", [8, 4096, 262144])
+def test_kernels_equal_the_full_grid_formulas(M):
+    grid = wiener.CircleGrid(M)
+    for n in (1, 2, 128, M // 2 - 1):
+        if n < M // 2:
+            assert np.array_equal(
+                wiener.fejer_kernel(grid, n).coeffs, fejer_coeffs_full(M, n)
+            )
+    for r in (0.0, 0.3, 0.5, 0.7, 0.999):
+        assert np.array_equal(
+            wiener.poisson_kernel(grid, r).coeffs, poisson_coeffs_full(M, r)
+        )
+
+
+@pytest.mark.parametrize("M", [9, 17])
+def test_kernels_on_odd_grids_equal_the_full_grid_formulas(M):
+    grid = wiener.CircleGrid(M)
+    for n in range(1, M // 2):
+        assert np.array_equal(
+            wiener.fejer_kernel(grid, n).coeffs, fejer_coeffs_full(M, n)
+        )
+    for r in (0.0, 1e-300, 0.5, 0.999):
+        assert np.array_equal(
+            wiener.poisson_kernel(grid, r).coeffs, poisson_coeffs_full(M, r)
+        )
+
+
+@pytest.mark.parametrize("p", [np.nan, 0.5, -np.inf])
+def test_lp_norm_rejects_bad_exponents(grid512, p):
+    with pytest.raises(ValueError):
+        wiener.lp_norm(wiener.constant_signal(grid512), p)
+
+
+def test_fourier_rejects_negative_band(grid512):
+    with pytest.raises(ValueError):
+        wiener.fourier(wiener.constant_signal(grid512), -1)
+    assert wiener.fourier(wiener.constant_signal(grid512), 0)[0] == 1.0
+
+
+@pytest.mark.parametrize("n", [2.5, 0.5, np.nan, np.inf])
+def test_non_integral_orders_are_rejected(grid512, n):
+    f = wiener.poisson_kernel(grid512, 0.5)
+    for call in (
+        lambda: wiener.fejer_kernel(grid512, n),
+        lambda: wiener.band_nonvanishing(f, n),
+        lambda: wiener.band_division(f, lambda ks: np.ones(ks.shape), n),
+        lambda: wiener.wiener_division(f, n),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert not isinstance(err.value, AliasingError)
+
+
+def test_whole_float_orders_are_accepted(grid512):
+    f = wiener.poisson_kernel(grid512, 0.5)
+    assert np.array_equal(
+        wiener.fejer_kernel(grid512, 4.0).coeffs, wiener.fejer_kernel(grid512, 4).coeffs
+    )
+    assert np.array_equal(
+        wiener.wiener_division(f, np.int64(4)).coeffs,
+        wiener.wiener_division(f, 4).coeffs,
+    )
+
+
+class _SynthesisLog:
+    """Wraps the inverse FFTs of ``np.fft`` and records each call's route
+    ("complex" or "real") and input bytes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name, route in (("ifft", "complex"), ("irfft", "real")):
+            original = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, self._wrap(original, route))
+
+    def _wrap(self, original, route):
+        def wrapper(a, *args, **kwargs):
+            self.calls.append((route, np.asarray(a).tobytes()))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    def routes(self):
+        return [route for route, _ in self.calls]
+
+
+def test_p2_norm_synthesizes_nothing(grid512, rng, monkeypatch):
+    log = _SynthesisLog(monkeypatch)
+    for f in (_band_signal(grid512, rng, 12), wiener.poisson_kernel(grid512, 0.5)):
+        wiener.lp_norm(f, 2)
+    assert log.calls == []
+
+
+def test_wiener_division_scenario_makes_no_complex_synthesis(monkeypatch):
+    config = scenarios.ScenarioConfig(circle_samples=1024)
+    log = _SynthesisLog(monkeypatch)
+    rows = scenarios.REGISTRY["wiener-division"].run(config, 1)
+    assert all(row.verdict == "pass" for row in rows)
+    assert log.routes() and set(log.routes()) == {"real"}
+
+
+def test_deconv_at_p2_synthesizes_only_to_add_noise(monkeypatch):
+    config = scenarios.ScenarioConfig(circle_samples=1024)
+    log = _SynthesisLog(monkeypatch)
+    inside = []
+    original = bm.NoiseSpec.apply
+
+    def apply(self, signal):
+        before = len(log.calls)
+        out = original(self, signal)
+        inside.append(len(log.calls) - before)
+        return out
+
+    monkeypatch.setattr(bm.NoiseSpec, "apply", apply)
+    rows = scenarios.REGISTRY["deconv"].run(config, 1)
+    assert all(row.verdict == "pass" for row in rows)
+    # the noisy observation is synthesized once and its values are cached
+    assert inside == [1] + [0] * (len(config.schedule) - 1)
+    assert len(log.calls) == 1
+
+
+def test_fejer_scenario_synthesizes_each_kernel_once(monkeypatch):
+    config = scenarios.ScenarioConfig(circle_samples=1024)
+    grid = wiener.CircleGrid(config.circle_samples)
+    log = _SynthesisLog(monkeypatch)
+    rows = scenarios.REGISTRY["fejer"].run(config, 1)
+    assert all(row.verdict == "pass" for row in rows)
+    inputs = [data for _, data in log.calls]
+    for n in config.schedule:
+        kernel = wiener.fejer_kernel(grid, n).coeffs
+        assert inputs.count(kernel[: grid.M // 2 + 1].tobytes()) == 1
+    assert len(inputs) == len(set(inputs))
