@@ -119,10 +119,12 @@ class NoiseSpec:
             return signal
         rng = np.random.default_rng(self.seed)
         M = signal.grid_size
-        noise = (
-            rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        ) * (self.sigma / np.sqrt(2.0))
-        return CircleSignal.from_values(signal.values + noise)
+        noisy = np.empty(M, dtype=complex)
+        noisy.real = rng.standard_normal(M)
+        noisy.imag = rng.standard_normal(M)
+        noisy *= self.sigma / np.sqrt(2.0)
+        noisy += signal.values
+        return CircleSignal.from_values(noisy)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ certification reduces to the element having no zero on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -102,11 +102,17 @@ def plateau(space: GridSpace, window: CompactWindow, ramp: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowFamily:
-    """Plateau approximate identity over nested growing windows."""
+    """Plateau approximate identity over nested growing windows.
+
+    Each distinct window's plateau is built once per family instance and
+    handed out read-only, so indices past the saturation of the growth share
+    one array.
+    """
 
     space: GridSpace
     growth: Callable[[int], CompactWindow]
     ramp: int
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def window(self, n: int) -> CompactWindow:
         return self.growth(n)
@@ -117,7 +123,12 @@ class WindowFamily:
         w = self.growth(n)
         if n > 1 and not w.contains(self.growth(n - 1)):
             raise ValueError(f"window growth is not nested at index {n}")
-        return plateau(self.space, w, self.ramp)
+        e = self._members.get(w)
+        if e is None:
+            e = plateau(self.space, w, self.ramp)
+            e.setflags(write=False)
+            self._members[w] = e
+        return e
 
     def as_identity_family(self) -> ApproxIdentityFamily:
         return ApproxIdentityFamily(self.element, norm_bound=1.0)
@@ -174,22 +185,28 @@ def reciprocal_inverse_net(
 
     By construction f * g_n reproduces the plateau exactly up to rounding.
     Division is refused wherever |f| does not clear the threshold on the
-    support of the requested window.
+    support of the requested window.  Members are read-only, and an index
+    whose plateau is the previous index's (past the saturation of the
+    window growth) gets the previous member back.
     """
     f = np.asarray(f, dtype=complex)
+    mags = np.abs(f)
     if threshold is None:
-        threshold = DIVISION_THRESHOLD_REL * sup_norm(f)
+        threshold = DIVISION_THRESHOLD_REL * float(mags.max())
+    last: list = [None, None]  # the previous plateau and its member
 
     def member(n: int) -> np.ndarray:
         e = family.element(n)
+        if e is last[0]:
+            return last[1]
         support = e != 0.0
-        mags = np.abs(f[support])
-        if mags.size and mags.min() <= threshold:
-            local = int(np.argmin(mags))
-            index = int(np.flatnonzero(support)[local])
-            raise SingularDivisionError(index, float(mags.min()), threshold)
-        g = np.zeros_like(f)
-        g[support] = e[support] / f[support]
+        low = mags.min(where=support, initial=np.inf)
+        if low <= threshold:
+            index = int(np.argmin(np.where(support, mags, np.inf)))
+            raise SingularDivisionError(index, float(low), threshold)
+        g = np.divide(e, f, out=np.zeros_like(f), where=support)
+        g.setflags(write=False)
+        last[:] = [e, g]
         return g
 
     return InverseNet(member, "right")
@@ -271,6 +288,7 @@ def c0_model(space: GridSpace) -> AlgebraModel:
     return AlgebraModel(
         name=f"c0-grid-{space.points}",
         add=lambda a, b: a + b,
+        sub=lambda a, b: a - b,
         scale=lambda c, a: complex(c) * a,
         mul=lambda a, b: a * b,
         norm=sup_norm,

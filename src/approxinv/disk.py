@@ -164,16 +164,23 @@ def disk_model(sampling: Optional[CircleSampling] = None, degree: int = 16) -> A
     if sampling is None:
         sampling = CircleSampling()
 
+    # operands of different degrees are padded with zero coefficients
     def add(p, q):
-        n = max(p.shape[0], q.shape[0])
-        out = np.zeros(n, dtype=complex)
+        out = np.zeros(max(p.shape[0], q.shape[0]), dtype=complex)
         out[: p.shape[0]] += p
         out[: q.shape[0]] += q
+        return out
+
+    def sub(p, q):
+        out = np.zeros(max(p.shape[0], q.shape[0]), dtype=complex)
+        out[: p.shape[0]] += p
+        out[: q.shape[0]] -= q
         return out
 
     return AlgebraModel(
         name=f"disk-a0-deg{degree}",
         add=add,
+        sub=sub,
         scale=lambda c, p: complex(c) * p,
         mul=poly_mul,
         norm=lambda p: sup_norm_disk(p, sampling),

@@ -377,6 +377,7 @@ def matrix_model(n: int = 16, p: float = np.inf) -> AlgebraModel:
     return AlgebraModel(
         name=f"matrices-{n}-op" if np.isinf(p) else f"matrices-{n}-schatten-{p}",
         add=lambda a, b: a + b,
+        sub=lambda a, b: a - b,
         scale=lambda c, a: complex(c) * a,
         mul=lambda a, b: a @ b,
         norm=lambda a: schatten_norm(a, p),

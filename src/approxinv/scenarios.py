@@ -285,10 +285,12 @@ def _c0_interior(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     rows = _Rows("c0-interior", f"c0-grid-{space.points}")
     elements = c0.seeded_elements(space, 50, seed)
     test_set = [f for f in c0.seeded_elements(space, 4, seed + 1, zero_fraction=0.0)]
+    # one family per run: its plateaus are built once and shared by every net
+    family = c0.centered_family(space)
     contradictions = inconclusive = 0
     certified: list[np.ndarray] = []
     for f in elements:
-        cert = c0.certify(space, f, test_set)
+        cert = c0.certify(space, f, test_set, family)
         nonvanishing = bool(c0.is_nonvanishing(f, 1e-6))
         # an inconclusive certificate asserts nothing, so it contradicts nothing
         if cert.verdict == "inconclusive":

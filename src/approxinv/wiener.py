@@ -103,10 +103,7 @@ class CircleSignal:
 
     @classmethod
     def from_values(cls, values: Sequence[complex]) -> "CircleSignal":
-        values = np.asarray(values, dtype=complex)
-        coeffs = np.fft.fft(values)
-        coeffs /= values.shape[0]
-        return cls._adopt(coeffs)
+        return cls._adopt(np.fft.fft(np.asarray(values, dtype=complex), norm="forward"))
 
     @classmethod
     def from_band(cls, grid: CircleGrid, band: dict[int, complex]) -> "CircleSignal":
@@ -125,15 +122,16 @@ class CircleSignal:
     @property
     def values(self) -> np.ndarray:
         """Grid values: real, from the half spectrum, when the coefficients
-        are bitwise Hermitian; complex otherwise."""
+        are bitwise Hermitian; complex otherwise.  The forward-normalized
+        inverse transform is the plain sum of the coefficients' characters,
+        with no 1/M scaling to undo."""
         cached = self._values
         if cached is None:
             M = self.grid_size
             if _is_hermitian(self.coeffs):
-                cached = np.fft.irfft(self.coeffs[: M // 2 + 1], M)
+                cached = np.fft.irfft(self.coeffs[: M // 2 + 1], M, norm="forward")
             else:
-                cached = np.fft.ifft(self.coeffs)
-            cached *= M
+                cached = np.fft.ifft(self.coeffs, norm="forward")
             cached.setflags(write=False)
             object.__setattr__(self, "_values", cached)
         return cached
@@ -190,16 +188,22 @@ def lp_norm(f: CircleSignal, p: float) -> float:
     """Normalized p-norm of the grid values; p = inf gives the sup.
 
     p = 2 reads the coefficients: under unit Haar mass Parseval gives
-    mean |values|^2 = sum |fhat(k)|^2, so nothing is synthesized.
+    mean |values|^2 = sum |fhat(k)|^2, so nothing is synthesized.  Other
+    finite p > 1 evaluate ``m * mean((|values| / m)^p)^(1/p)`` with m the
+    sup, so |values|^p can neither underflow nor overflow to a wrong norm at
+    large p.
     """
     if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return float(np.sqrt(np.vdot(f.coeffs, f.coeffs).real))
     mags = np.abs(f.values)
-    if np.isinf(p):
-        return float(mags.max())
-    return float(np.mean(mags**p) ** (1.0 / p))
+    if p == 1:
+        return float(np.mean(mags))
+    sup = float(mags.max())
+    if np.isinf(p) or not 0.0 < sup < np.inf:  # zero, infinite or NaN values
+        return sup
+    return sup * float(np.mean((mags / sup) ** p) ** (1.0 / p))
 
 
 def wiener_norm(f: CircleSignal, weights: Optional[np.ndarray] = None) -> float:
@@ -520,6 +524,7 @@ def l1_circle_model(grid: CircleGrid) -> AlgebraModel:
     return AlgebraModel(
         name=f"l1-circle-{grid.M}",
         add=lambda a, b: a + b,
+        sub=lambda a, b: a - b,
         scale=lambda c, a: complex(c) * a,
         mul=convolve,
         norm=l1_norm,

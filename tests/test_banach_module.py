@@ -190,3 +190,17 @@ def test_noise_spec_validation():
 def test_module_signal_rejects_nan_exponent():
     with pytest.raises(ValueError):
         bm.ModuleSignal(wiener.constant_signal(wiener.CircleGrid(8)), p=float("nan"))
+
+
+@pytest.mark.parametrize("M", [512, 4096])
+def test_noise_equals_the_two_draw_sum_bitwise(M, rng):
+    grid = wiener.CircleGrid(M)
+    sigma, seed = 0.05, 7
+    for signal in (_band(grid, rng)[0], wiener.poisson_kernel(grid, 0.5)):
+        draws = np.random.default_rng(seed)
+        noise = (draws.standard_normal(M) + 1j * draws.standard_normal(M)) * (
+            sigma / np.sqrt(2.0)
+        )
+        expected = wiener.CircleSignal.from_values(signal.values + noise).coeffs
+        got = bm.NoiseSpec(sigma, seed).apply(signal).coeffs
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

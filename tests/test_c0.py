@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from approxinv import c0
+from approxinv import c0, scenarios
 from approxinv.core import check_approximate_identity
 from approxinv.errors import CannotPerturbError, SingularDivisionError
 
@@ -198,3 +198,86 @@ def test_certify_inconclusive_on_sub_threshold_dip(space, lorentz):
 def test_seeded_elements_honour_tail_invariant(space):
     for f in c0.seeded_elements(space, 20, seed=31):
         assert c0.check_tail(space, f)
+
+
+def _count_plateaus(monkeypatch):
+    calls = []
+    original = c0.plateau
+
+    def counted(space, window, ramp):
+        calls.append(window)
+        return original(space, window, ramp)
+
+    monkeypatch.setattr(c0, "plateau", counted)
+    return calls
+
+
+def test_window_family_builds_each_window_once_read_only(space, monkeypatch):
+    calls = _count_plateaus(monkeypatch)
+    family = c0.centered_family(space)
+    first = [family.element(n) for n in range(1, 17)]
+    second = [family.element(n) for n in range(1, 17)]
+    windows = {family.window(n) for n in range(1, 17)}
+    assert len(windows) == 9  # the growth saturates at the largest window
+    assert sorted(calls, key=lambda w: w.a) == sorted(windows, key=lambda w: w.a)
+    for n, (e, again) in enumerate(zip(first, second), start=1):
+        assert e is again
+        assert not e.flags.writeable
+        assert np.array_equal(e, c0.plateau(space, family.window(n), family.ramp))
+    with pytest.raises(ValueError):
+        first[0][space.center] = 2.0
+    # a second family builds its own members
+    other = c0.centered_family(space)
+    assert other.element(1) is not first[0]
+
+
+def test_c0_interior_builds_one_family_per_run(monkeypatch):
+    families = []
+    original = c0.centered_family
+
+    def recorded(*args, **kwargs):
+        families.append(original(*args, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(c0, "centered_family", recorded)
+    calls = _count_plateaus(monkeypatch)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        scenarios.REGISTRY["c0-interior"].run(scenarios.ScenarioConfig(), 1)
+        counts.append(len(calls) - before)
+    assert len(families) == 2 and families[0] is not families[1]
+    # nothing built in the first run is reused by the second
+    assert counts[0] == counts[1]
+
+
+def test_reciprocal_member_is_the_masked_quotient(space):
+    family = c0.centered_family(space, ramp=2)
+    for f in c0.seeded_elements(space, 5, seed=13, zero_fraction=0.0):
+        net = c0.reciprocal_inverse_net(f, family)
+        for n in (1, 5, 16):
+            e = family.element(n)
+            support = e != 0.0
+            g = net(n)
+            assert np.array_equal(g[support], e[support] / f[support])
+            assert np.all(g[~support] == 0.0)
+            assert not g.flags.writeable
+        # the windows have saturated by index 15, so the member repeats
+        assert net(16) is net(15)
+
+
+def test_reciprocal_refusal_ignores_zeros_off_the_support(space, lorentz):
+    family = c0.centered_family(space, ramp=2)
+    support = np.flatnonzero(family.element(1) != 0.0)
+    f = lorentz.copy()
+    f[support[0] - 3] = 0.0  # exact zero outside the support of member 1
+    f[support[-1] - 1] = 3e-15  # sub-threshold minimum inside it
+    f[support[-1]] = 4e-15
+    with pytest.raises(SingularDivisionError) as err:
+        c0.reciprocal_inverse_net(f, family)(1)
+    assert err.value.index == support[-1] - 1
+    assert err.value.magnitude == 3e-15
+    # a member whose support reaches the zero reports the zero
+    with pytest.raises(SingularDivisionError) as err:
+        c0.reciprocal_inverse_net(f, family)(16)
+    assert (err.value.index, err.value.magnitude) == (support[0] - 3, 0.0)

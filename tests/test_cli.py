@@ -372,6 +372,23 @@ def test_c0_interior_contradiction_fails_the_equivalence_row(tmp_path, monkeypat
     assert rows["inconclusive-count"]["verdict"] == "pass"
 
 
+def test_deconv_noiseless_errors_are_nonzero_at_large_exponent(tmp_path):
+    # |values|^p underflowed to zero at p = 1000 before the p-norm was scaled
+    config = tmp_path / "p1000.cfg"
+    config.write_text("[models]\nmodule_exponent = 1000\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["--config", str(config), "--scenario", "deconv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(out / "deconv.csv", encoding="utf-8", newline="") as handle:
+        errors = [
+            float(row["residual"])
+            for row in csv.DictReader(handle)
+            if row["statement_id"] == "noiseless-error"
+        ]
+    assert len(errors) == len(scenarios.ScenarioConfig().schedule)
+    assert all(error > 0.0 for error in errors)
+
+
 def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")

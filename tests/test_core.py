@@ -479,6 +479,28 @@ def test_commutative_declarations_of_standard_models():
             assert max(ratios) > 1e-12, model.name
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model_index=st.integers(0, len(_STANDARD_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    long_operand=st.sampled_from([None, "first", "second"]),
+)
+def test_declared_sub_matches_composed_difference(model_index, seed, long_operand):
+    model = _STANDARD_MODELS[model_index]
+    rng = np.random.default_rng(seed)
+    a, b = model.sample(rng), model.sample(rng)
+    # a product has twice the degree on the disk model, so the operands differ
+    # in length there
+    if long_operand == "first":
+        a = model.mul(a, model.sample(rng))
+    elif long_operand == "second":
+        b = model.mul(b, model.sample(rng))
+    declared = model.sub(a, b)
+    composed = model.add(a, model.scale(-1.0, b))
+    gap = model.norm(model.add(declared, model.scale(-1.0, composed)))
+    assert gap <= 1e-12 * (model.norm(a) + model.norm(b))
+
+
 def _counted(model):
     """The model with ``norm`` and ``mul`` wrapped in call counters."""
     calls = {"norm": 0, "mul": 0}
@@ -503,8 +525,10 @@ def test_commutative_models_check_one_side(model):
     tests = [model.sample(rng) for _ in range(3)]
     sched = (2, 4, 8, 16)
     counted, calls = _counted(model)
+    # a fresh member at every index, so no index repeats the previous member
+    fresh = InverseNet(lambda j: model.scale(1.0, net(j)))
     cert = check_approx_invertible(
-        counted, x, InverseNet(net), tests, tol=1e-2, schedule=sched
+        counted, x, fresh, tests, tol=1e-2, schedule=sched
     )
     if model.commutative:
         expected = 1 + len(sched) * (1 + len(tests))
@@ -516,6 +540,31 @@ def test_commutative_models_check_one_side(model):
     assert calls["norm"] == expected
     # one product per member, one per (member, test element) and side
     assert calls["mul"] == expected - 1
+
+
+@pytest.mark.parametrize(
+    "model", _STANDARD_MODELS, ids=[model.name for model in _STANDARD_MODELS]
+)
+def test_repeated_net_members_are_evaluated_once(model):
+    rng = np.random.default_rng(5)
+    x, net = _element_and_net(model, rng)
+    tests = [model.sample(rng) for _ in range(3)]
+    sched = (2, 4, 8, 16)
+    # the net saturates at index 4: indices 4, 8 and 16 share one member
+    distinct = {j: model.scale(1.0, net(j)) for j in (2, 4)}
+    members = {j: distinct[min(j, 4)] for j in sched}
+    counted, calls = _counted(model)
+    cert = check_approx_invertible(
+        counted, x, InverseNet(members.__getitem__), tests, tol=1e-2, schedule=sched
+    )
+    sides = 1 if model.commutative else 2
+    assert calls["norm"] == 1 + sides * 2 * (1 + sides * len(tests))
+    copies = InverseNet(lambda j: model.scale(1.0, members[j]))
+    reference = check_approx_invertible(model, x, copies, tests, tol=1e-2, schedule=sched)
+    assert cert.verdict == reference.verdict
+    assert cert.right_trace.entries == reference.right_trace.entries
+    assert cert.left_trace.entries == reference.left_trace.entries
+    assert [e.index for e in cert.right_trace.entries] == list(sched)
 
 
 _small_matrices = arrays(

@@ -724,3 +724,66 @@ def test_fejer_scenario_synthesizes_each_kernel_once(monkeypatch):
         kernel = wiener.fejer_kernel(grid, n).coeffs
         assert inputs.count(kernel[: grid.M // 2 + 1].tobytes()) == 1
     assert len(inputs) == len(set(inputs))
+
+
+# ---------------------------------------------------------------------------
+# Forward-normalized synthesis and analysis; the p-norm scaled by the sup
+
+
+def _complex_spectrum(M, rng):
+    return rng.standard_normal(M) + 1j * rng.standard_normal(M)
+
+
+@pytest.mark.parametrize("M", [8, 512, 4096])
+def test_synthesis_is_exact_at_power_of_two_sizes(M, rng):
+    coeffs = _complex_spectrum(M, rng)
+    assert np.array_equal(wiener.CircleSignal(coeffs).values, complex_synthesis(coeffs))
+    kernel = wiener.poisson_kernel(wiener.CircleGrid(M), 0.5)
+    scaled = np.fft.irfft(kernel.coeffs[: M // 2 + 1], M) * M
+    assert np.array_equal(kernel.values, scaled)
+    values = complex_synthesis(coeffs)
+    assert np.array_equal(
+        wiener.CircleSignal.from_values(values).coeffs, np.fft.fft(values) / M
+    )
+
+
+@pytest.mark.parametrize("M", [9, 17, 1000])
+def test_synthesis_agrees_to_rounding_at_other_sizes(M, rng):
+    coeffs = _complex_spectrum(M, rng)
+    values = wiener.CircleSignal(coeffs).values
+    expected = complex_synthesis(coeffs)
+    assert np.abs(values - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+LARGE_EXPONENTS = [3, 50, 400, 1000, 1e300]
+
+
+def _logarithmic_norm(values, p):
+    """exp(log mean |v|^p / p), evaluated on logarithms so nothing
+    under- or overflows."""
+    logs = p * np.log(np.abs(values))
+    top = logs.max()
+    return float(np.exp((top + np.log(np.mean(np.exp(logs - top)))) / p))
+
+
+@pytest.mark.parametrize("p", LARGE_EXPONENTS)
+def test_lp_norm_of_a_small_signal_at_large_p(grid4096, p):
+    f = 1e-3 * wiener.poisson_kernel(grid4096, 0.5)  # sup 0.003 at theta = 0
+    norm = wiener.lp_norm(f, p)
+    assert norm == pytest.approx(_logarithmic_norm(f.values, p), rel=1e-12)
+    if p >= 400:
+        assert 0.0029 < norm <= 0.003
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+@pytest.mark.parametrize("p", LARGE_EXPONENTS)
+def test_lp_norm_is_homogeneous(grid4096, rng, c, p):
+    f = _band_signal(grid4096, rng, 12)
+    assert wiener.lp_norm(c * f, p) == pytest.approx(c * wiener.lp_norm(f, p), rel=1e-12)
+
+
+def test_lp_norm_of_zero_and_nan_values(grid512):
+    assert wiener.lp_norm(wiener.constant_signal(grid512, 0.0), 3) == 0.0
+    coeffs = np.zeros(grid512.M, dtype=complex)
+    coeffs[0] = np.nan
+    assert np.isnan(wiener.lp_norm(wiener.CircleSignal(coeffs), 3))
