@@ -38,7 +38,7 @@ for label, op in (
 ):
     by_rank = operators.range_kernel_refuter(op, 1e-8).dense_range
     smallest = float(operators.singular_values(op)[-1])
-    by_state = operators.min_pure_state_norm(op, 500, seed=1)
+    by_state = operators.min_pure_state_norm(op, seed=1)
     print(
         f"  {label}: dense range {by_rank}, sigma_min {smallest:.2e},"
         f" min state norm {by_state:.2e}"

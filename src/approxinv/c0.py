@@ -49,6 +49,8 @@ class GridSpace:
             raise ValueError("grid needs at least 3 points")
         if self.half_width <= 0 or self.tail_tol <= 0:
             raise ValueError("half width and tail tolerance must be positive")
+        if not np.isfinite(2.0 * self.half_width):
+            raise ValueError("grid diameter 2 * half width must be finite")
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -132,12 +134,6 @@ class WindowFamily:
 
     def as_identity_family(self) -> ApproxIdentityFamily:
         return ApproxIdentityFamily(self.element, norm_bound=1.0)
-
-
-def plateau_family(
-    space: GridSpace, growth: Callable[[int], CompactWindow], ramp: int = 1
-) -> WindowFamily:
-    return WindowFamily(space, growth, ramp)
 
 
 def centered_family(

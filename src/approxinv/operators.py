@@ -45,6 +45,9 @@ from .errors import RankDeficientError
 #: Default rank threshold, relative to the largest singular value.
 RANK_THRESHOLD_REL = 1e-10
 
+#: Inverse-iteration sweeps of :func:`min_pure_state_norm`.
+PURE_STATE_SWEEPS = 60
+
 
 @dataclass(frozen=True)
 class SingularSystem:
@@ -278,21 +281,20 @@ def _unit_vector(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def min_pure_state_norm(
-    a: np.ndarray, count: int = 1000, seed: int = 0, sweeps: int = 60
-) -> float | np.ndarray:
-    """min over unit vectors of ||T* a||, by seeded sampling followed by
-    regularized inverse iteration on T T*.
+def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
+    """min over unit vectors of ||T* a||, by regularized inverse iteration on
+    T T* from one seeded start vector per operator.
 
     ``a`` is one operator, giving a float, or a stack of k operators, giving
     the k minima; a single operator is a stack of one.  Operator j of a stack
-    screens ``count`` candidates drawn from ``default_rng(seed + j)``, so a
-    stack answers exactly as its members called one by one with consecutive
-    seeds.  Each regularized Gram matrix is inverted once and the sweeps
-    apply the inverses to the whole stack (inverse iteration with a reused
-    factorization: Golub & Van Loan, *Matrix Computations*, 7.6.1).  The
-    final norm is taken through T itself, not the Gram matrix, so the
-    singular case resolves down to rounding level.
+    starts from a complex Gaussian vector drawn from ``default_rng(seed +
+    j)``, so a stack answers exactly as its members called one by one with
+    consecutive seeds.  Each regularized Gram matrix is inverted once and
+    :data:`PURE_STATE_SWEEPS` sweeps apply the inverses to the whole stack
+    (inverse iteration with a reused factorization: Golub & Van Loan,
+    *Matrix Computations*, 7.6.1).  The final norm is taken through T itself,
+    not the Gram matrix, so the singular case resolves down to rounding
+    level.
 
     Equals the smallest singular value up to refinement error; together with
     :func:`range_kernel_refuter` this realizes the pure-state criterion for
@@ -302,33 +304,25 @@ def min_pure_state_norm(
     single = stack.ndim == 2
     if single:
         stack = stack[None]
-    if stack.ndim != 3 or stack.shape[0] == 0:
+    if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
         raise ValueError("operators must be one square array or a non-empty stack")
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("operator entries must be finite")
     k, n = stack.shape[:2]
-    screened = np.empty(k)
     vecs = np.empty((k, n), dtype=complex)
     for j in range(k):
-        adjoint = _as_operator(stack[j]).conj().T
         rng = np.random.default_rng(seed + j)
-        cands = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-        cands /= np.linalg.norm(cands, axis=0)
-        vals = np.linalg.norm(adjoint @ cands, axis=0)
-        best = int(np.argmin(vals))
-        screened[j] = vals[best]
-        vecs[j] = cands[:, best]
+        vecs[j] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     gram = stack @ stack.conj().swapaxes(1, 2)
     eps = 1e-12 * np.maximum(np.trace(gram, axis1=1, axis2=2).real, 1.0)
     diagonal = np.arange(n)
     gram[:, diagonal, diagonal] += eps[:, None]
     inverse = np.linalg.inv(gram)
-    for _ in range(sweeps):
+    for _ in range(PURE_STATE_SWEEPS):
         vecs = np.einsum("kij,kj->ki", inverse, vecs)
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     # T^T conj(v) is the conjugate of T* v, so no adjoint copy of the stack.
-    refined = np.linalg.norm(np.einsum("kji,kj->ki", stack, vecs.conj()), axis=1)
-    minima = np.minimum(screened, refined)
+    minima = np.linalg.norm(np.einsum("kji,kj->ki", stack, vecs.conj()), axis=1)
     return float(minima[0]) if single else minima
 
 
@@ -401,13 +395,9 @@ def certify_operator(
     model through its singular-direction net, refuting on rank deficiency."""
     a = _as_operator(a)
     n = a.shape[0]
-    model = matrix_model(n, p)
-    refuter = rank_refuter(threshold)
-    if refuter(a) is not None:
-        return check_approx_invertible(
-            model, a, None, test_set, tol, n, refuter=refuter
-        )
-    net = right_inverse_net(a, threshold)
+    reason = rank_refuter(threshold)(a)
+    net = None if reason else right_inverse_net(a, threshold)
     return check_approx_invertible(
-        model, a, net, test_set, tol, max_index or n, refuter=refuter
+        matrix_model(n, p), a, net, test_set, tol, max_index or n,
+        refuter=lambda _: reason,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -96,6 +96,8 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.grid_half_width <= 0 or self.grid_tail_tol <= 0:
             raise ConfigError("grid half width and tail tolerance must be positive")
+        if not math.isfinite(2.0 * self.grid_half_width):
+            raise ConfigError("grid diameter 2 * grid_half_width must be finite")
         if self.module_exponent < 1:
             raise ConfigError("module exponent must satisfy p >= 1")
         if not self.schedule:
@@ -268,7 +270,7 @@ def _pure_state(config: ScenarioConfig, seed: int) -> list[ReportRow]:
             block[j] = operators._sample_operator(n, rng)
             if i % 3 == 0:  # deliberately singular third
                 block[j, :, i % n] = 0.0
-        by_state = operators.min_pure_state_norm(block, 200, seed=seed + start) > threshold
+        by_state = operators.min_pure_state_norm(block, seed=seed + start) > threshold
         for t, state in zip(block, by_state):
             report = operators.range_kernel_refuter(t, threshold)
             by_sigma = report.min_singular_value > threshold
@@ -392,12 +394,19 @@ def _tdz(config: ScenarioConfig, seed: int) -> list[ReportRow]:
 
 
 def _full_rank_operator(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded dense operator kept safely away from rank deficiency."""
-    while True:
+    """Seeded dense operator kept safely away from rank deficiency: the
+    first of 16 draws whose smallest singular value exceeds 1e-2 sigma_max,
+    else the last draw with every singular value below that floor lifted to
+    it.  The draws are capped because the acceptance rate falls fast with n
+    (about 2% at n = 96)."""
+    for _ in range(16):
         t = operators._sample_operator(n, rng)
         lam = operators.singular_values(t)
         if lam[-1] > 1e-2 * lam[0]:
             return t
+    system = operators.svd(t)
+    lifted = np.maximum(system.values, 1e-2 * system.values[0])
+    return replace(system, values=lifted).reconstruct()
 
 
 @dataclass(frozen=True)

@@ -456,16 +456,15 @@ def product_invertibility_check(
     product = convolve(f1, f2)
     model = l1_circle_model(grid)
     for label, factor in (("factor 1", f1), ("factor 2", f2)):
-        try:
-            wiener_division(factor, n, floor)
-        except DivisionFloorError as err:
+        bad = band_nonvanishing(factor, n, floor)
+        if bad is not None:
             return ApproxInvCertificate(
                 product,
                 None,
                 None,
                 None,
                 "refuted",
-                f"{label} vanishes in band at frequency {err.frequency}",
+                f"{label} vanishes in band at frequency {bad}",
             )
     net1 = wiener_division_net(f1, floor)
     net2 = wiener_division_net(f2, floor)

@@ -170,22 +170,17 @@ def jacobi_svd(
     return lam, u, v
 
 
-def solved_pure_state_minimum(
-    t: np.ndarray, count: int, seed: int, sweeps: int = 60
-) -> float:
-    """min over unit vectors of ||T* v|| for one operator: the seeded screen
-    of ``count`` candidates, then inverse iteration on T T* + eps I with a
-    fresh ``np.linalg.solve`` per sweep."""
+def solved_pure_state_minimum(t: np.ndarray, seed: int) -> float:
+    """min over unit vectors of ||T* v|| for one operator: inverse iteration
+    on T T* + eps I from one seeded complex Gaussian start, with a fresh
+    ``np.linalg.solve`` in each of 60 sweeps."""
     t = np.asarray(t, complex)
     n = t.shape[0]
     rng = np.random.default_rng(seed)
-    cands = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-    cands /= np.linalg.norm(cands, axis=0)
-    vals = np.linalg.norm(t.conj().T @ cands, axis=0)
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     gram = t @ t.conj().T
     regularized = gram + 1e-12 * max(float(np.trace(gram).real), 1.0) * np.eye(n)
-    vec = cands[:, int(np.argmin(vals))]
-    for _ in range(sweeps):
+    for _ in range(60):
         vec = np.linalg.solve(regularized, vec)
         vec /= np.linalg.norm(vec)
-    return min(float(vals.min()), float(np.linalg.norm(t.conj().T @ vec)))
+    return float(np.linalg.norm(t.conj().T @ vec))

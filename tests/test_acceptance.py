@@ -146,7 +146,7 @@ def test_criterion_04_three_way_criterion():
             singular_count += 1
         by_rank = operators.range_kernel_refuter(t, threshold).dense_range
         by_sigma = bool(np.linalg.svd(t, compute_uv=False)[-1] > threshold)
-        by_state = bool(operators.min_pure_state_norm(t, 200, seed=trial) > threshold)
+        by_state = bool(operators.min_pure_state_norm(t, seed=trial) > threshold)
         if not (by_rank == by_sigma == by_state):
             disagreements += 1
     checks = [

@@ -29,6 +29,9 @@ def test_grid_space_validation():
         c0.GridSpace(10.0, 2)
     with pytest.raises(ValueError):
         c0.GridSpace(-1.0, 11)
+    with pytest.raises(ValueError):
+        c0.GridSpace(9e307, 11)
+    assert np.all(np.isfinite(c0.GridSpace(8e307, 11).t))
 
 
 def test_plateau_whole_interior(space):
@@ -65,7 +68,7 @@ def test_window_family_uniform_on_fixed_window(space):
 
 def test_window_family_rejects_non_nested_growth(space):
     shrink = lambda n: c0.CompactWindow(space.center - 20 // n, space.center + 20 // n)
-    family = c0.plateau_family(space, shrink, ramp=2)
+    family = c0.WindowFamily(space, shrink, 2)
     family.element(1)
     with pytest.raises(ValueError):
         family.element(2)

@@ -159,6 +159,8 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
         "[models]\ngrid_points = 2\n",
         "[models]\ngrid_points = 4\n",
         "[models]\ngrid_half_width = nan\n",
+        "[models]\ngrid_half_width = 9e307\n",
+        "[models]\ngrid_half_width = 1e308\n",
         "[models]\ngrid_tail_tol = inf\n",
         "[models]\nmodule_exponent = nan\n",
         "[models]\nmatrix_size = 1\n",
@@ -172,6 +174,8 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
         "grid-points-2",
         "grid-points-4",
         "grid-half-width-nan",
+        "grid-half-width-9e307",
+        "grid-half-width-1e308",
         "grid-tail-tol-inf",
         "module-exponent-nan",
         "matrix-size-1",
@@ -184,6 +188,14 @@ def test_model_preconditions_exit_two(text, tmp_path, capsys):
     assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_largest_finite_grid_diameter_runs(tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[models]\ngrid_half_width = 8e307\n", encoding="utf-8")
+    out = tmp_path / "o"
+    args = ["--config", str(cfg), "--scenario", "c0-interior", "--out", str(out)]
+    assert cli.main(args) == 0
 
 
 @pytest.mark.parametrize(
@@ -327,7 +339,7 @@ def test_aliased_sampling_fails_both_disk_margins(tmp_path, monkeypatch):
 def test_state_route_alone_can_fail_the_pure_state_row(tmp_path, monkeypatch):
     # by_rank and by_sigma read the same LAPACK values, so only the state
     # route can disagree; a route that sees every operator annihilated must.
-    def annihilated(a, count=1000, seed=0, sweeps=60):
+    def annihilated(a, seed=0):
         return np.zeros(len(a))
 
     monkeypatch.setattr(operators, "min_pure_state_norm", annihilated)

@@ -298,6 +298,44 @@ def test_certify_operator_verdicts(rng):
     assert cert2.verdict == "refuted"
 
 
+def test_certify_operator_decides_rank_once(rng, monkeypatch):
+    calls = []
+    refute = operators.range_kernel_refuter
+
+    def counting(a, threshold=None):
+        calls.append(1)
+        return refute(a, threshold)
+
+    monkeypatch.setattr(operators, "range_kernel_refuter", counting)
+    t = _full_rank(8, rng)
+    singular = t.copy()
+    singular[:, 0] = 0.0
+    unit = [np.eye(8, dtype=complex)]
+    for op, verdict in ((t, "certified-two-sided"), (singular, "refuted")):
+        calls.clear()
+        assert operators.certify_operator(op, unit).verdict == verdict
+        assert len(calls) == 1
+    with pytest.raises(ValueError):
+        operators.certify_operator(np.zeros((8, 8), complex), unit)
+
+
+def test_full_rank_operator_lifts_after_capped_redraws(monkeypatch):
+    calls = []
+
+    def rank_deficient(n, rng):
+        calls.append(1)
+        if len(calls) > 64:
+            raise RuntimeError("redraws are not capped")
+        t = _random_operator(n, rng)
+        t[:, 0] = 0.0
+        return t
+
+    monkeypatch.setattr(operators, "_sample_operator", rank_deficient)
+    t = scenarios._full_rank_operator(8, np.random.default_rng(0))
+    lam = operators.singular_values(t)
+    assert lam[-1] >= 1e-2 * lam[0] * (1.0 - 1e-12)
+
+
 def test_range_kernel_refuter():
     assert not operators.range_kernel_refuter(np.diag([1.0, 0.0]).astype(complex)).dense_range
     assert not operators.range_kernel_refuter(np.diag([1.0, 0.0]).astype(complex)).injective
@@ -320,7 +358,7 @@ def test_pure_state_minimum_matches_smallest_singular_value(rng):
     for trial in range(50):
         t = _random_operator(16, rng)
         smin = float(operators.singular_values(t)[-1])
-        est = operators.min_pure_state_norm(t, count=1000, seed=trial)
+        est = operators.min_pure_state_norm(t, seed=trial)
         assert abs(est - smin) <= 1e-6
 
 
@@ -333,7 +371,7 @@ def test_three_way_criterion_agreement(rng):
         by_rank = operators.range_kernel_refuter(t, threshold).dense_range
         by_sigma = bool(operators.singular_values(t)[-1] > threshold)
         by_state = bool(
-            operators.min_pure_state_norm(t, 200, seed=trial) > threshold
+            operators.min_pure_state_norm(t, seed=trial) > threshold
         )
         assert by_rank == by_sigma == by_state
 
@@ -348,7 +386,7 @@ def _stack_with_singular_members(n, k, rng):
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_stacked_minima_match_smallest_singular_values(n, rng):
     stack = _stack_with_singular_members(n, 10, rng)
-    minima = operators.min_pure_state_norm(stack, 200, seed=3)
+    minima = operators.min_pure_state_norm(stack, seed=3)
     assert minima.shape == (10,)
     for t, est in zip(stack, minima):
         assert abs(est - operators.singular_values(t)[-1]) <= 1e-6
@@ -357,16 +395,16 @@ def test_stacked_minima_match_smallest_singular_values(n, rng):
 
 def test_stack_of_one_equals_the_single_call(rng):
     t = _stack_with_singular_members(12, 1, rng)[0]
-    single = operators.min_pure_state_norm(t, 200, seed=8)
+    single = operators.min_pure_state_norm(t, seed=8)
     assert isinstance(single, float)
-    assert operators.min_pure_state_norm(t[None], 200, seed=8).tolist() == [single]
+    assert operators.min_pure_state_norm(t[None], seed=8).tolist() == [single]
 
 
 def test_stack_matches_the_per_operator_solve_oracle(rng):
     stack = _stack_with_singular_members(12, 5, rng)
-    together = operators.min_pure_state_norm(list(stack), 200, seed=7)
+    together = operators.min_pure_state_norm(list(stack), seed=7)
     for j, t in enumerate(stack):
-        assert abs(together[j] - solved_pure_state_minimum(t, 200, 7 + j)) <= 1e-12
+        assert abs(together[j] - solved_pure_state_minimum(t, 7 + j)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -383,12 +421,7 @@ def test_stack_matches_the_per_operator_solve_oracle(rng):
 )
 def test_pure_state_minimum_rejects_bad_stacks(operators_in):
     with pytest.raises(ValueError):
-        operators.min_pure_state_norm(operators_in, 10)
-
-
-def test_pure_state_minimum_rejects_empty_screen():
-    with pytest.raises(ValueError):
-        operators.min_pure_state_norm(np.eye(3), 0)
+        operators.min_pure_state_norm(operators_in)
 
 
 def test_pure_state_route_inverts_each_gram_matrix_once(monkeypatch):
