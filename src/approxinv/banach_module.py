@@ -3,7 +3,7 @@
 The module space is the same sampled circle carrying the normalized p-norm
 ``((1/M) sum |.|^p)^(1/p)`` (sup for p = inf); the action is circular
 convolution, exact at grid resolution for band-limited integrands.  On top
-of the action sit the convergence and density probes and the spectral-
+of the action sit the exact kernel-approximation error and the spectral-
 division deconvolution experiment: recovering g from b = f (*) g plus
 optional complex Gaussian noise.  Noisy error behaviour is reported, never
 asserted; the noiseless recovery error is an exact kernel-approximation
@@ -13,23 +13,15 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ApproxIdentityFamily,
-    ResidualTrace,
-    TraceEntry,
-    resolve_schedule,
-)
 from .wiener import (
     CircleGrid,
     CircleSignal,
-    band_division,
     convolve,
     fejer_kernel,
-    l1_norm,
     lp_norm,
     wiener_division,
 )
@@ -62,44 +54,6 @@ def module_action(f: CircleSignal, b: ModuleSignal) -> ModuleSignal:
     bound ||f . b||_B <= ||f||_1 ||b||_B up to rounding.
     """
     return ModuleSignal(convolve(f, b.signal), b.p)
-
-
-def module_identity_convergence(
-    family: ApproxIdentityFamily,
-    b: ModuleSignal,
-    max_index: int = 64,
-    schedule: Optional[Sequence[int]] = None,
-    tol: float = 1e-2,
-) -> ResidualTrace:
-    """Trace of ||e_j . b - b||_B along an algebra approximate identity."""
-    sched = resolve_schedule(max_index, schedule)
-    entries = []
-    for j in sched:
-        e = family(j)
-        r = module_norm(ModuleSignal(convolve(e, b.signal) - b.signal, b.p))
-        entries.append(TraceEntry(j, r, l1_norm(e), r, r))
-    return ResidualTrace(tuple(entries), tol)
-
-
-def density_residual(
-    f: CircleSignal,
-    target: ModuleSignal,
-    n: int,
-    floor: Optional[float] = None,
-) -> float:
-    """Distance from ``target`` to f . (band-limited module elements).
-
-    The candidate y with yhat(k) = that(k)/fhat(k) on |k| < n (zero beyond)
-    matches the target exactly inside the band, so the residual is the
-    p-norm of the spectral tail.  Raises the order, aliasing and
-    division-floor errors of :func:`band_division`.
-    """
-    M = f.grid_size
-    if target.grid_size != M:
-        raise ValueError("signal and target live on different grids")
-    y = band_division(f, lambda ks: target.signal.coeffs[ks % M], n, floor)
-    reached = convolve(f, y)
-    return module_norm(ModuleSignal(target.signal - reached, target.p))
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,6 @@ def sup_norm(f: np.ndarray) -> float:
     return float(np.abs(f).max())
 
 
-def check_tail(space: GridSpace, f: np.ndarray) -> bool:
-    """Whether f respects the vanishing-at-infinity surrogate."""
-    return bool(abs(f[0]) <= space.tail_tol and abs(f[-1]) <= space.tail_tol)
-
-
 @dataclass(frozen=True)
 class CompactWindow:
     """Closed index interval [a, b] inside the grid."""

@@ -2,11 +2,11 @@
 
 Configuration is a flat ``key = value`` text file with bracketed section
 headers (every key documented in the README; unknown keys fail fast), and
-the flags ``--config``, ``--scenario`` (repeatable), ``--seed``, ``--out``
-and ``--list`` override file values.  Each scenario writes one CSV named
-after it plus a shared ``summary.txt``; given the same seed and
-configuration the CSV bytes are identical across runs except for the
-elapsed-time column.
+the flags ``--config``, ``--scenario`` (repeatable; a repeated name runs
+once), ``--seed``, ``--out`` and ``--list`` override file values.  Each
+scenario writes one CSV named after it plus a shared ``summary.txt``; given
+the same seed and configuration the CSV bytes are identical across runs
+except for the elapsed-time column.
 
 Exit status: 0 when every emitted row passes, 1 when any row fails or a
 scenario raises, 2 on a configuration error (an output directory that
@@ -99,6 +99,8 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
             parser.read_file(handle)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file is not valid UTF-8: {err}") from None
     except configparser.Error as err:
         raise ConfigError(f"malformed config file: {err}") from None
 
@@ -193,7 +195,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = replace(config, out=args.out)
         if args.scenario is not None:
             config = replace(config, scenarios=tuple(args.scenario))
-        names = config.scenarios or tuple(scenarios.REGISTRY)
+        # a repeated name runs once, in the order it was first named
+        names = tuple(dict.fromkeys(config.scenarios or scenarios.REGISTRY))
         for name in names:
             if name not in scenarios.REGISTRY:
                 raise ConfigError(f"unknown scenario {name!r}")

@@ -1,12 +1,10 @@
 """Model-agnostic net machinery for approximate identities and inverses.
 
 An :class:`AlgebraModel` bundles the arithmetic of one concrete normed
-algebra (matrices, sampled circle signals, grid functions, polynomials)
+algebra (matrices, sampled circle signals, grid functions)
 behind a uniform interface.  On top of it this module provides the shared
-verifiers: residual traces of candidate approximate identities, certificates
-of approximate one-sided invertibility, the circle operation and its
-quasi-inverse residuals, diagonal combination of one-sided inverse nets, and
-sampled estimates of the zero-divisor modulus.
+verifiers: residual traces of candidate approximate identities and
+certificates of approximate one-sided invertibility.
 
 All nets are sequences indexed by a positive integer refinement parameter;
 larger index means finer.  Every operation is a pure function of its
@@ -40,15 +38,13 @@ class AlgebraModel:
     which would cost every residual a second pass and a multiply.
     ``involution`` is present only for *-algebras and must be norm
     preserving.  ``sample`` draws a generic element from a seeded generator
-    (used by randomized estimates and property checks).  ``zeta_exact``
-    optionally returns an exact ``(value, unit-norm witness)`` pair for the
-    zero-divisor modulus, which then replaces sampling.
+    (used by property checks).
 
     ``commutative`` is declared by the model factory, like ``unital``: it
     states that ``mul(a, b)`` equals ``mul(b, a)`` up to rounding.  The
     verifiers then evaluate one side only, since left and right residuals
-    (and left and right inverse nets) coincide.  The circle, c0 and disk
-    models declare it; the matrix models do not.
+    (and left and right inverse nets) coincide.  The circle and c0 models
+    declare it; the matrix models do not.
     """
 
     name: str
@@ -62,7 +58,6 @@ class AlgebraModel:
     commutative: bool = False
     unit: Optional[Element] = None
     sample: Optional[Callable[[np.random.Generator], Element]] = None
-    zeta_exact: Optional[Callable[[Element], tuple[float, Element]]] = None
 
 
 @dataclass(frozen=True)
@@ -77,14 +72,13 @@ class ApproxIdentityFamily:
         return self.generator(index)
 
 
-Side = Literal["left", "right", "both"]
+Side = Literal["left", "right"]
 
 
 @dataclass(frozen=True)
 class InverseNet:
     """A candidate inverse net for one element; ``side`` declares whether the
-    members multiply from the left or from the right (``both`` for combined
-    nets)."""
+    members multiply from the left or from the right."""
 
     generator: Callable[[int], Element]
     side: Side = "right"
@@ -176,11 +170,11 @@ class ApproxInvCertificate:
 @dataclass(frozen=True)
 class ZeroDivisorModulus:
     """Upper estimate of the left zero-divisor modulus
-    inf_{norm(y)=1} norm(x . y), with the minimizing unit-norm witness."""
+    inf_{norm(y)=1} norm(x . y): ``value`` is norm(x . witness) for the
+    unit-norm ``witness``."""
 
     value: float
     witness: Element
-    method: Literal["exact", "sampled"]
 
 
 @dataclass(frozen=True)
@@ -396,94 +390,3 @@ def check_approx_invertible(
     return ApproxInvCertificate(
         x, net, left_trace, right_trace, verdict, None, sup_member
     )
-
-
-def circle_op(model: AlgebraModel, a: Element, b: Element) -> Element:
-    """The quasi-inverse pairing a . b - a - b."""
-    return model.sub(model.mul(a, b), model.add(a, b))
-
-
-def quasi_inv_residual(
-    model: AlgebraModel,
-    a: Element,
-    net: InverseNet,
-    max_index: int = 64,
-    schedule: Optional[Sequence[int]] = None,
-    tol: float = 1e-9,
-) -> ResidualTrace:
-    """Trace of norm(a o b_j) along the net, o being :func:`circle_op`."""
-    sched = resolve_schedule(max_index, schedule)
-    entries = []
-    for j in sched:
-        b = net(j)
-        r = _checked_norm(model, circle_op(model, a, b))
-        entries.append(TraceEntry(j, r, _checked_norm(model, b), r, r))
-    return ResidualTrace(tuple(entries), tol)
-
-
-def combine_nets(
-    model: AlgebraModel, left: InverseNet, right: InverseNet
-) -> InverseNet:
-    """Diagonal combination ``k -> r_k . l_k`` of a right and a left net.
-
-    When both one-sided nets certify x with bounded families, the sandwich
-    family ``k -> x . w_k . x`` built from the combined net is again a
-    bounded approximate identity; see :func:`sandwich_family`.
-    """
-    if left.side != "left":
-        raise ValueError(f"expected a left net, got side={left.side!r}")
-    if right.side != "right":
-        raise ValueError(f"expected a right net, got side={right.side!r}")
-    return InverseNet(lambda k: model.mul(right(k), left(k)), "both")
-
-
-def sandwich_family(
-    model: AlgebraModel, x: Element, net: InverseNet
-) -> ApproxIdentityFamily:
-    """The family ``k -> x . w_k . x`` induced by a combined net."""
-    return ApproxIdentityFamily(lambda k: model.mul(model.mul(x, net(k)), x))
-
-
-def zero_divisor_modulus(
-    model: AlgebraModel,
-    x: Element,
-    candidate_count: int = 64,
-    seed: int = 0,
-    method: Literal["auto", "exact", "sampled"] = "auto",
-) -> ZeroDivisorModulus:
-    """Upper estimate of inf over unit-norm y of norm(x . y).
-
-    With ``method="auto"`` an exact model-specific formula is used when the
-    model provides one; otherwise ``candidate_count`` unit-norm samples are
-    drawn from the model's seeded generator and the minimizer is returned as
-    witness.
-    """
-    if candidate_count < 1:
-        raise ValueError("candidate_count must be a positive integer")
-    if _checked_norm(model, x) == 0.0:
-        raise ValueError("zero element has no zero-divisor modulus")
-
-    if method in ("auto", "exact") and model.zeta_exact is not None:
-        value, witness = model.zeta_exact(x)
-        return ZeroDivisorModulus(float(value), witness, "exact")
-    if method == "exact":
-        raise ValueError(f"model {model.name!r} has no exact modulus formula")
-    if model.sample is None:
-        raise ValueError(f"model {model.name!r} has no sampler")
-
-    rng = np.random.default_rng(seed)
-    best_value = math.inf
-    best_witness = None
-    drawn = 0
-    while drawn < candidate_count:
-        y = model.sample(rng)
-        ny = _checked_norm(model, y)
-        if ny < 1e-14:
-            continue
-        drawn += 1
-        y = model.scale(1.0 / ny, y)
-        value = _checked_norm(model, model.mul(x, y))
-        if value < best_value:
-            best_value = value
-            best_witness = y
-    return ZeroDivisorModulus(best_value, best_witness, "sampled")

@@ -24,11 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
-
-from .core import AlgebraModel
 
 #: Lower bound on the deviation of any product from the monomial.
 ONE_THIRD = 1.0 / 3.0
@@ -86,14 +83,6 @@ def sup_norm_disk(p: np.ndarray, sampling: CircleSampling) -> float:
     """Sampled sup of |p| over the unit circle (= over the disk, by the
     maximum principle); a lower bound of the true sup."""
     return float(np.abs(poly_eval(p, sampling.circle)).max())
-
-
-def schwarz_check(p: np.ndarray, z: complex, sampling: CircleSampling) -> bool:
-    """|p(z)| <= |z| * sup|p| on the closed disk (within 1e-9)."""
-    if abs(z) > 1:
-        raise ValueError("point must lie in the closed unit disk")
-    p = validate_a0(p)
-    return bool(abs(poly_eval(p, np.asarray(z))) <= abs(z) * sup_norm_disk(p, sampling) + 1e-9)
 
 
 def annulus_deviation(p: np.ndarray, sampling: CircleSampling) -> float:
@@ -157,35 +146,3 @@ def product_lower_bound(
     pairing = np.array([(circle**m * circle.conj()).mean() for m in range(2 * degree + 1)])
     hankel = pairing[np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
     return float(np.abs(((first @ hankel) * second).sum(axis=1) - pairing[1]).min())
-
-
-def disk_model(sampling: Optional[CircleSampling] = None, degree: int = 16) -> AlgebraModel:
-    """The origin-vanishing polynomial algebra under the sampled sup norm."""
-    if sampling is None:
-        sampling = CircleSampling()
-
-    # operands of different degrees are padded with zero coefficients
-    def add(p, q):
-        out = np.zeros(max(p.shape[0], q.shape[0]), dtype=complex)
-        out[: p.shape[0]] += p
-        out[: q.shape[0]] += q
-        return out
-
-    def sub(p, q):
-        out = np.zeros(max(p.shape[0], q.shape[0]), dtype=complex)
-        out[: p.shape[0]] += p
-        out[: q.shape[0]] -= q
-        return out
-
-    return AlgebraModel(
-        name=f"disk-a0-deg{degree}",
-        add=add,
-        sub=sub,
-        scale=lambda c, p: complex(c) * p,
-        mul=poly_mul,
-        norm=lambda p: sup_norm_disk(p, sampling),
-        involution=np.conj,
-        unital=False,
-        commutative=True,
-        sample=lambda rng: random_a0(rng, degree),
-    )

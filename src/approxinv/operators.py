@@ -32,13 +32,9 @@ import numpy as np
 
 from .core import (
     AlgebraModel,
-    ApproxIdentityFamily,
     ApproxInvCertificate,
     InverseNet,
-    ResidualTrace,
-    TraceEntry,
     check_approx_invertible,
-    resolve_schedule,
 )
 from .errors import RankDeficientError
 
@@ -101,15 +97,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_as_operator(a), compute_uv=False)
 
 
-def approximation_number(a: np.ndarray, k: int) -> float:
-    """Distance from ``a`` to the operators of rank below k; equals the k-th
-    singular value, witnessed by the rank-(k-1) truncation."""
-    values = a.values if isinstance(a, SingularSystem) else singular_values(a)
-    if not 1 <= k <= values.shape[0]:
-        raise ValueError(f"k must lie in [1, {values.shape[0]}]")
-    return float(values[k - 1])
-
-
 def schatten_norm(a: np.ndarray, p: float = 2.0) -> float:
     """(sum lambda_k^p)^(1/p); p = inf gives the largest singular value."""
     if p < 1:
@@ -127,71 +114,6 @@ def op_norm(a: np.ndarray) -> float:
 def rank_one(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The operator h -> <h, g> f."""
     return np.outer(np.asarray(f, complex), np.conj(np.asarray(g, complex)))
-
-
-def projection_family(basis: np.ndarray) -> ApproxIdentityFamily:
-    """Partial-sum projections S_m onto the span of the first m basis
-    vectors (columns).  Requires an orthonormal basis; indices beyond the
-    dimension saturate at the identity."""
-    basis = np.asarray(basis, dtype=complex)
-    n = basis.shape[1]
-    gram = basis.conj().T @ basis
-    if np.abs(gram - np.eye(n)).max() > 1e-9:
-        raise ValueError("basis columns must be orthonormal")
-
-    def member(m: int) -> np.ndarray:
-        m = min(m, n)
-        b = basis[:, :m]
-        return b @ b.conj().T
-
-    return ApproxIdentityFamily(member)
-
-
-@dataclass(frozen=True)
-class StrongConvergenceReport:
-    verdict: bool
-    sup_op_norm: float
-    precondition_ok: bool
-    traces: tuple[ResidualTrace, ...]
-
-
-def strong_convergence_check(
-    family: ApproxIdentityFamily,
-    test_vectors: Sequence[np.ndarray],
-    max_index: int = 16,
-    tol: float = 1e-9,
-    schedule: Optional[Sequence[int]] = None,
-    op_bound: Optional[float] = None,
-) -> StrongConvergenceReport:
-    """Pointwise test S_j v -> v and S_j* v -> v on the given vectors.
-
-    For families uniformly bounded in the operator norm this is equivalent
-    to being an approximate identity in the ideal norm; the equivalence is
-    exercised by the test suite.  The uniform bound is checked against
-    ``op_bound`` (or the family's declared bound) on the evaluated members;
-    a violation is reported, not raised.
-    """
-    if len(test_vectors) == 0:
-        raise ValueError("test vectors must be non-empty")
-    sched = resolve_schedule(max_index, schedule)
-    bound = op_bound if op_bound is not None else family.norm_bound
-    sup_norm_seen = 0.0
-    ok = True
-    entries: list[list[TraceEntry]] = [[] for _ in test_vectors]
-    for j in sched:
-        s = _as_operator(family(j))
-        member = op_norm(s)
-        sup_norm_seen = max(sup_norm_seen, member)
-        if bound is not None and member > bound + 1e-9:
-            ok = False
-        for i, vec in enumerate(test_vectors):
-            vec = np.asarray(vec, complex)
-            fwd = float(np.linalg.norm(s @ vec - vec))
-            adj = float(np.linalg.norm(s.conj().T @ vec - vec))
-            entries[i].append(TraceEntry(j, max(fwd, adj), member, fwd, adj))
-    traces = tuple(ResidualTrace(tuple(ent), tol) for ent in entries)
-    verdict = ok and all(t.final_residual <= tol for t in traces)
-    return StrongConvergenceReport(verdict, sup_norm_seen, ok, traces)
 
 
 def right_inverse_net(
@@ -261,26 +183,6 @@ def rank_refuter(threshold: Optional[float] = None) -> Callable[[np.ndarray], Op
     return refute
 
 
-def pure_state_value(a: np.ndarray, vector: np.ndarray) -> complex:
-    """<T a, a> for a unit vector a."""
-    vector = _unit_vector(vector)
-    return complex(np.vdot(vector, _as_operator(a) @ vector))
-
-
-def modular_ideal_membership(a: np.ndarray, vector: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether the operator annihilates the unit vector (membership in the
-    vector's maximal modular left ideal)."""
-    vector = _unit_vector(vector)
-    return bool(np.linalg.norm(_as_operator(a) @ vector) <= tol)
-
-
-def _unit_vector(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=complex)
-    if abs(np.linalg.norm(vector) - 1.0) > 1e-12:
-        raise ValueError("state vector must have unit norm")
-    return vector
-
-
 def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
     """min over unit vectors of ||T* a||, by regularized inverse iteration on
     T T* from one seeded start vector per operator.
@@ -326,31 +228,6 @@ def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
     return float(minima[0]) if single else minima
 
 
-def adjoint_duality_check(a: np.ndarray, threshold: Optional[float] = None) -> bool:
-    """Right invertibility data of ``a`` must mirror left invertibility data
-    of its adjoint: the range/kernel flags swap, and when the right net for
-    ``a`` exists, its adjoint members compose with a* from the left to the
-    same projections (residuals matching to 1e-9)."""
-    a = _as_operator(a)
-    fwd = range_kernel_refuter(a, threshold)
-    adj = range_kernel_refuter(a.conj().T, threshold)
-    if fwd.dense_range != adj.injective:
-        return False
-    if not fwd.dense_range:
-        return True
-    system = svd(a)
-    net = right_inverse_net(system, threshold)
-    for m in (1, system.dim // 2, system.dim):
-        if m < 1:
-            continue
-        proj = output_projection(system, m)
-        right_resid = np.abs(a @ net(m) - proj).max()
-        left_resid = np.abs(net(m).conj().T @ a.conj().T - proj.conj().T).max()
-        if abs(right_resid - left_resid) > 1e-9 or left_resid > 1e-9:
-            return False
-    return True
-
-
 def _sample_operator(n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(
         2.0 * n
@@ -359,15 +236,7 @@ def _sample_operator(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def matrix_model(n: int = 16, p: float = np.inf) -> AlgebraModel:
     """Full matrix algebra (unital) under the Schatten-p norm: the operator
-    norm for p = inf, the surrogate operator ideal for finite p.  The
-    zero-divisor modulus is the smallest singular value for every p, with a
-    rank-one witness."""
-
-    def zeta(a: np.ndarray) -> tuple[float, np.ndarray]:
-        system = svd(a)
-        witness = rank_one(system.inputs[:, -1], np.eye(n)[:, 0])
-        return float(system.values[-1]), witness
-
+    norm for p = inf, the surrogate operator ideal for finite p."""
     return AlgebraModel(
         name=f"matrices-{n}-op" if np.isinf(p) else f"matrices-{n}-schatten-{p}",
         add=lambda a, b: a + b,
@@ -379,7 +248,6 @@ def matrix_model(n: int = 16, p: float = np.inf) -> AlgebraModel:
         unital=True,
         unit=np.eye(n, dtype=complex),
         sample=lambda rng: _sample_operator(n, rng),
-        zeta_exact=zeta,
     )
 
 

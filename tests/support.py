@@ -1,0 +1,114 @@
+"""Test infrastructure: the algebra models at property-sweep sizes, and the
+routes through the public verifiers that the tests and the acceptance
+criteria use for module density, product certification and adjoint
+duality."""
+
+import numpy as np
+
+from approxinv import banach_module as bm
+from approxinv import c0, operators, wiener
+from approxinv.core import (
+    AlgebraModel,
+    ApproxInvCertificate,
+    InverseNet,
+    check_approx_invertible,
+)
+
+
+def standard_models() -> list[AlgebraModel]:
+    """One instance of every model the core verifiers run on, at sizes
+    suitable for property sweeps."""
+    return [
+        wiener.l1_circle_model(wiener.CircleGrid(512)),
+        c0.c0_model(c0.GridSpace(10.0, 201, 1e-6)),
+        operators.matrix_model(8),
+        operators.matrix_model(8, 1.0),
+        operators.matrix_model(8, 2.0),
+    ]
+
+
+def density_residual(f, target, n, floor=None) -> float:
+    """Distance from ``target`` to f . (band-limited module elements).
+
+    The candidate y with yhat(k) = that(k)/fhat(k) on |k| < n (zero beyond)
+    matches the target exactly inside the band, so the residual is the
+    p-norm of the spectral tail.  Raises the order, aliasing and
+    division-floor errors of ``wiener.band_division``.
+    """
+    M = f.grid_size
+    y = wiener.band_division(f, lambda ks: target.signal.coeffs[ks % M], n, floor)
+    reached = wiener.convolve(f, y)
+    return bm.module_norm(bm.ModuleSignal(target.signal - reached, target.p))
+
+
+def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=None):
+    """Certificate of the product f1 * f2 through its own division net up to
+    order n, refuted when a coefficient of the product fails the band check
+    (which happens exactly where a factor's does).  The default test set is
+    the constant character."""
+    product = wiener.convolve(f1, f2)
+    grid = wiener.CircleGrid(product.grid_size)
+
+    def refuter(x):
+        bad = wiener.band_nonvanishing(x, n, floor)
+        return None if bad is None else f"vanishes in band at frequency {bad}"
+
+    return check_approx_invertible(
+        wiener.l1_circle_model(grid),
+        product,
+        wiener.wiener_division_net(product, floor),
+        [wiener.character(grid, 0)] if test_set is None else test_set,
+        tol=tol,
+        max_index=n,
+        schedule=schedule,
+        refuter=refuter,
+    )
+
+
+def adjoint_certificate(t, test_set) -> ApproxInvCertificate:
+    """Left certificate of t* in the Schatten-2 model at the tolerance of
+    ``operators.certify_operator``, through the adjoint members of the right
+    net of t, against the adjoint test elements; the rank check of t*
+    refutes it (no net is built then)."""
+    t = np.asarray(t, dtype=complex)
+    adjoint = t.conj().T
+    reason = operators.rank_refuter()(adjoint)
+    net = None
+    if reason is None:
+        right = operators.right_inverse_net(t)
+        net = InverseNet(lambda m: right(m).conj().T, "left")
+    return check_approx_invertible(
+        operators.matrix_model(t.shape[0], 2.0),
+        adjoint,
+        net,
+        [z.conj().T for z in test_set],
+        1e-9,
+        t.shape[0],
+        refuter=lambda _: reason,
+    )
+
+
+_MIRRORED_VERDICT = {"certified-right": "certified-left", "certified-left": "certified-right"}
+
+
+def mirrors(cert: ApproxInvCertificate, dual: ApproxInvCertificate) -> bool:
+    """Whether ``dual`` (a certificate of x*) mirrors ``cert`` (of x): the
+    one-sided verdicts swap, the right trace of x reappears as the left trace
+    of x* and vice versa, and within each entry the left and right residuals
+    swap, all to 1e-9 relative to max(1, residual)."""
+    if _MIRRORED_VERDICT.get(cert.verdict, cert.verdict) != dual.verdict:
+        return False
+    for mine, theirs in ((cert.right_trace, dual.left_trace), (cert.left_trace, dual.right_trace)):
+        if mine is None or theirs is None:
+            if mine is not theirs:
+                return False
+            continue
+        if len(mine.entries) != len(theirs.entries):
+            return False
+        for a, b in zip(mine.entries, theirs.entries):
+            pairs = ((a.residual, b.residual), (a.left, b.right), (a.right, b.left))
+            if a.index != b.index or any(
+                abs(x - y) > 1e-9 * max(1.0, abs(x)) for x, y in pairs
+            ):
+                return False
+    return True

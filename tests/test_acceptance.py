@@ -17,6 +17,7 @@ from .oracles import (
     fejer_values_closed_form,
     kernel_tail_p2,
 )
+from .support import adjoint_certificate, certify_product, density_residual, mirrors
 
 M = 4096
 
@@ -270,7 +271,7 @@ def test_criterion_08_module_deconvolution(grid):
         }
         target = bm.ModuleSignal(wiener.CircleSignal.from_band(grid, band), 2.0)
         worst_density = max(
-            worst_density, bm.density_residual(blur, target, 128, floor=0.5**300)
+            worst_density, density_residual(blur, target, 128, floor=0.5**300)
         )
     checks.append(
         (worst_density <= 1e-3, f"density residual at n=128, worst {worst_density:.2e}")
@@ -281,12 +282,22 @@ def test_criterion_08_module_deconvolution(grid):
 def test_criterion_09_duality_and_products(grid):
     rng = np.random.default_rng(90)
     duality_ok = True
+    refuted = 0
     for trial in range(100):
         t = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         if trial % 4 == 0:
             t[:, trial % 12] = 0.0
-        duality_ok = duality_ok and operators.adjoint_duality_check(t)
-    checks = [(duality_ok, "adjoint duality on 100 operators")]
+        tests = [0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))]
+        cert = operators.certify_operator(t, tests)
+        dual = adjoint_certificate(t, tests)
+        duality_ok = duality_ok and mirrors(cert, dual)
+        deficient = trial % 4 == 0
+        duality_ok = duality_ok and (cert.verdict == "refuted") == deficient
+        refuted += cert.verdict == dual.verdict == "refuted"
+    checks = [
+        (duality_ok, "adjoint nets mirror the right certificates on 100 operators"),
+        (refuted == 25, f"rank-deficient operators refuted on both sides ({refuted} of 25)"),
+    ]
 
     small = wiener.CircleGrid(512)
     good = [
@@ -304,12 +315,19 @@ def test_criterion_09_duality_and_products(grid):
         for f2 in good + bad:
             if cases >= 20:
                 break
-            cert = wiener.product_invertibility_check(f1, f2, n=4, tol=1e-6)
+            cases += 1
             both = f1 in good and f2 in good
+            if not wiener.convolve(f1, f2).coeffs.any():
+                # disjoint spectra: the verifier refuses the zero product
+                # before any refuter runs
+                with pytest.raises(ValueError):
+                    certify_product(f1, f2, n=4, tol=1e-6)
+                consistent = consistent and not both
+                continue
+            cert = certify_product(f1, f2, n=4, tol=1e-6)
             consistent = consistent and (cert.certified == both)
             if not both:
                 consistent = consistent and cert.verdict == "refuted"
-            cases += 1
     checks.append((consistent and cases == 20, "product certifies iff both factors do"))
     _report(9, "adjoint duality and product certification", checks)
 

@@ -6,6 +6,7 @@ from approxinv import wiener
 from approxinv.errors import AliasingError, DivisionFloorError
 
 from .oracles import kernel_tail_p2
+from .support import density_residual
 
 
 def _band(grid, rng, degree=32, decay=0.5):
@@ -18,8 +19,8 @@ def _band(grid, rng, degree=32, decay=0.5):
 def test_action_of_constant_projects(grid512, rng):
     sig, _ = _band(grid512, rng)
     b = bm.ModuleSignal(sig, 2.0)
-    out = bm.module_action(wiener.constant_signal(grid512), b)
-    expected = sig.coeff(0) * wiener.constant_signal(grid512).values
+    out = bm.module_action(wiener.character(grid512, 0), b)
+    expected = sig.coeff(0) * wiener.character(grid512, 0).values
     assert np.allclose(out.signal.values, expected, atol=1e-12)
 
 
@@ -48,57 +49,36 @@ def test_action_respects_module_bound(grid512, p):
 
 
 def test_identity_convergence_constant(grid512):
-    b = bm.ModuleSignal(wiener.constant_signal(grid512), 2.0)
-    trace = bm.module_identity_convergence(
-        wiener.fejer_family(grid512), b, schedule=[1, 2, 4, 8]
-    )
-    assert max(trace.residuals) <= 1e-14
+    b = bm.ModuleSignal(wiener.character(grid512, 0), 2.0)
+    for n in (1, 2, 4, 8):
+        assert bm.kernel_tail_error(b, n) <= 1e-14
 
 
 def test_identity_convergence_matches_tail_formula(grid4096, rng):
     sig, band = _band(grid4096, rng, 32)
     b = bm.ModuleSignal(sig, 2.0)
-    trace = bm.module_identity_convergence(
-        wiener.fejer_family(grid4096), b, schedule=[64, 128, 256]
-    )
-    for entry in trace.entries:
-        oracle = kernel_tail_p2(band, entry.index)
-        assert entry.residual == pytest.approx(oracle, rel=1e-12)
-
-
-def test_identity_convergence_zero_family(grid512, rng):
-    sig, _ = _band(grid512, rng)
-    b = bm.ModuleSignal(sig, 1.0)
-    zero_family = wiener.ApproxIdentityFamily(
-        lambda j: wiener.constant_signal(grid512, 0.0)
-    )
-    trace = bm.module_identity_convergence(zero_family, b, max_index=4)
-    for r in trace.residuals:
-        assert r == pytest.approx(bm.module_norm(b), abs=1e-12)
+    for n in (64, 128, 256):
+        assert bm.kernel_tail_error(b, n) == pytest.approx(kernel_tail_p2(band, n), rel=1e-12)
 
 
 def test_identity_convergence_below_tolerance_for_band_limited(grid4096, rng):
-    family = wiener.fejer_family(grid4096)
     for p in (1.0, 2.0, np.inf):
         sig, _ = _band(grid4096, rng, 32, decay=0.25)
-        trace = bm.module_identity_convergence(
-            family, bm.ModuleSignal(sig, p), schedule=[8, 32, 128]
-        )
-        assert trace.final_residual <= 1e-2
+        assert bm.kernel_tail_error(bm.ModuleSignal(sig, p), 128) <= 1e-2
 
 
 def test_density_residual_band_limited_target(grid512, rng):
     f = wiener.poisson_kernel(grid512, 0.5)
     sig, _ = _band(grid512, rng, 16)
     target = bm.ModuleSignal(sig, 2.0)
-    assert bm.density_residual(f, target, 32, floor=0.5**40) <= 1e-10
+    assert density_residual(f, target, 32, floor=0.5**40) <= 1e-10
 
 
 def test_density_residual_is_spectral_tail(grid4096):
     f = wiener.poisson_kernel(grid4096, 0.5)
     z = bm.ModuleSignal(wiener.poisson_kernel(grid4096, 0.9), 2.0)
     n = 64
-    residual = bm.density_residual(f, z, n, floor=0.5**70)
+    residual = density_residual(f, z, n, floor=0.5**70)
     ks = np.fft.fftfreq(grid4096.M, 1.0 / grid4096.M).astype(int)
     tail = z.signal.coeffs.copy()
     tail[np.abs(ks) < n] = 0.0
@@ -109,9 +89,9 @@ def test_density_residual_is_spectral_tail(grid4096):
 
 def test_density_residual_raises_on_vanishing_band(grid512):
     monomial = wiener.character(grid512, 1)
-    target = bm.ModuleSignal(wiener.constant_signal(grid512), 2.0)
+    target = bm.ModuleSignal(wiener.character(grid512, 0), 2.0)
     with pytest.raises(DivisionFloorError) as err:
-        bm.density_residual(monomial, target, 4)
+        density_residual(monomial, target, 4)
     assert err.value.frequency == 0
 
 
@@ -120,9 +100,9 @@ def test_density_residual_rejects_bad_order(grid512, n, error):
     # the same order checks as wiener_division: the band must be non-empty
     # and stay below M/2
     f = wiener.poisson_kernel(grid512, 0.5)
-    target = bm.ModuleSignal(wiener.constant_signal(grid512), 2.0)
+    target = bm.ModuleSignal(wiener.character(grid512, 0), 2.0)
     with pytest.raises(error):
-        bm.density_residual(f, target, n)
+        density_residual(f, target, n)
     with pytest.raises(error):
         wiener.wiener_division(f, n)
 
@@ -150,7 +130,7 @@ def test_deconvolution_order_one(grid512, rng):
     blur = wiener.poisson_kernel(grid512, 0.5)
     observed = bm.module_action(blur, truth)
     result = bm.deconvolve(blur, observed, 1, floor=1e-12)
-    expected = sig.coeff(0) * wiener.constant_signal(grid512).values
+    expected = sig.coeff(0) * wiener.character(grid512, 0).values
     assert np.allclose(result.recovered.signal.values, expected, atol=1e-10)
 
 
@@ -184,12 +164,12 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         bm.NoiseSpec(sigma=-1.0)
     with pytest.raises(ValueError):
-        bm.ModuleSignal(wiener.constant_signal(wiener.CircleGrid(8)), p=0.5)
+        bm.ModuleSignal(wiener.character(wiener.CircleGrid(8), 0), p=0.5)
 
 
 def test_module_signal_rejects_nan_exponent():
     with pytest.raises(ValueError):
-        bm.ModuleSignal(wiener.constant_signal(wiener.CircleGrid(8)), p=float("nan"))
+        bm.ModuleSignal(wiener.character(wiener.CircleGrid(8), 0), p=float("nan"))
 
 
 @pytest.mark.parametrize("M", [512, 4096])

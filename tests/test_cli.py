@@ -147,6 +147,24 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
     assert cli.main(["--scenario", "tdz", "--seed", str(2**64)]) == 2
     assert cli.main(["--scenario", "tdz", "--seed", "-1"]) == 2
 
+    # a UTF-16 byte-order mark is not UTF-8: a config error, not a traceback
+    not_utf8 = tmp_path / "bad5.cfg"
+    not_utf8.write_bytes(b"\xff\xfe[models]\n")
+    capsys.readouterr()
+    out = tmp_path / "not-utf8"
+    assert cli.main(["--config", str(not_utf8), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_scenario_runs_once_in_first_named_order(tmp_path):
+    cfg = _fast_config(tmp_path, "[run]\nscenarios = tdz,fejer,tdz\n")
+    by_flags = ["--scenario", "tdz", "--scenario", "fejer", "--scenario", "tdz"]
+    for out, extra in (("by-key", []), ("by-flags", by_flags)):
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / out)] + extra) == 0
+        lines = (tmp_path / out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert [line.split(":")[0] for line in lines] == ["tdz", "fejer", "overall"]
+
 
 @pytest.mark.parametrize(
     "text",
@@ -196,6 +214,62 @@ def test_largest_finite_grid_diameter_runs(tmp_path):
     out = tmp_path / "o"
     args = ["--config", str(cfg), "--scenario", "c0-interior", "--out", str(out)]
     assert cli.main(args) == 0
+
+
+CIRCLE_SCENARIOS = ("fejer", "wiener-division", "deconv", "tdz")
+
+#: Configs at the edges ``validate`` accepts: the scenarios each one touches,
+#: the exit status and the failing (scenario, statement, index) rows.  The
+#: three failures are honest: the kernel net has not reached ``identity_tol``
+#: by its last index.
+BOUNDARY_OUTCOMES = {
+    "matrix-size-2": ("[models]\nmatrix_size = 2\n", ("um-net", "pure-state"), 0, []),
+    "matrix-size-200": (
+        "[models]\nmatrix_size = 200\nmatrix_count = 1\n", ("um-net",), 0, []
+    ),
+    "disk-degree-1": ("[models]\ndisk_degree = 1\n", ("disk13",), 0, []),
+    "module-exponent-1": ("[models]\nmodule_exponent = 1\n", ("deconv",), 0, []),
+    "module-exponent-inf": ("[models]\nmodule_exponent = inf\n", ("deconv",), 0, []),
+    "noise-sigma-0": ("[tolerances]\nnoise_sigma = 0\n", ("deconv",), 0, []),
+    "schedule-511-at-1024": (
+        "[models]\ncircle_samples = 1024\n[nets]\nschedule = 8,64,511\n",
+        CIRCLE_SCENARIOS, 0, [],
+    ),
+    "grid-points-5": ("[models]\ngrid_points = 5\n", ("c0-interior",), 0, []),
+    "circle-samples-130": (
+        "[models]\ncircle_samples = 130\n[nets]\nschedule = 8,16,32,64\n",
+        CIRCLE_SCENARIOS, 1, [("fejer", "fejer-identity", "64")],
+    ),
+    "schedule-1": (
+        "[nets]\nschedule = 1\n", CIRCLE_SCENARIOS, 1, [("fejer", "fejer-identity", "1")]
+    ),
+    "identity-tol-1e-300": (
+        "[tolerances]\nidentity_tol = 1e-300\n",
+        ("fejer",), 1, [("fejer", "fejer-identity", "128")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, names, status, failing",
+    BOUNDARY_OUTCOMES.values(),
+    ids=BOUNDARY_OUTCOMES.keys(),
+)
+def test_boundary_config_outcomes(text, names, status, failing, tmp_path):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    flags = [flag for name in names for flag in ("--scenario", name)]
+    assert cli.main(["--config", str(cfg), "--out", str(out)] + flags) == status
+    failed = []
+    for name in names:
+        with open(out / f"{name}.csv", encoding="utf-8", newline="") as handle:
+            failed.extend(
+                (row["scenario"], row["statement_id"], row["net_index"])
+                for row in csv.DictReader(handle)
+                if row["verdict"] == "fail"
+            )
+    assert failed == failing
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from approxinv import operators, scenarios
-from approxinv.core import check_approximate_identity
+from approxinv.core import ApproxIdentityFamily, check_approximate_identity
 from approxinv.errors import RankDeficientError
 
 from .oracles import charpoly_singular_values, jacobi_svd, solved_pure_state_minimum
+from .support import adjoint_certificate, mirrors
 
 
 def _random_operator(n, rng, scale=1.0):
@@ -80,23 +81,12 @@ def test_svd_against_jacobi_oracle(rng):
         assert np.abs(overlaps - 1.0).max() <= 1e-9
 
 
-def test_approximation_numbers():
-    a = np.diag([3.0, 1.0]).astype(complex)
-    assert operators.approximation_number(a, 1) == pytest.approx(3.0, abs=1e-12)
-    assert operators.approximation_number(a, 2) == pytest.approx(1.0, abs=1e-12)
-    assert operators.approximation_number(a, 1) == pytest.approx(
-        operators.op_norm(a), abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        operators.approximation_number(a, 3)
-
-
 def test_approximation_number_is_infimum(rng):
     # random low-rank competitors never beat the truncation
     a = _random_operator(4, rng)
     system = operators.svd(a)
     for k in (2, 3, 4):
-        lam_k = operators.approximation_number(system, k)
+        lam_k = system.values[k - 1]
         trunc = system.truncated(k - 1)
         assert operators.op_norm(a - trunc) == pytest.approx(lam_k, abs=1e-9)
         for _ in range(100):
@@ -150,20 +140,22 @@ def test_schatten_agrees_with_jacobi_values(rng):
             )
 
 
-def test_projection_family_shapes():
-    family = operators.projection_family(np.eye(4, dtype=complex))
-    assert np.allclose(family(4), np.eye(4))
-    assert np.allclose(family(1), np.diag([1.0, 0, 0, 0]))
-    assert np.allclose(family(9), np.eye(4))  # saturates
-    with pytest.raises(ValueError):
-        operators.projection_family(2.0 * np.eye(4, dtype=complex))
+def _projection_family(basis, keep=None):
+    """Partial-sum projections onto the first m basis columns (at most
+    ``keep`` of them), saturating past the last."""
+
+    def member(m):
+        b = basis[:, : min(m, keep or basis.shape[1])]
+        return b @ b.conj().T
+
+    return ApproxIdentityFamily(member)
 
 
 def test_projection_family_identity_in_trace_norm(rng):
     n = 8
     model = operators.matrix_model(n, 1.0)
     basis, _ = np.linalg.qr(_random_operator(n, rng))
-    family = operators.projection_family(basis)
+    family = _projection_family(basis)
     tests = [model.sample(rng) for _ in range(20)]
     report = check_approximate_identity(model, family, tests, tol=1e-9, max_index=n)
     assert report.passed
@@ -173,42 +165,6 @@ def test_projection_family_identity_in_trace_norm(rng):
         assert rs[-1] <= 1e-12
 
 
-def test_projection_members_are_self_adjoint_norm_one(rng):
-    basis, _ = np.linalg.qr(_random_operator(6, rng))
-    family = operators.projection_family(basis)
-    for m in range(1, 7):
-        s = family(m)
-        assert np.abs(s - s.conj().T).max() <= 1e-12
-        assert operators.op_norm(s) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_strong_convergence_projections(rng):
-    basis = np.eye(5, dtype=complex)
-    family = operators.projection_family(basis)
-    vec = np.zeros(5, complex)
-    vec[:3] = rng.standard_normal(3)
-    report = operators.strong_convergence_check(family, [vec], max_index=5)
-    assert report.verdict
-    assert report.traces[0].entries[2].residual <= 1e-12  # settled at index 3
-
-
-def test_strong_convergence_zero_family():
-    family = operators.ApproxIdentityFamily(lambda j: np.zeros((4, 4), complex))
-    vec = np.array([1.0, 0, 0, 0], complex)
-    report = operators.strong_convergence_check(family, [vec], max_index=3)
-    assert not report.verdict
-
-
-def test_strong_convergence_bound_violation(rng):
-    family = operators.ApproxIdentityFamily(
-        lambda j: float(j) * np.eye(3, dtype=complex), norm_bound=1.0
-    )
-    vec = np.array([1.0, 0, 0], complex)
-    report = operators.strong_convergence_check(family, [vec], max_index=3)
-    assert not report.precondition_ok
-    assert not report.verdict
-
-
 def test_strong_convergence_matches_ideal_verdict(rng):
     n = 6
     model = operators.matrix_model(n, 1.0)
@@ -216,21 +172,20 @@ def test_strong_convergence_matches_ideal_verdict(rng):
     for trial in range(10):
         basis, _ = np.linalg.qr(_random_operator(n, rng))
         keep = int(rng.integers(2, n + 1))
-
-        def member(m, basis=basis, keep=keep):
-            b = basis[:, : min(m, keep)]
-            return b @ b.conj().T
-
-        # the family is bounded in the operator norm, not in the trace norm,
-        # so the declared bound belongs to the strong-convergence side only
-        family = operators.ApproxIdentityFamily(member)
-        strong = operators.strong_convergence_check(
-            family, vectors, max_index=n, tol=1e-9, op_bound=1.0
+        family = _projection_family(basis, keep)
+        # S_n v -> v and S_n* v -> v on the basis vectors, for a family of
+        # orthogonal projections (operator norm one)
+        final = family(n)
+        strong = all(
+            np.linalg.norm(s @ v - v) <= 1e-9
+            for s in (final, final.conj().T)
+            for v in vectors
         )
+        assert operators.op_norm(final) == pytest.approx(1.0, abs=1e-9)
         ideal = check_approximate_identity(
             model, family, [model.sample(rng) for _ in range(5)], tol=1e-9, max_index=n
         )
-        assert strong.verdict == ideal.passed == (keep == n)
+        assert strong == ideal.passed == (keep == n)
 
 
 def test_right_inverse_net_diagonal():
@@ -343,17 +298,6 @@ def test_range_kernel_refuter():
     assert report.dense_range and report.injective
 
 
-def test_pure_state_values():
-    t = np.diag([1.0, 0.0]).astype(complex)
-    e2 = np.array([0.0, 1.0], complex)
-    assert operators.pure_state_value(t, e2) == pytest.approx(0.0, abs=1e-14)
-    assert operators.modular_ideal_membership(t.conj().T, e2)
-    eye = np.eye(2, dtype=complex)
-    assert not operators.modular_ideal_membership(eye, e2)
-    with pytest.raises(ValueError):
-        operators.pure_state_value(t, 2.0 * e2)
-
-
 def test_pure_state_minimum_matches_smallest_singular_value(rng):
     for trial in range(50):
         t = _random_operator(16, rng)
@@ -460,14 +404,25 @@ def test_pure_state_memory_does_not_grow_with_matrix_count():
     assert abs(large - small) <= 0.1 * small
 
 
+def _assert_adjoint_mirrors(t, tests):
+    cert = operators.certify_operator(t, tests)
+    dual = adjoint_certificate(t, tests)
+    assert mirrors(cert, dual)
+    return cert, dual
+
+
 def test_adjoint_duality(rng):
-    assert operators.adjoint_duality_check(np.eye(4, dtype=complex))
-    assert operators.adjoint_duality_check(np.diag([1.0, 0.0]).astype(complex))
+    cert, dual = _assert_adjoint_mirrors(np.eye(4, dtype=complex), [np.eye(4, dtype=complex)])
+    assert cert.verdict == dual.verdict == "certified-two-sided"
+    singular = np.diag([1.0, 0.0]).astype(complex)
+    cert, dual = _assert_adjoint_mirrors(singular, [np.eye(2, dtype=complex)])
+    assert cert.verdict == dual.verdict == "refuted"
     for trial in range(30):
         t = _random_operator(8, rng)
         if trial % 4 == 0:
             t[:, trial % 8] = 0.0
-        assert operators.adjoint_duality_check(t)
+        cert, dual = _assert_adjoint_mirrors(t, [_random_operator(8, rng, 0.3)])
+        assert (cert.verdict == "refuted") == (trial % 4 == 0)
 
 
 def test_annihilating_operator_factors_through_complement(rng):
@@ -478,7 +433,6 @@ def test_annihilating_operator_factors_through_complement(rng):
     t = _random_operator(n, rng) @ (np.eye(n) - p_a)
     assert np.linalg.norm(t @ a) <= 1e-12
     assert np.abs(t @ (np.eye(n) - p_a) - t).max() <= 1e-10
-    assert operators.modular_ideal_membership(t, a, tol=1e-10)
 
 
 def test_net_converges_strongly_on_vectors(rng):

@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import re
 from pathlib import Path
 
 import pytest
@@ -77,11 +78,28 @@ def _referenced_identifiers(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_every_public_name_has_a_reader():
+def _reader_identifiers() -> set[str]:
+    """Identifiers the lab and its users read: the package modules (the
+    import lines of ``__init__`` left out, since a re-export reads nothing),
+    the demos, and the console-script targets in ``pyproject.toml``.  Tests
+    and the benchmark harness do not count."""
     referenced = set()
-    for folder in ("src", "tests", "demos", "bench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            referenced |= _referenced_identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path == PACKAGE / "__init__.py":
+            tree.body = [
+                node for node in tree.body
+                if not isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+        referenced |= _referenced_identifiers(tree)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    referenced |= set(re.findall(r':(\w+)"', scripts.group(1)))
+    return referenced
+
+
+def test_every_public_name_has_a_reader():
+    referenced = _reader_identifiers()
     orphans = sorted(
         f"{path.stem}.{name}"
         for path in PACKAGE.glob("*.py")
@@ -89,6 +107,28 @@ def test_every_public_name_has_a_reader():
         if name not in referenced
     )
     assert not orphans, f"public names nobody reads: {orphans}"
+
+
+def test_no_unused_module_level_import():
+    """Every name a module imports at top level is read in that module.
+    ``__init__`` (whose imports are the package surface), ``__future__``
+    imports and explicit ``import x as x`` re-exports are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if alias.asname != alias.name
+        ]
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{path.stem}.{name}" for name in bound if name not in loaded)
+    assert not unused, f"module-level imports nobody uses: {unused}"
 
 
 INVERSE_FFTS = {"ifft", "irfft", "hfft"}

@@ -16,6 +16,7 @@ from .oracles import (
     fejer_values_closed_form,
     poisson_coeffs_full,
 )
+from .support import certify_product
 
 # (1/M) sum |2 sin theta_m| at M = 4096; the quadrature value of 4/pi
 TWO_SINE_L1 = 1.2732392950638007
@@ -28,7 +29,7 @@ def _band_signal(grid, rng, degree, decay=0.5):
 
 
 def test_constant_transform(grid512):
-    one = wiener.constant_signal(grid512)
+    one = wiener.character(grid512, 0)
     coeffs = wiener.fourier(one, 8)
     assert coeffs[0] == pytest.approx(1.0, abs=1e-14)
     for k in range(1, 9):
@@ -38,8 +39,8 @@ def test_constant_transform(grid512):
 
 def test_convolve_with_constant_projects(grid512, rng):
     g = _band_signal(grid512, rng, 12)
-    out = wiener.convolve(wiener.constant_signal(grid512), g)
-    expected = g.coeff(0) * wiener.constant_signal(grid512).values
+    out = wiener.convolve(wiener.character(grid512, 0), g)
+    expected = g.coeff(0) * wiener.character(grid512, 0).values
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -57,7 +58,7 @@ def test_convolution_theorem_against_direct_sum(grid512, rng):
 def test_grid_mismatch_rejected(grid512, grid4096):
     with pytest.raises(ValueError):
         wiener.convolve(
-            wiener.constant_signal(grid512), wiener.constant_signal(grid4096)
+            wiener.character(grid512, 0), wiener.character(grid4096, 0)
         )
 
 
@@ -97,18 +98,23 @@ def test_kernel_family_not_cauchy(grid4096):
         assert wiener.l1_norm(k1 - k2) >= 0.1
 
 
+def _gelfand_pair(f):
+    """(sup_k |fhat(k)|, algebra norm); the first never exceeds the second."""
+    return float(np.abs(f.coeffs).max()), wiener.l1_norm(f)
+
+
 def test_gelfand_bound_trivia(grid4096):
-    one = wiener.constant_signal(grid4096)
-    assert wiener.gelfand_sup_bound(one) == (pytest.approx(1.0), pytest.approx(1.0))
+    one = wiener.character(grid4096, 0)
+    assert _gelfand_pair(one) == (pytest.approx(1.0), pytest.approx(1.0))
     kern = wiener.fejer_kernel(grid4096, 32)
-    sup, norm = wiener.gelfand_sup_bound(kern)
+    sup, norm = _gelfand_pair(kern)
     assert sup == pytest.approx(1.0, abs=1e-12)
     assert norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gelfand_bound_two_sine(grid4096):
     sig = wiener.CircleSignal.from_band(grid4096, {1: 1.0, -1: -1.0})
-    sup, norm = wiener.gelfand_sup_bound(sig)
+    sup, norm = _gelfand_pair(sig)
     assert sup == pytest.approx(1.0, abs=1e-12)
     assert norm == pytest.approx(TWO_SINE_L1, abs=1e-12)
     assert norm == pytest.approx(4.0 / np.pi, abs=1e-6)
@@ -117,7 +123,7 @@ def test_gelfand_bound_two_sine(grid4096):
 def test_gelfand_contraction_seeded(grid512, rng):
     for _ in range(200):
         f = _band_signal(grid512, rng, int(rng.integers(1, 60)), decay=0.8)
-        sup, norm = wiener.gelfand_sup_bound(f)
+        sup, norm = _gelfand_pair(f)
         assert sup <= norm + 1e-9
 
 
@@ -137,7 +143,7 @@ def test_pointwise_limit_traces(grid4096):
     assert traces[16].entries[-1].residual == pytest.approx(0.125, abs=1e-12)
 
     zero_family = wiener.ApproxIdentityFamily(
-        lambda j: wiener.constant_signal(grid4096, 0.0)
+        lambda j: 0.0 * wiener.character(grid4096, 0)
     )
     zero_traces = wiener.aid_pointwise_limit_check(zero_family, [0, 5], max_index=4)
     assert all(r == pytest.approx(1.0) for r in zero_traces[5].residuals)
@@ -147,7 +153,7 @@ def test_division_constant_gives_kernel_at_order_one(grid512):
     # the constant's coefficients vanish off zero, so its band check only
     # admits order one; the element dividing at every order is the unit
     # (all-ones spectrum)
-    one = wiener.constant_signal(grid512)
+    one = wiener.character(grid512, 0)
     h = wiener.wiener_division(one, 1)
     assert np.allclose(h.coeffs, wiener.fejer_kernel(grid512, 1).coeffs, atol=1e-14)
     with pytest.raises(DivisionFloorError):
@@ -212,7 +218,7 @@ def test_certificate_constant_test_element(grid4096):
         model,
         f,
         wiener.wiener_division_net(f),
-        [wiener.constant_signal(grid4096)],
+        [wiener.character(grid4096, 0)],
         tol=1e-6,
         schedule=[4, 8, 16],
     )
@@ -236,12 +242,11 @@ def test_certificate_standard_test_set(grid4096):
 
 
 def test_tdz_witness_values(grid4096):
-    one = wiener.constant_signal(grid4096)
+    one = wiener.character(grid4096, 0)
     assert wiener.tdz_witness(one, 3).value == 0.0
 
     f = wiener.poisson_kernel(grid4096, 0.5)
     w = wiener.tdz_witness(f, 20)
-    assert w.method == "exact"
     assert w.value == pytest.approx(0.5**20, abs=1e-10)
     # quadrature route to the same coefficient
     assert w.value == pytest.approx(abs(direct_coeff(f.values, 20)), abs=1e-12)
@@ -268,53 +273,22 @@ def test_tdz_decays_on_standard_test_set(grid4096):
         assert values[-1] <= values[0]
 
 
-def test_zero_divisor_model_hook(grid512):
-    from approxinv.core import zero_divisor_modulus
-
-    model = wiener.l1_circle_model(grid512)
-    f = wiener.poisson_kernel(grid512, 0.5)
-    result = zero_divisor_modulus(model, f, candidate_count=8, seed=2)
-    assert result.method == "exact"
-    assert result.value <= 2.0 * 0.5**20  # deeper than any shallow character
-    assert wiener.l1_norm(result.witness) == pytest.approx(1.0, abs=1e-9)
-    # the witness achieves the reported value (argmin sits on the deepest bin)
-    achieved = wiener.l1_norm(wiener.convolve(f, result.witness))
-    assert achieved == pytest.approx(result.value, rel=1e-9, abs=1e-300)
-    # random sampling never beats the exact estimate
-    sampled = zero_divisor_modulus(model, f, candidate_count=32, seed=2, method="sampled")
-    assert sampled.value >= result.value
-
-
-def test_zero_divisor_hook_moderate_spectrum(grid512):
-    from approxinv.core import zero_divisor_modulus
-
-    model = wiener.l1_circle_model(grid512)
-    f = wiener.CircleSignal.from_band(grid512, {0: 1.0, 1: 0.4, -1: 0.4, 7: 0.05})
-    unit_offset = wiener.CircleSignal(f.coeffs + 0.5)  # bounded-below spectrum
-    result = zero_divisor_modulus(model, unit_offset, candidate_count=8, seed=4)
-    assert result.method == "exact"
-    achieved = wiener.l1_norm(wiener.convolve(unit_offset, result.witness))
-    assert achieved == pytest.approx(result.value, rel=1e-9)
-    # the inverse-kernel value undercuts the best character value
-    assert result.value <= float(np.abs(unit_offset.coeffs).min()) + 1e-12
-
-
 def test_fourier_band_guard(grid512):
     with pytest.raises(AliasingError):
-        wiener.fourier(wiener.constant_signal(grid512), grid512.M // 2)
+        wiener.fourier(wiener.character(grid512, 0), grid512.M // 2)
     with pytest.raises(AliasingError):
         wiener.CircleSignal.from_band(grid512, {grid512.M // 2: 1.0})
     with pytest.raises(AliasingError):
         wiener.character(grid512, grid512.M // 2)
     with pytest.raises(ValueError):
-        wiener.tdz_witness(wiener.constant_signal(grid512), grid512.M // 2)
+        wiener.tdz_witness(wiener.character(grid512, 0), grid512.M // 2)
     with pytest.raises(ValueError):
         wiener.CircleGrid(4)
 
 
 def test_product_check_constants(grid512):
-    one = wiener.constant_signal(grid512)
-    cert = wiener.product_invertibility_check(one, one, n=1)
+    one = wiener.character(grid512, 0)
+    cert = certify_product(one, one, n=1)
     assert cert.certified
     assert cert.right_trace.final_residual <= 1e-12
 
@@ -322,32 +296,33 @@ def test_product_check_constants(grid512):
 def test_product_check_poisson_pair(grid4096):
     f = wiener.poisson_kernel(grid4096, 0.5)
     floor = 0.25**130
-    cert = wiener.product_invertibility_check(
+    cert = certify_product(
         f,
         f,
         n=128,
         floor=floor,
-        test_set=[wiener.poisson_kernel(grid4096, 0.5)],
+        test_set=[f],
         tol=5e-2,
         schedule=[8, 32, 128],
     )
     assert cert.certified
-    # pinned by the direct-convolution oracle on the combined net
-    assert cert.right_trace.final_residual == pytest.approx(
-        0.013176749347339298, rel=1e-9
-    )
+    # the product times its order-128 division member is the order-128
+    # kernel, so the residual is the kernel's error on f: pinned by the
+    # direct-convolution oracle
+    kernel = wiener.fejer_kernel(grid4096, 128)
+    oracle = np.mean(np.abs(direct_convolve(kernel.values, f.values) - f.values))
+    assert cert.right_trace.final_residual == pytest.approx(oracle, rel=1e-9)
     assert cert.right_trace.final_residual < 0.05
 
 
 def test_product_check_refutes_vanishing_factor(grid512):
     monomial = wiener.character(grid512, 1)
     smooth = wiener.poisson_kernel(grid512, 0.4)
-    cert = wiener.product_invertibility_check(monomial, smooth, n=4)
-    assert cert.verdict == "refuted"
-    assert "factor 1" in cert.reason and "frequency 0" in cert.reason
-    cert2 = wiener.product_invertibility_check(smooth, monomial, n=4)
-    assert cert2.verdict == "refuted"
-    assert "factor 2" in cert2.reason
+    # the product vanishes where the monomial does, in either order
+    for f1, f2 in ((monomial, smooth), (smooth, monomial)):
+        cert = certify_product(f1, f2, n=4)
+        assert cert.verdict == "refuted"
+        assert "frequency 0" in cert.reason
 
 
 def test_product_certifies_iff_both_factors(grid512):
@@ -363,41 +338,18 @@ def test_product_certifies_iff_both_factors(grid512):
     assert wiener.band_nonvanishing(bad[1], 4) is not None
     for f1 in good + bad:
         for f2 in good + bad:
-            cert = wiener.product_invertibility_check(f1, f2, n=4, tol=1e-6)
+            if not wiener.convolve(f1, f2).coeffs.any():
+                # the two bad factors have disjoint spectra: the zero product
+                # is refused before any refuter runs
+                assert f1 in bad and f2 in bad
+                with pytest.raises(ValueError):
+                    certify_product(f1, f2, n=4, tol=1e-6)
+                continue
+            cert = certify_product(f1, f2, n=4, tol=1e-6)
             both_good = f1 in good and f2 in good
             assert cert.certified == both_good
             if not both_good:
                 assert cert.verdict == "refuted"
-
-
-def test_coefficient_norm_dominates_point_evaluations(grid512, rng):
-    # evaluation at any dual point is continuous for the coefficient norm
-    for _ in range(50):
-        f = _band_signal(grid512, rng, int(rng.integers(1, 40)), decay=0.7)
-        norm = wiener.wiener_norm(f)
-        assert float(np.abs(f.coeffs).max()) <= norm + 1e-12
-
-
-def test_band_truncations_dense_in_coefficient_norm(grid512, rng):
-    # finitely supported coefficient sequences approximate every element
-    f = _band_signal(grid512, rng, 64, decay=0.7)
-    gaps = []
-    for n in (4, 16, 64):
-        coeffs = f.coeffs.copy()
-        ks = np.fft.fftfreq(grid512.M, 1.0 / grid512.M).astype(int)
-        coeffs[np.abs(ks) > n] = 0.0
-        gaps.append(wiener.wiener_norm(f - wiener.CircleSignal(coeffs)))
-    assert gaps[0] > gaps[1] > gaps[2] == 0.0
-
-
-def test_wiener_norm_weights(grid512):
-    f = wiener.CircleSignal.from_band(grid512, {0: 1.0, 3: -2.0})
-    assert wiener.wiener_norm(f) == pytest.approx(3.0, abs=1e-12)
-    weights = np.ones(grid512.M)
-    weights[3] = 2.0
-    assert wiener.wiener_norm(f, weights) == pytest.approx(5.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        wiener.wiener_norm(f, np.zeros(grid512.M))
 
 
 def test_standard_test_set_deterministic(grid512):
@@ -409,7 +361,7 @@ def test_standard_test_set_deterministic(grid512):
 
 
 def test_signal_immutable(grid512):
-    f = wiener.constant_signal(grid512)
+    f = wiener.character(grid512, 0)
     with pytest.raises((AttributeError, ValueError)):
         f.coeffs = None
     with pytest.raises(ValueError):
@@ -442,7 +394,7 @@ def test_operation_results_are_read_only_and_unshared(grid512):
         wiener.convolve(f, g),
         wiener.wiener_division(f, 8),
         wiener.character(grid512, 3),
-        wiener.constant_signal(grid512),
+        wiener.character(grid512, 0),
         wiener.CircleSignal.from_band(grid512, {2: 1.0}),
         wiener.CircleSignal.from_values(np.ones(grid512.M)),
         f,
@@ -623,13 +575,13 @@ def test_kernels_on_odd_grids_equal_the_full_grid_formulas(M):
 @pytest.mark.parametrize("p", [np.nan, 0.5, -np.inf])
 def test_lp_norm_rejects_bad_exponents(grid512, p):
     with pytest.raises(ValueError):
-        wiener.lp_norm(wiener.constant_signal(grid512), p)
+        wiener.lp_norm(wiener.character(grid512, 0), p)
 
 
 def test_fourier_rejects_negative_band(grid512):
     with pytest.raises(ValueError):
-        wiener.fourier(wiener.constant_signal(grid512), -1)
-    assert wiener.fourier(wiener.constant_signal(grid512), 0)[0] == 1.0
+        wiener.fourier(wiener.character(grid512, 0), -1)
+    assert wiener.fourier(wiener.character(grid512, 0), 0)[0] == 1.0
 
 
 @pytest.mark.parametrize("n", [2.5, 0.5, np.nan, np.inf])
@@ -783,7 +735,7 @@ def test_lp_norm_is_homogeneous(grid4096, rng, c, p):
 
 
 def test_lp_norm_of_zero_and_nan_values(grid512):
-    assert wiener.lp_norm(wiener.constant_signal(grid512, 0.0), 3) == 0.0
+    assert wiener.lp_norm(0.0 * wiener.character(grid512, 0), 3) == 0.0
     coeffs = np.zeros(grid512.M, dtype=complex)
     coeffs[0] = np.nan
     assert np.isnan(wiener.lp_norm(wiener.CircleSignal(coeffs), 3))
