@@ -27,12 +27,11 @@ report = check_approximate_identity(
     model,
     wiener.fejer_family(grid),
     wiener.standard_test_set(grid),
-    tol=1e-2,
     schedule=[8, 16, 32, 64, 128],
+    tol=1e-2,
 )
-for i, n in enumerate([8, 16, 32, 64, 128]):
-    worst = max(t.residuals[i] for t in report.traces)
-    print(f"  n={n:4d}  worst residual = {worst:.6f}")
+for entry in report.trace.entries:
+    print(f"  n={entry.index:4d}  worst residual = {entry.residual:.6f}")
 print(f"  verdict at tol 1e-2: {'pass' if report.passed else 'fail'}")
 
 print("\nthe family is not Cauchy (no limit, hence no unit):")
@@ -44,7 +43,7 @@ for n in (8, 32, 128):
 
 print("\ntransform of the family tends to one at each fixed frequency:")
 traces = wiener.aid_pointwise_limit_check(
-    wiener.fejer_family(grid), [0, 16], schedule=[16, 32, 64, 128]
+    wiener.fejer_family(grid), [0, 16], [16, 32, 64, 128]
 )
 for k, trace in traces.items():
     path = ", ".join(f"{r:.4f}" for r in trace.residuals)

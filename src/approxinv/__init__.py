@@ -15,7 +15,6 @@ from .core import (
     ApproxIdentityFamily,
     ApproxInvCertificate,
     IdentityReport,
-    InverseNet,
     ResidualTrace,
     ZeroDivisorModulus,
     check_approx_invertible,

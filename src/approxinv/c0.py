@@ -21,13 +21,21 @@ from .core import (
     AlgebraModel,
     ApproxIdentityFamily,
     ApproxInvCertificate,
-    InverseNet,
     check_approx_invertible,
 )
 from .errors import CannotPerturbError, SingularDivisionError
 
-#: Default reciprocal-division threshold, relative to the sup norm.
+#: Reciprocal-division threshold, relative to the sup norm.
 DIVISION_THRESHOLD_REL = 1e-12
+
+#: Growth steps of :class:`WindowFamily` from the center cell to the
+#: largest window that fits with its ramp (the last step may be shorter).
+WINDOW_STEPS = 8
+
+#: Tolerance and last net index of :func:`certify`, which checks indices
+#: 1..CERTIFY_MAX_INDEX.
+CERTIFY_TOL = 1e-3
+CERTIFY_MAX_INDEX = 16
 
 
 @dataclass(frozen=True)
@@ -76,9 +84,6 @@ class CompactWindow:
         if not 0 <= self.a <= self.b:
             raise ValueError("window indices must satisfy 0 <= a <= b")
 
-    def contains(self, other: "CompactWindow") -> bool:
-        return self.a <= other.a and other.b <= self.b
-
 
 def plateau(space: GridSpace, window: CompactWindow, ramp: int) -> np.ndarray:
     """Piecewise-linear bump: 1 on the window, linear ramp to 0 over ``ramp``
@@ -99,54 +104,54 @@ def plateau(space: GridSpace, window: CompactWindow, ramp: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowFamily:
-    """Plateau approximate identity over nested growing windows.
+    """Plateau approximate identity over windows growing symmetrically about
+    the center: index n gets the window of half width
+    ``min(n * step, cap)``, where ``cap = center - ramp`` leaves room for
+    the ramp inside the grid and ``step = max(1, cap // WINDOW_STEPS)``.
+    The windows are nested by construction.
 
     Each distinct window's plateau is built once per family instance and
-    handed out read-only, so indices past the saturation of the growth share
+    handed out read-only, so indices past the saturation at ``cap`` share
     one array.
     """
 
     space: GridSpace
-    growth: Callable[[int], CompactWindow]
     ramp: int
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def window(self, n: int) -> CompactWindow:
-        return self.growth(n)
+    def __post_init__(self):
+        if self.ramp > self.space.center:
+            raise ValueError("grid too small for the requested ramp")
 
-    def element(self, n: int) -> np.ndarray:
+    def _half_width(self, n: int) -> int:
         if n < 1:
             raise ValueError("net index must be >= 1")
-        w = self.growth(n)
-        if n > 1 and not w.contains(self.growth(n - 1)):
-            raise ValueError(f"window growth is not nested at index {n}")
-        e = self._members.get(w)
+        cap = self.space.center - self.ramp
+        return min(n * max(1, cap // WINDOW_STEPS), cap)
+
+    def _window(self, half: int) -> CompactWindow:
+        return CompactWindow(self.space.center - half, self.space.center + half)
+
+    def window(self, n: int) -> CompactWindow:
+        return self._window(self._half_width(n))
+
+    def element(self, n: int) -> np.ndarray:
+        half = self._half_width(n)
+        e = self._members.get(half)
         if e is None:
-            e = plateau(self.space, w, self.ramp)
+            e = plateau(self.space, self._window(half), self.ramp)
             e.setflags(write=False)
-            self._members[w] = e
+            self._members[half] = e
         return e
 
     def as_identity_family(self) -> ApproxIdentityFamily:
         return ApproxIdentityFamily(self.element, norm_bound=1.0)
 
 
-def centered_family(
-    space: GridSpace, step: Optional[int] = None, ramp: int = 2
-) -> WindowFamily:
-    """Windows growing symmetrically about the center, saturating at the
-    largest window that still fits with its ramp."""
-    cap = space.center - ramp
-    if cap < 0:
-        raise ValueError("grid too small for the requested ramp")
-    if step is None:
-        step = max(1, cap // 8)
-
-    def growth(n: int) -> CompactWindow:
-        half = min(n * step, cap)
-        return CompactWindow(space.center - half, space.center + half)
-
-    return WindowFamily(space, growth, ramp)
+def centered_family(space: GridSpace, ramp: int = 2) -> WindowFamily:
+    """The window family of ``space`` with ``ramp`` cells of linear ramp on
+    each side, saturating at the largest window that still fits."""
+    return WindowFamily(space, ramp)
 
 
 @dataclass(frozen=True)
@@ -168,22 +173,20 @@ def is_nonvanishing(f: np.ndarray, threshold: float) -> NonvanishingReport:
 
 
 def reciprocal_inverse_net(
-    f: np.ndarray,
-    family: WindowFamily,
-    threshold: Optional[float] = None,
-) -> InverseNet:
+    f: np.ndarray, family: WindowFamily
+) -> Callable[[int], np.ndarray]:
     """The explicit inverse net g_n = e_n / f (zero off the plateau support).
 
     By construction f * g_n reproduces the plateau exactly up to rounding.
-    Division is refused wherever |f| does not clear the threshold on the
-    support of the requested window.  Members are read-only, and an index
-    whose plateau is the previous index's (past the saturation of the
-    window growth) gets the previous member back.
+    Division is refused wherever |f| does not clear
+    ``DIVISION_THRESHOLD_REL * sup|f|`` on the support of the requested
+    window.  Members are read-only, and an index whose plateau is the
+    previous index's (past the saturation of the window growth) gets the
+    previous member back.
     """
     f = np.asarray(f, dtype=complex)
     mags = np.abs(f)
-    if threshold is None:
-        threshold = DIVISION_THRESHOLD_REL * float(mags.max())
+    threshold = DIVISION_THRESHOLD_REL * float(mags.max())
     last: list = [None, None]  # the previous plateau and its member
 
     def member(n: int) -> np.ndarray:
@@ -200,7 +203,7 @@ def reciprocal_inverse_net(
         last[:] = [e, g]
         return g
 
-    return InverseNet(member, "right")
+    return member
 
 
 def perturb_to_noninvertible(space: GridSpace, f: np.ndarray, eps: float) -> np.ndarray:
@@ -235,12 +238,9 @@ def zero_refuter(f: np.ndarray) -> Optional[str]:
     return None
 
 
-def _sample_element(space: GridSpace, rng: np.random.Generator) -> np.ndarray:
-    """Smooth decaying element d(t) exp(g(t)) with a positive profile d that
-    sinks to a quarter of the tail tolerance at the boundary cells and a
-    bounded random exponent, so the element never vanishes on the grid while
-    honouring the tail invariant."""
-    t = space.t
+def _sample_profile(space: GridSpace) -> np.ndarray:
+    """The positive profile d of :func:`_sample_element`: 1 in the middle,
+    sinking to a quarter of the tail tolerance at the boundary cells."""
     tail_level = space.tail_tol / 4.0
     margin = max(1, space.points // 10)
     envelope = plateau(
@@ -248,6 +248,16 @@ def _sample_element(space: GridSpace, rng: np.random.Generator) -> np.ndarray:
         CompactWindow(margin, space.points - 1 - margin),
         max(1, space.points // 12),
     )
+    return tail_level + (1.0 - tail_level) * envelope
+
+
+def _sample_element(
+    space: GridSpace, rng: np.random.Generator, profile: np.ndarray
+) -> np.ndarray:
+    """Smooth decaying element d(t) exp(g(t)) with the positive ``profile``
+    d of :func:`_sample_profile` and a bounded random exponent, so the
+    element never vanishes on the grid while honouring the tail invariant."""
+    t = space.t
     exponent = np.zeros(space.points, dtype=complex)
     for _ in range(3):
         center = rng.uniform(-0.6 * space.half_width, 0.6 * space.half_width)
@@ -255,7 +265,6 @@ def _sample_element(space: GridSpace, rng: np.random.Generator) -> np.ndarray:
         amp = rng.normal(scale=0.4) + 1j * rng.normal(scale=0.4)
         exponent += amp * np.exp(-(((t - center) / width) ** 2))
     exponent /= max(1.0, float(np.abs(exponent).max()))  # keep |exp| in [1/e, e]
-    profile = tail_level + (1.0 - tail_level) * envelope
     return profile * np.exp(exponent)
 
 
@@ -265,9 +274,10 @@ def seeded_elements(
     """Deterministic mixed bag: nonvanishing elements and elements with a
     planted exact zero at an interior grid point."""
     rng = np.random.default_rng(seed)
+    profile = _sample_profile(space)
     out = []
     for i in range(count):
-        f = _sample_element(space, rng)
+        f = _sample_element(space, rng, profile)
         if i < count * zero_fraction:
             f[rng.integers(space.points // 4, 3 * space.points // 4)] = 0.0
         out.append(f)
@@ -286,7 +296,7 @@ def c0_model(space: GridSpace) -> AlgebraModel:
         involution=np.conj,
         unital=False,
         commutative=True,
-        sample=lambda rng: _sample_element(space, rng),
+        sample=lambda rng: _sample_element(space, rng, _sample_profile(space)),
     )
 
 
@@ -295,26 +305,27 @@ def certify(
     f: np.ndarray,
     test_set: Sequence[np.ndarray],
     family: Optional[WindowFamily] = None,
-    tol: float = 1e-3,
-    max_index: int = 16,
-    threshold: Optional[float] = None,
 ) -> ApproxInvCertificate:
-    """Certify f through the reciprocal net over a growing window family,
-    refuting on exact grid zeros.
+    """Certify f through the reciprocal net over a growing window family
+    (:func:`centered_family` unless one is given), refuting on exact grid
+    zeros.
 
-    A sub-threshold (but nonzero) minimum aborts the division and yields an
-    inconclusive certificate: absence of one usable net proves nothing.
+    The net is checked at indices 1..:data:`CERTIFY_MAX_INDEX` against
+    tolerance :data:`CERTIFY_TOL`.  A sub-threshold (but nonzero) minimum
+    aborts the division and yields an inconclusive certificate: absence of
+    one usable net proves nothing.
     """
-    model = c0_model(space)
-    if zero_refuter(f) is not None:
-        return check_approx_invertible(
-            model, f, None, test_set, tol, max_index, refuter=zero_refuter
-        )
-    if family is None:
-        family = centered_family(space)
-    net = reciprocal_inverse_net(f, family, threshold)
+    net = reciprocal_inverse_net(f, family or centered_family(space))
     try:
-        return check_approx_invertible(model, f, net, test_set, tol, max_index)
+        return check_approx_invertible(
+            c0_model(space),
+            f,
+            net,
+            test_set,
+            range(1, CERTIFY_MAX_INDEX + 1),
+            CERTIFY_TOL,
+            refuter=zero_refuter,
+        )
     except SingularDivisionError as err:
         return ApproxInvCertificate(
             f, net, None, None, "inconclusive", f"division refused: {err}"

@@ -3,13 +3,16 @@
 An :class:`AlgebraModel` bundles the arithmetic of one concrete normed
 algebra (matrices, sampled circle signals, grid functions)
 behind a uniform interface.  On top of it this module provides the shared
-verifiers: residual traces of candidate approximate identities and
-certificates of approximate one-sided invertibility.
+verifiers: :func:`check_approximate_identity` traces a candidate
+approximate identity and :func:`check_approx_invertible` certifies
+approximate one-sided invertibility.  Each check walks one explicit
+schedule of indices and records one trace: at every index, the worst
+residual over the whole test set.
 
-All nets are sequences indexed by a positive integer refinement parameter;
-larger index means finer.  Every operation is a pure function of its
-arguments (and an explicit seed where randomness is involved), so values can
-be evaluated concurrently without shared state.
+A net is any callable from a positive integer index to an element; larger
+index means finer.  Every operation is a pure function of its arguments
+(and an explicit seed where randomness is involved), so values can be
+evaluated concurrently without shared state.
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AlgebraModel:
-    """Arithmetic, norm and optional extras of one concrete normed algebra.
+    """Arithmetic and norm of one concrete normed algebra.
 
-    ``add``/``sub``/``scale``/``mul`` realize the vector-space and ring
-    operations, ``norm`` the submultiplicative algebra norm.  ``sub`` is
-    declared by each model rather than composed as ``add(a, scale(-1, b))``,
-    which would cost every residual a second pass and a multiply.
-    ``involution`` is present only for *-algebras and must be norm
-    preserving.  ``sample`` draws a generic element from a seeded generator
-    (used by property checks).
+    The verifiers read ``sub``, ``mul``, ``norm`` and ``commutative``:
+    ``mul`` is the ring product and ``norm`` the submultiplicative algebra
+    norm.  ``sub`` is declared by each model rather than composed as
+    ``add(a, scale(-1, b))``, which would cost every residual a second pass
+    and a multiply.  The remaining fields describe the model for the
+    property checks of the test suite: ``add``/``scale`` the vector-space
+    operations, ``involution`` a norm-preserving involution of a *-algebra,
+    ``unital``/``unit`` the unit, and ``sample`` a generic element drawn
+    from a seeded generator.
 
     ``commutative`` is declared by the model factory, like ``unital``: it
     states that ``mul(a, b)`` equals ``mul(b, a)`` up to rounding.  The
@@ -72,21 +77,6 @@ class ApproxIdentityFamily:
         return self.generator(index)
 
 
-Side = Literal["left", "right"]
-
-
-@dataclass(frozen=True)
-class InverseNet:
-    """A candidate inverse net for one element; ``side`` declares whether the
-    members multiply from the left or from the right."""
-
-    generator: Callable[[int], Element]
-    side: Side = "right"
-
-    def __call__(self, index: int) -> Element:
-        return self.generator(index)
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     index: int
@@ -101,18 +91,14 @@ class ResidualTrace:
     """Numerical witness of a convergence claim along a net.
 
     Entries are ordered by strictly increasing index; residuals are finite
-    and nonnegative.  ``tolerance`` is the acceptance level the trace was
-    recorded against.
+    and nonnegative.
     """
 
     entries: tuple[TraceEntry, ...]
-    tolerance: float
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("residual trace must be non-empty")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         indices = [e.index for e in self.entries]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("trace indices must be strictly increasing")
@@ -148,14 +134,14 @@ Verdict = Literal[
 class ApproxInvCertificate:
     """Outcome of an approximate-invertibility check for one element.
 
-    ``certified-*`` verdicts require the corresponding aggregated trace to
-    pass :func:`residual_decay_verdict` at its tolerance.  ``refuted`` is
-    only ever produced by a model-specific analytic refuter; stagnating
-    residuals alone yield ``inconclusive``.
+    ``certified-*`` verdicts require the corresponding worst-case trace to
+    pass :func:`residual_decay_verdict` at the check's tolerance.
+    ``refuted`` is only ever produced by a model-specific analytic refuter;
+    stagnating residuals alone yield ``inconclusive``.
     """
 
     element: Element
-    net: Optional[InverseNet]
+    net: Optional[Callable[[int], Element]]
     left_trace: Optional[ResidualTrace]
     right_trace: Optional[ResidualTrace]
     verdict: Verdict
@@ -179,17 +165,18 @@ class ZeroDivisorModulus:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Verdict of an approximate-identity check: one trace per test element
-    plus the norm-bound outcome (None when no bound was declared)."""
+    """Verdict of an approximate-identity check: the worst-case trace over
+    the test set plus the norm-bound outcome (None when no bound was
+    declared)."""
 
-    traces: tuple[ResidualTrace, ...]
+    trace: ResidualTrace
     passed: bool
     bound_ok: Optional[bool]
     max_member_norm: float
 
     @property
     def final_residual(self) -> float:
-        return max(t.final_residual for t in self.traces)
+        return self.trace.final_residual
 
 
 @dataclass(frozen=True)
@@ -202,15 +189,9 @@ class DecayVerdict:
         return self.passed
 
 
-def resolve_schedule(
-    max_index: int, schedule: Optional[Sequence[int]] = None
-) -> list[int]:
-    """Normalize a net schedule: either all indices up to ``max_index`` or an
-    explicit strictly increasing list of positive indices."""
-    if schedule is None:
-        if max_index < 1:
-            raise ValueError("max_index must be a positive integer")
-        return list(range(1, max_index + 1))
+def resolve_schedule(schedule: Sequence[int]) -> list[int]:
+    """The schedule as a list of ints; ``ValueError`` unless it is a
+    non-empty, strictly increasing sequence of positive indices."""
     sched = [int(j) for j in schedule]
     if not sched:
         raise ValueError("schedule must be non-empty")
@@ -230,27 +211,28 @@ def check_approximate_identity(
     model: AlgebraModel,
     family: ApproxIdentityFamily,
     test_set: Sequence[Element],
+    schedule: Sequence[int],
     tol: float = 1e-2,
-    max_index: int = 64,
-    schedule: Optional[Sequence[int]] = None,
 ) -> IdentityReport:
-    """Trace the residuals of ``family`` acting on every test element.
+    """Trace the worst residual of ``family`` over the test set along
+    ``schedule``.
 
-    For each test element x and each index j the trace records
-    ``max(norm(e_j . x - x), norm(x . e_j - x))`` together with the member
-    norm; both one-sided residuals are kept as diagnostics.  A commutative
+    At each index j the trace entry records the member norm, the worst
+    ``left = norm(e_j . x - x)`` and the worst ``right = norm(x . e_j - x)``
+    over the test elements x, and their maximum as ``residual`` (which is
+    the worst ``max(left, right)`` of any single element).  A commutative
     model evaluates ``norm(e_j . x - x)`` once and records it as both sides.
     A member that is the same object as the previous index's member (a
-    family whose growth has saturated) is not evaluated again: its norm and
-    residuals are recorded at the new index as they are.  The report passes
-    iff every final residual is at most ``tol`` and, when the family
-    declares a norm bound, every evaluated member respects it.
+    family whose growth has saturated) is not evaluated again: its entry is
+    repeated at the new index.  The report passes iff the final residual is
+    at most ``tol`` and, when the family declares a norm bound, every
+    evaluated member respects it.
     """
     if len(test_set) == 0:
         raise ValueError("test set must be non-empty")
-    sched = resolve_schedule(max_index, schedule)
+    sched = resolve_schedule(schedule)
 
-    entries: list[list[TraceEntry]] = [[] for _ in test_set]
+    entries: list[TraceEntry] = []
     bound_ok: Optional[bool] = None if family.norm_bound is None else True
     max_member = 0.0
     previous = None
@@ -262,22 +244,19 @@ def check_approximate_identity(
             max_member = max(max_member, member)
             if family.norm_bound is not None and member > family.norm_bound + BOUND_SLACK:
                 bound_ok = False
-            sides = []
-            for x in test_set:
-                left = _checked_norm(model, model.sub(model.mul(e, x), x))
-                if model.commutative:
-                    right = left
-                else:
-                    right = _checked_norm(model, model.sub(model.mul(x, e), x))
-                sides.append((left, right))
-        for i, (left, right) in enumerate(sides):
-            entries[i].append(
-                TraceEntry(j, max(left, right), member, left, right)
-            )
+            lefts = [_checked_norm(model, model.sub(model.mul(e, x), x)) for x in test_set]
+            if model.commutative:
+                rights = lefts
+            else:
+                rights = [
+                    _checked_norm(model, model.sub(model.mul(x, e), x)) for x in test_set
+                ]
+            left, right = max(lefts), max(rights)
+        entries.append(TraceEntry(j, max(left, right), member, left, right))
 
-    traces = tuple(ResidualTrace(tuple(ent), tol) for ent in entries)
-    passed = all(t.final_residual <= tol for t in traces) and bound_ok is not False
-    return IdentityReport(traces, passed, bound_ok, max_member)
+    trace = ResidualTrace(tuple(entries))
+    passed = trace.final_residual <= tol and bound_ok is not False
+    return IdentityReport(trace, passed, bound_ok, max_member)
 
 
 def residual_decay_verdict(trace: ResidualTrace, tol: float) -> DecayVerdict:
@@ -295,34 +274,18 @@ def residual_decay_verdict(trace: ResidualTrace, tol: float) -> DecayVerdict:
     return DecayVerdict(trace.final_residual <= tol, noninc, trace.final_residual)
 
 
-def _aggregate(traces: Sequence[ResidualTrace], tol: float) -> ResidualTrace:
-    """Pointwise worst case over per-element traces."""
-    entries = []
-    for step in zip(*(t.entries for t in traces)):
-        entries.append(
-            TraceEntry(
-                step[0].index,
-                max(e.residual for e in step),
-                step[0].member_norm,
-                max(e.left for e in step),
-                max(e.right for e in step),
-            )
-        )
-    return ResidualTrace(tuple(entries), tol)
-
-
 def _product_family(
-    model: AlgebraModel, x: Element, net: InverseNet, side: Side
+    net: Callable[[int], Element], product: Callable[[Element], Element]
 ) -> ApproxIdentityFamily:
-    """The family ``j -> x . r_j`` (right) or ``j -> r_j . x`` (left).  A net
-    member repeated at consecutive indices gives back the same product
-    object, which :func:`check_approximate_identity` then evaluates once."""
+    """The family ``j -> product(r_j)``.  A net member repeated at
+    consecutive indices gives back the same product object, which
+    :func:`check_approximate_identity` then evaluates once."""
     last: list = [None, None]  # the previous net member and its product
 
     def member(j: int) -> Element:
         r = net(j)
         if r is not last[0]:
-            last[:] = [r, model.mul(x, r) if side == "right" else model.mul(r, x)]
+            last[:] = [r, product(r)]
         return last[1]
 
     return ApproxIdentityFamily(member)
@@ -331,53 +294,49 @@ def _product_family(
 def check_approx_invertible(
     model: AlgebraModel,
     x: Element,
-    net: Optional[InverseNet],
+    net: Optional[Callable[[int], Element]],
     test_set: Sequence[Element],
+    schedule: Sequence[int],
     tol: float = 1e-2,
-    max_index: int = 64,
-    schedule: Optional[Sequence[int]] = None,
     refuter: Optional[Callable[[Element], Optional[str]]] = None,
 ) -> ApproxInvCertificate:
     """Certify or refute approximate invertibility of ``x`` along ``net``.
 
-    The candidate families ``j -> x . r_j`` (right) and ``j -> r_j . x``
-    (left) are both handed to :func:`check_approximate_identity`; the
-    aggregated worst-case traces over the test set are recorded in the
-    certificate.  In a commutative model the two families coincide, so the
-    right family is checked once and its trace stands for both sides.  A
-    model-specific ``refuter`` may veto ``x`` outright
-    (e.g. a rank or non-vanishing check); without a refuter a failed trace
-    only yields ``inconclusive``.
+    A model-specific ``refuter`` (e.g. a rank or non-vanishing check) is
+    asked first and may veto ``x`` outright, the zero element included;
+    without a refuter a zero element raises ``ValueError`` and a failed
+    trace only yields ``inconclusive``.  Otherwise the candidate families
+    ``j -> x . r_j`` (right) and ``j -> r_j . x`` (left) are each handed to
+    :func:`check_approximate_identity` along ``schedule``, and their
+    worst-case traces over the test set are recorded in the certificate.
+    In a commutative model the two families coincide, so the right family
+    is checked once and its trace stands for both sides.
     """
-    if _checked_norm(model, x) == 0.0:
-        raise ValueError("zero element cannot be approximately invertible")
-
     if refuter is not None:
         reason = refuter(x)
         if reason is not None:
             return ApproxInvCertificate(x, net, None, None, "refuted", reason)
+
+    if _checked_norm(model, x) == 0.0:
+        raise ValueError("zero element cannot be approximately invertible")
 
     if net is None:
         return ApproxInvCertificate(
             x, None, None, None, "inconclusive", "no inverse net supplied"
         )
 
-    right_family = _product_family(model, x, net, "right")
     right = check_approximate_identity(
-        model, right_family, test_set, tol, max_index, schedule
+        model, _product_family(net, lambda r: model.mul(x, r)), test_set, schedule, tol
     )
-    right_trace = _aggregate(right.traces, tol)
     if model.commutative:
-        left, left_trace = right, right_trace
+        left = right
     else:
-        left_family = _product_family(model, x, net, "left")
         left = check_approximate_identity(
-            model, left_family, test_set, tol, max_index, schedule
+            model, _product_family(net, lambda r: model.mul(r, x)), test_set, schedule, tol
         )
-        left_trace = _aggregate(left.traces, tol)
 
-    right_ok = bool(residual_decay_verdict(right_trace, tol))
-    left_ok = bool(residual_decay_verdict(left_trace, tol))
+    right_ok = bool(residual_decay_verdict(right.trace, tol))
+    left_ok = bool(residual_decay_verdict(left.trace, tol))
     if right_ok and left_ok:
         verdict: Verdict = "certified-two-sided"
     elif right_ok:
@@ -388,5 +347,5 @@ def check_approx_invertible(
         verdict = "inconclusive"
     sup_member = max(right.max_member_norm, left.max_member_norm)
     return ApproxInvCertificate(
-        x, net, left_trace, right_trace, verdict, None, sup_member
+        x, net, left.trace, right.trace, verdict, None, sup_member
     )

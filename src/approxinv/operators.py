@@ -33,13 +33,16 @@ import numpy as np
 from .core import (
     AlgebraModel,
     ApproxInvCertificate,
-    InverseNet,
     check_approx_invertible,
 )
 from .errors import RankDeficientError
 
-#: Default rank threshold, relative to the largest singular value.
+#: Rank threshold, relative to the largest singular value.
 RANK_THRESHOLD_REL = 1e-10
+
+#: Schatten exponent and tolerance of :func:`certify_operator`.
+CERTIFY_EXPONENT = 2.0
+CERTIFY_TOL = 1e-9
 
 #: Inverse-iteration sweeps of :func:`min_pure_state_norm`.
 PURE_STATE_SWEEPS = 60
@@ -116,20 +119,18 @@ def rank_one(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.outer(np.asarray(f, complex), np.conj(np.asarray(g, complex)))
 
 
-def right_inverse_net(
-    a: np.ndarray | SingularSystem, threshold: Optional[float] = None
-) -> InverseNet:
+def right_inverse_net(a: np.ndarray | SingularSystem) -> Callable[[int], np.ndarray]:
     """The net ``m -> U_m`` inverting the operator on its leading singular
     directions, arranged so that a . U_m is the orthogonal projection onto
     the span of the first m output vectors.  ``a`` may be the operator's
     singular system, so a caller that already holds it decomposes once.
 
-    Refuses rank-deficient input: a singular value at or below the threshold
-    refutes dense range at this truncation.
+    Refuses rank-deficient input: a singular value at or below
+    ``RANK_THRESHOLD_REL * sigma_max`` refutes dense range at this
+    truncation.
     """
     system = a if isinstance(a, SingularSystem) else svd(a)
-    if threshold is None:
-        threshold = RANK_THRESHOLD_REL * (system.values[0] if system.values[0] > 0 else 1.0)
+    threshold = RANK_THRESHOLD_REL * (system.values[0] if system.values[0] > 0 else 1.0)
     small = np.flatnonzero(system.values <= threshold)
     if small.size:
         k = int(small[0])
@@ -141,7 +142,7 @@ def right_inverse_net(
             :, :m
         ].conj().T
 
-    return InverseNet(member, "right")
+    return member
 
 
 def output_projection(a: np.ndarray, m: int) -> np.ndarray:
@@ -170,17 +171,16 @@ def range_kernel_refuter(a: np.ndarray, threshold: Optional[float] = None) -> Ra
     return RangeKernelReport(full, full, float(lam[-1]))
 
 
-def rank_refuter(threshold: Optional[float] = None) -> Callable[[np.ndarray], Optional[str]]:
-    def refute(a: np.ndarray) -> Optional[str]:
-        report = range_kernel_refuter(a, threshold)
-        if not report.dense_range:
-            return (
-                "range not dense at truncation: smallest singular value "
-                f"{report.min_singular_value:.3e}"
-            )
-        return None
-
-    return refute
+def rank_refuter(a: np.ndarray) -> Optional[str]:
+    """Analytic refuter: the reason ``a`` has no dense range at the rank
+    threshold ``RANK_THRESHOLD_REL * sigma_max``, or None when it has."""
+    report = range_kernel_refuter(a)
+    if not report.dense_range:
+        return (
+            "range not dense at truncation: smallest singular value "
+            f"{report.min_singular_value:.3e}"
+        )
+    return None
 
 
 def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
@@ -252,20 +252,17 @@ def matrix_model(n: int = 16, p: float = np.inf) -> AlgebraModel:
 
 
 def certify_operator(
-    a: np.ndarray,
-    test_set: Sequence[np.ndarray],
-    p: float = 2.0,
-    tol: float = 1e-9,
-    max_index: Optional[int] = None,
-    threshold: Optional[float] = None,
+    a: np.ndarray, test_set: Sequence[np.ndarray]
 ) -> ApproxInvCertificate:
-    """Certify right approximate invertibility of ``a`` in the Schatten-p
-    model through its singular-direction net, refuting on rank deficiency."""
+    """Certify right approximate invertibility of ``a`` in the Schatten
+    model of exponent :data:`CERTIFY_EXPONENT` through its singular-direction
+    net, checked at indices 1..n against tolerance :data:`CERTIFY_TOL` and
+    refuted on rank deficiency at :data:`RANK_THRESHOLD_REL`."""
     a = _as_operator(a)
     n = a.shape[0]
-    reason = rank_refuter(threshold)(a)
-    net = None if reason else right_inverse_net(a, threshold)
+    reason = rank_refuter(a)
+    net = None if reason else right_inverse_net(a)
     return check_approx_invertible(
-        matrix_model(n, p), a, net, test_set, tol, max_index or n,
-        refuter=lambda _: reason,
+        matrix_model(n, CERTIFY_EXPONENT), a, net, test_set, range(1, n + 1),
+        CERTIFY_TOL, refuter=lambda _: reason,
     )

@@ -171,15 +171,14 @@ class _Rows:
 def _fejer(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     grid = wiener.CircleGrid(config.circle_samples)
     rows = _Rows("fejer", f"l1-circle-{grid.M}")
-    report = check_approximate_identity(
+    entries = check_approximate_identity(
         wiener.l1_circle_model(grid),
         wiener.fejer_family(grid),
         wiener.standard_test_set(grid),
-        tol=config.identity_tol,
-        schedule=config.schedule,
-    )
-    # the report already holds each kernel's l1 norm: no second synthesis
-    for entry in report.traces[0].entries:
+        config.schedule,
+    ).trace.entries
+    # the trace already holds each kernel's l1 norm: no second synthesis
+    for entry in entries:
         n = entry.index
         rows.add(
             "fejer-unit-norm", n, abs(entry.member_norm - 1.0), config.exact_tol
@@ -189,10 +188,9 @@ def _fejer(config: ScenarioConfig, seed: int) -> list[ReportRow]:
         rows.add(
             "fejer-coefficients", n, float(np.abs(kernel.coeffs - tri).max()), 1e-10
         )
-    worst = [max(t.residuals[i] for t in report.traces) for i in range(len(config.schedule))]
-    for i, n in enumerate(config.schedule):
-        bound = config.identity_tol if n == config.schedule[-1] else INF
-        rows.add("fejer-identity", n, worst[i], bound)
+    for entry in entries:
+        bound = config.identity_tol if entry is entries[-1] else INF
+        rows.add("fejer-identity", entry.index, entry.residual, bound)
     return rows.rows
 
 

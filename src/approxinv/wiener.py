@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     AlgebraModel,
     ApproxIdentityFamily,
-    InverseNet,
     ResidualTrace,
     TraceEntry,
     ZeroDivisorModulus,
@@ -299,13 +298,11 @@ def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
 def aid_pointwise_limit_check(
     family: ApproxIdentityFamily,
     frequencies: Sequence[int],
-    max_index: int = 64,
-    schedule: Optional[Sequence[int]] = None,
-    tol: float = 1e-2,
+    schedule: Sequence[int],
 ) -> dict[int, ResidualTrace]:
-    """Trace |ehat_j(k) - 1| per frequency: the transform of an approximate
-    identity must tend to one at every fixed frequency."""
-    sched = resolve_schedule(max_index, schedule)
+    """Trace |ehat_j(k) - 1| per frequency along ``schedule``: the transform
+    of an approximate identity must tend to one at every fixed frequency."""
+    sched = resolve_schedule(schedule)
     entries: dict[int, list[TraceEntry]] = {int(k): [] for k in frequencies}
     for j in sched:
         e = family(j)
@@ -315,7 +312,7 @@ def aid_pointwise_limit_check(
                 raise AliasingError(f"frequency {k} outside band of M={e.grid_size}")
             r = abs(e.coeff(k) - 1.0)
             entries[k].append(TraceEntry(j, r, member, r, r))
-    return {k: ResidualTrace(tuple(ent), tol) for k, ent in entries.items()}
+    return {k: ResidualTrace(tuple(ent)) for k, ent in entries.items()}
 
 
 def default_floor(f: CircleSignal) -> float:
@@ -390,11 +387,11 @@ def wiener_division(
 
 def wiener_division_net(
     f: CircleSignal, floor: Optional[float] = None
-) -> InverseNet:
+) -> Callable[[int], CircleSignal]:
     """Right inverse net n -> h_n from :func:`wiener_division`."""
     if floor is None:
         floor = default_floor(f)
-    return InverseNet(lambda n: wiener_division(f, n, floor), "right")
+    return lambda n: wiener_division(f, n, floor)
 
 
 def tdz_witness(f: CircleSignal, N: int) -> ZeroDivisorModulus:
@@ -419,10 +416,11 @@ def _sample_bandlimited(
     return CircleSignal.from_band(grid, dict(zip(ks.tolist(), amps * phases)))
 
 
-def standard_test_set(grid: CircleGrid, seed: int = _STANDARD_SEED) -> list[CircleSignal]:
+def standard_test_set(grid: CircleGrid) -> list[CircleSignal]:
     """The fixed test set used by the identity checks: two slowly varying
-    kernels plus three seeded band-limited signals of degree 32."""
-    rng = np.random.default_rng(seed)
+    kernels plus three band-limited signals of degree 32 drawn from a fixed
+    seed."""
+    rng = np.random.default_rng(_STANDARD_SEED)
     out = [poisson_kernel(grid, 0.3), poisson_kernel(grid, 0.5)]
     out.extend(_sample_bandlimited(grid, rng) for _ in range(3))
     return out

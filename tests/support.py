@@ -10,7 +10,6 @@ from approxinv import c0, operators, wiener
 from approxinv.core import (
     AlgebraModel,
     ApproxInvCertificate,
-    InverseNet,
     check_approx_invertible,
 )
 
@@ -42,10 +41,10 @@ def density_residual(f, target, n, floor=None) -> float:
 
 
 def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=None):
-    """Certificate of the product f1 * f2 through its own division net up to
-    order n, refuted when a coefficient of the product fails the band check
-    (which happens exactly where a factor's does).  The default test set is
-    the constant character."""
+    """Certificate of the product f1 * f2 through its own division net along
+    ``schedule`` (orders 1..n by default), refuted when a coefficient of the
+    product fails the band check up to order n (which happens exactly where
+    a factor's does).  The default test set is the constant character."""
     product = wiener.convolve(f1, f2)
     grid = wiener.CircleGrid(product.grid_size)
 
@@ -58,32 +57,34 @@ def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=Non
         product,
         wiener.wiener_division_net(product, floor),
         [wiener.character(grid, 0)] if test_set is None else test_set,
+        range(1, n + 1) if schedule is None else schedule,
         tol=tol,
-        max_index=n,
-        schedule=schedule,
         refuter=refuter,
     )
 
 
 def adjoint_certificate(t, test_set) -> ApproxInvCertificate:
-    """Left certificate of t* in the Schatten-2 model at the tolerance of
+    """Left certificate of t* in the Schatten model and at the tolerance of
     ``operators.certify_operator``, through the adjoint members of the right
     net of t, against the adjoint test elements; the rank check of t*
     refutes it (no net is built then)."""
     t = np.asarray(t, dtype=complex)
     adjoint = t.conj().T
-    reason = operators.rank_refuter()(adjoint)
+    reason = operators.rank_refuter(adjoint)
     net = None
     if reason is None:
         right = operators.right_inverse_net(t)
-        net = InverseNet(lambda m: right(m).conj().T, "left")
+
+        def net(m):
+            return right(m).conj().T
+
     return check_approx_invertible(
-        operators.matrix_model(t.shape[0], 2.0),
+        operators.matrix_model(t.shape[0], operators.CERTIFY_EXPONENT),
         adjoint,
         net,
         [z.conj().T for z in test_set],
-        1e-9,
-        t.shape[0],
+        range(1, t.shape[0] + 1),
+        operators.CERTIFY_TOL,
         refuter=lambda _: reason,
     )
 

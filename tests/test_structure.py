@@ -131,6 +131,56 @@ def test_no_unused_module_level_import():
     assert not unused, f"module-level imports nobody uses: {unused}"
 
 
+#: Defaulted parameters that no call in the lab needs to set: the entry point
+#: that the tests and the benchmark harness drive with an explicit argv.
+ENTRY_POINT_DEFAULTS = {"cli.main(argv)"}
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, position) of every defaulted parameter
+    of a public module-level function; keyword-only ones have no position."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for position in range(first, len(positional)):
+                yield path.stem, node.name, positional[position].arg, position
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.stem, node.name, arg.arg, None
+
+
+def _set_arguments() -> set[tuple[str, object]]:
+    """(called name, keyword or position) of every argument that some call
+    in the package or the demos passes; calls match by the called name."""
+    found = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                found.update((name, keyword.arg) for keyword in node.keywords)
+                found.update((name, position) for position in range(len(node.args)))
+    return found
+
+
+def test_every_defaulted_parameter_is_set():
+    """A default that no caller overrides is a constant in disguise."""
+    passed = _set_arguments()
+    unset = sorted(
+        f"{module}.{function}({parameter})"
+        for module, function, parameter, position in _defaulted_parameters()
+        if (function, parameter) not in passed and (function, position) not in passed
+    )
+    unset = [name for name in unset if name not in ENTRY_POINT_DEFAULTS]
+    assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
 INVERSE_FFTS = {"ifft", "irfft", "hfft"}
 
 
