@@ -12,7 +12,6 @@ into deterministic CSV reports.
 from . import banach_module, c0, cli, core, disk, operators, scenarios, wiener
 from .core import (
     AlgebraModel,
-    ApproxIdentityFamily,
     ApproxInvCertificate,
     IdentityReport,
     ResidualTrace,

@@ -84,11 +84,8 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class DeconvolutionResult:
     recovered: ModuleSignal
-    observed: ModuleSignal
-    order: int
     sigma: float
-    error: Optional[float] = None           # ||recovered - truth||_B
-    relative_error: Optional[float] = None  # error / ||truth||_B
+    error: Optional[float] = None  # ||recovered - truth||_B
 
 
 def deconvolve(
@@ -109,16 +106,12 @@ def deconvolve(
     observed = b if noise is None else ModuleSignal(noise.apply(b.signal), b.p)
     h = wiener_division(f, n, floor)
     recovered = module_action(h, observed)
-    error = relative = None
+    error = None
     if truth is not None:
         if truth.p != b.p:
             raise ValueError("truth and observation use different exponents")
         error = module_norm(ModuleSignal(recovered.signal - truth.signal, b.p))
-        scale = module_norm(truth)
-        relative = error / scale if scale > 0 else float("inf")
-    return DeconvolutionResult(
-        recovered, observed, n, noise.sigma if noise else 0.0, error, relative
-    )
+    return DeconvolutionResult(recovered, noise.sigma if noise else 0.0, error)
 
 
 def kernel_tail_error(g: ModuleSignal, n: int) -> float:

@@ -6,23 +6,21 @@ finite grid can check exactly while keeping the sup norm exact on the
 representation.  Compact sets are index windows, approximate identities are
 piecewise-linear plateau functions over growing windows (linear ramps keep
 the reciprocal identity f * (e/f) = e exact in grid arithmetic), and
-certification reduces to the element having no zero on the grid.
+certification reduces to the element having no zero on the grid.  On a
+finite grid the windows stop growing at the largest one that fits, so a
+window family has finitely many distinct members and certification checks
+exactly those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    AlgebraModel,
-    ApproxIdentityFamily,
-    ApproxInvCertificate,
-    check_approx_invertible,
-)
+from .core import AlgebraModel, ApproxInvCertificate, check_approx_invertible
 from .errors import CannotPerturbError, SingularDivisionError
 
 #: Reciprocal-division threshold, relative to the sup norm.
@@ -32,10 +30,8 @@ DIVISION_THRESHOLD_REL = 1e-12
 #: largest window that fits with its ramp (the last step may be shorter).
 WINDOW_STEPS = 8
 
-#: Tolerance and last net index of :func:`certify`, which checks indices
-#: 1..CERTIFY_MAX_INDEX.
+#: Tolerance of :func:`certify`.
 CERTIFY_TOL = 1e-3
-CERTIFY_MAX_INDEX = 16
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,6 @@ def plateau(space: GridSpace, window: CompactWindow, ramp: int) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
 class WindowFamily:
     """Plateau approximate identity over windows growing symmetrically about
     the center: index n gets the window of half width
@@ -110,48 +105,38 @@ class WindowFamily:
     the ramp inside the grid and ``step = max(1, cap // WINDOW_STEPS)``.
     The windows are nested by construction.
 
-    Each distinct window's plateau is built once per family instance and
-    handed out read-only, so indices past the saturation at ``cap`` share
-    one array.
+    On a finite grid the growth stops at ``cap``, so the family has
+    ``len(family)`` distinct members (at most 15 on any grid): their
+    plateaus are built once, at construction, and handed out read-only, and
+    every index from ``len(family)`` on gets the last of them.
     """
 
-    space: GridSpace
-    ramp: int
-    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.ramp > self.space.center:
+    def __init__(self, space: GridSpace, ramp: int = 2):
+        if ramp > space.center:
             raise ValueError("grid too small for the requested ramp")
+        cap = space.center - ramp
+        step = max(1, cap // WINDOW_STEPS)
+        self._windows = tuple(
+            CompactWindow(space.center - half, space.center + half)
+            for half in (*range(step, cap, step), cap)
+        )
+        self._plateaus = tuple(plateau(space, w, ramp) for w in self._windows)
+        for e in self._plateaus:
+            e.setflags(write=False)
 
-    def _half_width(self, n: int) -> int:
+    def __len__(self) -> int:
+        return len(self._windows)
+
+    def _position(self, n: int) -> int:
         if n < 1:
             raise ValueError("net index must be >= 1")
-        cap = self.space.center - self.ramp
-        return min(n * max(1, cap // WINDOW_STEPS), cap)
-
-    def _window(self, half: int) -> CompactWindow:
-        return CompactWindow(self.space.center - half, self.space.center + half)
+        return min(n, len(self)) - 1
 
     def window(self, n: int) -> CompactWindow:
-        return self._window(self._half_width(n))
+        return self._windows[self._position(n)]
 
     def element(self, n: int) -> np.ndarray:
-        half = self._half_width(n)
-        e = self._members.get(half)
-        if e is None:
-            e = plateau(self.space, self._window(half), self.ramp)
-            e.setflags(write=False)
-            self._members[half] = e
-        return e
-
-    def as_identity_family(self) -> ApproxIdentityFamily:
-        return ApproxIdentityFamily(self.element, norm_bound=1.0)
-
-
-def centered_family(space: GridSpace, ramp: int = 2) -> WindowFamily:
-    """The window family of ``space`` with ``ramp`` cells of linear ramp on
-    each side, saturating at the largest window that still fits."""
-    return WindowFamily(space, ramp)
+        return self._plateaus[self._position(n)]
 
 
 @dataclass(frozen=True)
@@ -180,19 +165,14 @@ def reciprocal_inverse_net(
     By construction f * g_n reproduces the plateau exactly up to rounding.
     Division is refused wherever |f| does not clear
     ``DIVISION_THRESHOLD_REL * sup|f|`` on the support of the requested
-    window.  Members are read-only, and an index whose plateau is the
-    previous index's (past the saturation of the window growth) gets the
-    previous member back.
+    window.  Members are read-only.
     """
     f = np.asarray(f, dtype=complex)
     mags = np.abs(f)
     threshold = DIVISION_THRESHOLD_REL * float(mags.max())
-    last: list = [None, None]  # the previous plateau and its member
 
     def member(n: int) -> np.ndarray:
         e = family.element(n)
-        if e is last[0]:
-            return last[1]
         support = e != 0.0
         low = mags.min(where=support, initial=np.inf)
         if low <= threshold:
@@ -200,7 +180,6 @@ def reciprocal_inverse_net(
             raise SingularDivisionError(index, float(low), threshold)
         g = np.divide(e, f, out=np.zeros_like(f), where=support)
         g.setflags(write=False)
-        last[:] = [e, g]
         return g
 
     return member
@@ -307,26 +286,29 @@ def certify(
     family: Optional[WindowFamily] = None,
 ) -> ApproxInvCertificate:
     """Certify f through the reciprocal net over a growing window family
-    (:func:`centered_family` unless one is given), refuting on exact grid
+    (``WindowFamily(space)`` unless one is given), refuting on exact grid
     zeros.
 
-    The net is checked at indices 1..:data:`CERTIFY_MAX_INDEX` against
-    tolerance :data:`CERTIFY_TOL`.  A sub-threshold (but nonzero) minimum
-    aborts the division and yields an inconclusive certificate: absence of
-    one usable net proves nothing.
+    The net is checked along its distinct windows, indices
+    1..``len(family)``, against tolerance :data:`CERTIFY_TOL`; every later
+    index would repeat the last member.  A sub-threshold (but nonzero)
+    minimum aborts the division and yields an inconclusive certificate:
+    absence of one usable net proves nothing.
     """
-    net = reciprocal_inverse_net(f, family or centered_family(space))
+    if family is None:
+        family = WindowFamily(space)
+    net = reciprocal_inverse_net(f, family)
     try:
         return check_approx_invertible(
             c0_model(space),
             f,
             net,
             test_set,
-            range(1, CERTIFY_MAX_INDEX + 1),
+            range(1, len(family) + 1),
             CERTIFY_TOL,
             refuter=zero_refuter,
         )
     except SingularDivisionError as err:
         return ApproxInvCertificate(
-            f, net, None, None, "inconclusive", f"division refused: {err}"
+            f, None, None, "inconclusive", f"division refused: {err}"
         )

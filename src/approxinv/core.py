@@ -9,10 +9,11 @@ approximate one-sided invertibility.  Each check walks one explicit
 schedule of indices and records one trace: at every index, the worst
 residual over the whole test set.
 
-A net is any callable from a positive integer index to an element; larger
-index means finer.  Every operation is a pure function of its arguments
-(and an explicit seed where randomness is involved), so values can be
-evaluated concurrently without shared state.
+A net, like a candidate approximate identity, is any callable from a
+positive integer index to an element; larger index means finer.  Every
+operation is a pure function of its arguments (and an explicit seed where
+randomness is involved), so values can be evaluated concurrently without
+shared state.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ import numpy as np
 from .errors import NumericOverflowError
 
 Element = Any
-
-#: Slack used when checking a declared norm bound against evaluated members.
-BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,6 @@ class AlgebraModel:
 
 
 @dataclass(frozen=True)
-class ApproxIdentityFamily:
-    """A candidate approximate identity: index -> element, with an optional
-    declared norm bound that evaluated members must respect."""
-
-    generator: Callable[[int], Element]
-    norm_bound: Optional[float] = None
-
-    def __call__(self, index: int) -> Element:
-        return self.generator(index)
-
-
-@dataclass(frozen=True)
 class TraceEntry:
     index: int
     residual: float        # max of the two one-sided residuals
@@ -109,10 +95,6 @@ class ResidualTrace:
                 )
 
     @property
-    def indices(self) -> list[int]:
-        return [e.index for e in self.entries]
-
-    @property
     def residuals(self) -> list[float]:
         return [e.residual for e in self.entries]
 
@@ -141,7 +123,6 @@ class ApproxInvCertificate:
     """
 
     element: Element
-    net: Optional[Callable[[int], Element]]
     left_trace: Optional[ResidualTrace]
     right_trace: Optional[ResidualTrace]
     verdict: Verdict
@@ -166,13 +147,10 @@ class ZeroDivisorModulus:
 @dataclass(frozen=True)
 class IdentityReport:
     """Verdict of an approximate-identity check: the worst-case trace over
-    the test set plus the norm-bound outcome (None when no bound was
-    declared)."""
+    the test set and whether it passes :func:`residual_decay_verdict`."""
 
     trace: ResidualTrace
     passed: bool
-    bound_ok: Optional[bool]
-    max_member_norm: float
 
     @property
     def final_residual(self) -> float:
@@ -209,7 +187,7 @@ def _checked_norm(model: AlgebraModel, x: Element) -> float:
 
 def check_approximate_identity(
     model: AlgebraModel,
-    family: ApproxIdentityFamily,
+    family: Callable[[int], Element],
     test_set: Sequence[Element],
     schedule: Sequence[int],
     tol: float = 1e-2,
@@ -222,41 +200,27 @@ def check_approximate_identity(
     over the test elements x, and their maximum as ``residual`` (which is
     the worst ``max(left, right)`` of any single element).  A commutative
     model evaluates ``norm(e_j . x - x)`` once and records it as both sides.
-    A member that is the same object as the previous index's member (a
-    family whose growth has saturated) is not evaluated again: its entry is
-    repeated at the new index.  The report passes iff the final residual is
-    at most ``tol`` and, when the family declares a norm bound, every
-    evaluated member respects it.
+    The report passes iff the trace passes :func:`residual_decay_verdict`
+    at ``tol``.
     """
     if len(test_set) == 0:
         raise ValueError("test set must be non-empty")
     sched = resolve_schedule(schedule)
 
     entries: list[TraceEntry] = []
-    bound_ok: Optional[bool] = None if family.norm_bound is None else True
-    max_member = 0.0
-    previous = None
     for j in sched:
         e = family(j)
-        if e is not previous:
-            previous = e
-            member = _checked_norm(model, e)
-            max_member = max(max_member, member)
-            if family.norm_bound is not None and member > family.norm_bound + BOUND_SLACK:
-                bound_ok = False
-            lefts = [_checked_norm(model, model.sub(model.mul(e, x), x)) for x in test_set]
-            if model.commutative:
-                rights = lefts
-            else:
-                rights = [
-                    _checked_norm(model, model.sub(model.mul(x, e), x)) for x in test_set
-                ]
-            left, right = max(lefts), max(rights)
+        member = _checked_norm(model, e)
+        lefts = [_checked_norm(model, model.sub(model.mul(e, x), x)) for x in test_set]
+        if model.commutative:
+            rights = lefts
+        else:
+            rights = [_checked_norm(model, model.sub(model.mul(x, e), x)) for x in test_set]
+        left, right = max(lefts), max(rights)
         entries.append(TraceEntry(j, max(left, right), member, left, right))
 
     trace = ResidualTrace(tuple(entries))
-    passed = trace.final_residual <= tol and bound_ok is not False
-    return IdentityReport(trace, passed, bound_ok, max_member)
+    return IdentityReport(trace, residual_decay_verdict(trace, tol).passed)
 
 
 def residual_decay_verdict(trace: ResidualTrace, tol: float) -> DecayVerdict:
@@ -272,23 +236,6 @@ def residual_decay_verdict(trace: ResidualTrace, tol: float) -> DecayVerdict:
         b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(half, half[1:])
     )
     return DecayVerdict(trace.final_residual <= tol, noninc, trace.final_residual)
-
-
-def _product_family(
-    net: Callable[[int], Element], product: Callable[[Element], Element]
-) -> ApproxIdentityFamily:
-    """The family ``j -> product(r_j)``.  A net member repeated at
-    consecutive indices gives back the same product object, which
-    :func:`check_approximate_identity` then evaluates once."""
-    last: list = [None, None]  # the previous net member and its product
-
-    def member(j: int) -> Element:
-        r = net(j)
-        if r is not last[0]:
-            last[:] = [r, product(r)]
-        return last[1]
-
-    return ApproxIdentityFamily(member)
 
 
 def check_approx_invertible(
@@ -307,45 +254,44 @@ def check_approx_invertible(
     without a refuter a zero element raises ``ValueError`` and a failed
     trace only yields ``inconclusive``.  Otherwise the candidate families
     ``j -> x . r_j`` (right) and ``j -> r_j . x`` (left) are each handed to
-    :func:`check_approximate_identity` along ``schedule``, and their
-    worst-case traces over the test set are recorded in the certificate.
-    In a commutative model the two families coincide, so the right family
-    is checked once and its trace stands for both sides.
+    :func:`check_approximate_identity` along ``schedule``; a side is
+    certified iff its report passes, and both worst-case traces over the
+    test set are recorded in the certificate.  In a commutative model the
+    two families coincide, so the right family is checked once and its
+    trace stands for both sides.
     """
     if refuter is not None:
         reason = refuter(x)
         if reason is not None:
-            return ApproxInvCertificate(x, net, None, None, "refuted", reason)
+            return ApproxInvCertificate(x, None, None, "refuted", reason)
 
     if _checked_norm(model, x) == 0.0:
         raise ValueError("zero element cannot be approximately invertible")
 
     if net is None:
         return ApproxInvCertificate(
-            x, None, None, None, "inconclusive", "no inverse net supplied"
+            x, None, None, "inconclusive", "no inverse net supplied"
         )
 
     right = check_approximate_identity(
-        model, _product_family(net, lambda r: model.mul(x, r)), test_set, schedule, tol
+        model, lambda j: model.mul(x, net(j)), test_set, schedule, tol
     )
     if model.commutative:
         left = right
     else:
         left = check_approximate_identity(
-            model, _product_family(net, lambda r: model.mul(r, x)), test_set, schedule, tol
+            model, lambda j: model.mul(net(j), x), test_set, schedule, tol
         )
 
-    right_ok = bool(residual_decay_verdict(right.trace, tol))
-    left_ok = bool(residual_decay_verdict(left.trace, tol))
-    if right_ok and left_ok:
+    if right.passed and left.passed:
         verdict: Verdict = "certified-two-sided"
-    elif right_ok:
+    elif right.passed:
         verdict = "certified-right"
-    elif left_ok:
+    elif left.passed:
         verdict = "certified-left"
     else:
         verdict = "inconclusive"
-    sup_member = max(right.max_member_norm, left.max_member_norm)
+    sup_member = max(e.member_norm for r in (right, left) for e in r.trace.entries)
     return ApproxInvCertificate(
-        x, net, left.trace, right.trace, verdict, None, sup_member
+        x, left.trace, right.trace, verdict, None, sup_member
     )

@@ -286,7 +286,7 @@ def _c0_interior(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     elements = c0.seeded_elements(space, 50, seed)
     test_set = [f for f in c0.seeded_elements(space, 4, seed + 1, zero_fraction=0.0)]
     # one family per run: its plateaus are built once and shared by every net
-    family = c0.centered_family(space)
+    family = c0.WindowFamily(space)
     contradictions = inconclusive = 0
     certified: list[np.ndarray] = []
     for f in elements:

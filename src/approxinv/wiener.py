@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     AlgebraModel,
-    ApproxIdentityFamily,
     ResidualTrace,
     TraceEntry,
     ZeroDivisorModulus,
@@ -54,10 +53,6 @@ class CircleGrid:
     def __post_init__(self):
         if self.M < 8:
             raise ValueError("circle grid needs at least 8 samples")
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.M) / self.M
 
     @cached_property
     def frequencies(self) -> np.ndarray:
@@ -184,15 +179,28 @@ def lp_norm(f: CircleSignal, p: float) -> float:
     """Normalized p-norm of the grid values; p = inf gives the sup.
 
     p = 2 reads the coefficients: under unit Haar mass Parseval gives
-    mean |values|^2 = sum |fhat(k)|^2, so nothing is synthesized.  Other
-    finite p > 1 evaluate ``m * mean((|values| / m)^p)^(1/p)`` with m the
-    sup, so |values|^p can neither underflow nor overflow to a wrong norm at
-    large p.
+    mean |values|^2 = sum |fhat(k)|^2, so nothing is synthesized; a sum that
+    overflows or nears underflow is taken again on the coefficients scaled
+    by a power of two.  Other finite p > 1 evaluate
+    ``m * mean((|values| / m)^p)^(1/p)`` with m the sup, so |values|^p can
+    neither underflow nor overflow to a wrong norm at large p.
     """
     if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
-        return float(np.sqrt(np.vdot(f.coeffs, f.coeffs).real))
+        total = np.vdot(f.coeffs, f.coeffs).real
+        # squares below 2^-1022 lose bits, but above 2^-900 those bits sit far
+        # below the sum's own rounding
+        if 2.0**-900 < total < np.inf:
+            return float(np.sqrt(total))
+        mags = np.abs(f.coeffs)
+        sup = float(mags.max())
+        if not 0.0 < sup < np.inf:  # zero, infinite or NaN coefficients
+            return sup
+        # scaling by a power of two is exact
+        exponent = math.frexp(sup)[1]
+        scaled = np.ldexp(mags, -exponent)
+        return math.ldexp(math.sqrt(float(np.dot(scaled, scaled))), exponent)
     mags = np.abs(f.values)
     if p == 1:
         return float(np.mean(mags))
@@ -274,8 +282,8 @@ def fejer_kernel(grid: CircleGrid, n: int) -> CircleSignal:
     return CircleSignal._adopt(coeffs)
 
 
-def fejer_family(grid: CircleGrid) -> ApproxIdentityFamily:
-    return ApproxIdentityFamily(lambda n: fejer_kernel(grid, n), norm_bound=1.0)
+def fejer_family(grid: CircleGrid) -> Callable[[int], CircleSignal]:
+    return lambda n: fejer_kernel(grid, n)
 
 
 def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
@@ -296,7 +304,7 @@ def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
 
 
 def aid_pointwise_limit_check(
-    family: ApproxIdentityFamily,
+    family: Callable[[int], CircleSignal],
     frequencies: Sequence[int],
     schedule: Sequence[int],
 ) -> dict[int, ResidualTrace]:

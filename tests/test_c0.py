@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from approxinv import c0, scenarios
-from approxinv.core import check_approximate_identity
+from approxinv.core import check_approx_invertible, check_approximate_identity
 from approxinv.errors import CannotPerturbError, SingularDivisionError
 
 
@@ -64,7 +64,7 @@ def test_plateau_overflow_rejected(space):
 
 
 def test_window_family_uniform_on_fixed_window(space):
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     fixed = c0.CompactWindow(space.center - 20, space.center + 20)
     windows = [family.window(n) for n in range(1, 20)]
     for inner, outer in zip(windows, windows[1:]):
@@ -77,13 +77,13 @@ def test_window_family_uniform_on_fixed_window(space):
 
 def test_plateau_family_is_approximate_identity(space):
     model = c0.c0_model(space)
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     tests = c0.seeded_elements(space, 4, seed=7, zero_fraction=0.0)
     report = check_approximate_identity(
-        model, family.as_identity_family(), tests, range(1, 13), tol=1e-3
+        model, family.element, tests, range(1, 13), tol=1e-3
     )
     assert report.passed
-    assert report.bound_ok
+    assert all(entry.member_norm <= 1.0 + 1e-9 for entry in report.trace.entries)
     # element times plateau converges to the element itself
     f = tests[0]
     resids = [
@@ -108,7 +108,7 @@ def test_is_nonvanishing(space, lorentz):
 
 
 def test_reciprocal_net_pointwise(space, lorentz):
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     net = c0.reciprocal_inverse_net(lorentz, family)
     g = net(1)
     assert g[space.center] == pytest.approx(1.0, abs=1e-12)  # 1 * (1 + 0)
@@ -121,7 +121,7 @@ def test_reciprocal_net_pointwise(space, lorentz):
 
 def test_reciprocal_multiply_back(space):
     rng_elements = c0.seeded_elements(space, 20, seed=11, zero_fraction=0.0)
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     for f in rng_elements:
         net = c0.reciprocal_inverse_net(f, family)
         for n in (1, 4, 9):
@@ -130,7 +130,7 @@ def test_reciprocal_multiply_back(space):
 
 
 def test_reciprocal_rejects_small_values(space, lorentz):
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     dipped = lorentz.copy()
     dipped[space.center + 3] = 1e-14
     net = c0.reciprocal_inverse_net(dipped, family)
@@ -218,32 +218,48 @@ def _count_plateaus(monkeypatch):
 
 def test_window_family_builds_each_window_once_read_only(space, monkeypatch):
     calls = _count_plateaus(monkeypatch)
-    family = c0.centered_family(space)
-    first = [family.element(n) for n in range(1, 17)]
-    second = [family.element(n) for n in range(1, 17)]
-    windows = {family.window(n) for n in range(1, 17)}
-    assert len(windows) == 9  # the growth saturates at the largest window
-    assert sorted(calls, key=lambda w: w.a) == sorted(windows, key=lambda w: w.a)
-    for n, (e, again) in enumerate(zip(first, second), start=1):
-        assert e is again
+    family = c0.WindowFamily(space)
+    assert len(family) == 9  # the growth saturates at the largest window
+    assert len(calls) == len(family)
+    windows = [family.window(n) for n in range(1, len(family) + 1)]
+    assert calls == windows
+    for inner, outer in zip(windows, windows[1:]):
+        assert outer.a < inner.a and inner.b < outer.b
+    assert windows[-1].a == 2 and windows[-1].b == space.points - 3
+    members = [family.element(n) for n in range(1, len(family) + 1)]
+    for e, window in zip(members, windows):
         assert not e.flags.writeable
-        assert np.array_equal(e, c0.plateau(space, family.window(n), family.ramp))
+        assert np.array_equal(e, c0.plateau(space, window, 2))
+    for n in range(len(family), 40):
+        assert family.element(n) is members[-1]
+        assert family.window(n) == windows[-1]
     with pytest.raises(ValueError):
-        first[0][space.center] = 2.0
+        members[0][space.center] = 2.0
+    with pytest.raises(ValueError):
+        family.element(0)
+    assert len(calls) == 2 * len(family)  # only the reference plateaus above
     # a second family builds its own members
-    other = c0.centered_family(space)
-    assert other.element(1) is not first[0]
+    assert c0.WindowFamily(space).element(1) is not members[0]
+
+
+def test_window_family_has_at_most_15_members():
+    sizes = {
+        points: len(c0.WindowFamily(c0.GridSpace(10.0, points)))
+        for points in range(5, 300)
+    }
+    assert sizes[5] == 1 and sizes[201] == 9
+    assert max(sizes.values()) == 15
 
 
 def test_c0_interior_builds_one_family_per_run(monkeypatch):
     families = []
-    original = c0.centered_family
+    original = c0.WindowFamily
 
     def recorded(*args, **kwargs):
         families.append(original(*args, **kwargs))
         return families[-1]
 
-    monkeypatch.setattr(c0, "centered_family", recorded)
+    monkeypatch.setattr(c0, "WindowFamily", recorded)
     calls = _count_plateaus(monkeypatch)
     counts = []
     for _ in range(2):
@@ -255,8 +271,54 @@ def test_c0_interior_builds_one_family_per_run(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def _certify_along(space, f, tests, family, schedule):
+    """:func:`c0.certify` with an explicit schedule."""
+    try:
+        return check_approx_invertible(
+            c0.c0_model(space),
+            f,
+            c0.reciprocal_inverse_net(f, family),
+            tests,
+            schedule,
+            c0.CERTIFY_TOL,
+            refuter=c0.zero_refuter,
+        )
+    except SingularDivisionError as err:
+        return None, f"division refused: {err}"
+
+
+@pytest.mark.parametrize("points", [5, 7, 11, 201, 2001])
+def test_certify_along_distinct_windows_matches_the_long_schedule(points):
+    space = c0.GridSpace(10.0, points)
+    family = c0.WindowFamily(space)
+    elements = c0.seeded_elements(space, 50, seed=points)
+    tests = c0.seeded_elements(space, 4, seed=points + 1, zero_fraction=0.0)
+    verdicts = set()
+    for f in elements:
+        cert = c0.certify(space, f, tests, family)
+        reference = _certify_along(space, f, tests, family, range(1, 17))
+        verdicts.add(cert.verdict)
+        if isinstance(reference, tuple):
+            assert (cert.verdict, cert.reason) == ("inconclusive", reference[1])
+            continue
+        assert (cert.verdict, cert.reason) == (reference.verdict, reference.reason)
+        assert cert.sup_member_norm == reference.sup_member_norm
+        if reference.right_trace is None:
+            continue
+        for trace, ref in (
+            (cert.right_trace, reference.right_trace),
+            (cert.left_trace, reference.left_trace),
+        ):
+            assert len(trace.entries) == len(family)
+            assert trace.final_residual == ref.final_residual
+            assert trace.entries == ref.entries[: len(family)]
+    # small grids leave the plateaus short of the tail tolerance: inconclusive
+    assert "refuted" in verdicts
+    assert ("certified-two-sided" if points > 11 else "inconclusive") in verdicts
+
+
 def test_reciprocal_member_is_the_masked_quotient(space):
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     for f in c0.seeded_elements(space, 5, seed=13, zero_fraction=0.0):
         net = c0.reciprocal_inverse_net(f, family)
         for n in (1, 5, 16):
@@ -266,12 +328,12 @@ def test_reciprocal_member_is_the_masked_quotient(space):
             assert np.array_equal(g[support], e[support] / f[support])
             assert np.all(g[~support] == 0.0)
             assert not g.flags.writeable
-        # the windows have saturated by index 15, so the member repeats
-        assert net(16) is net(15)
+        # past len(family) the windows have saturated: the member repeats
+        assert np.array_equal(net(16), net(len(family)))
 
 
 def test_reciprocal_refusal_ignores_zeros_off_the_support(space, lorentz):
-    family = c0.centered_family(space, ramp=2)
+    family = c0.WindowFamily(space, ramp=2)
     support = np.flatnonzero(family.element(1) != 0.0)
     f = lorentz.copy()
     f[support[0] - 3] = 0.0  # exact zero outside the support of member 1

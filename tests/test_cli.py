@@ -475,6 +475,20 @@ def test_deconv_noiseless_errors_are_nonzero_at_large_exponent(tmp_path):
     assert all(error > 0.0 for error in errors)
 
 
+def test_deconv_noisy_errors_are_finite_at_huge_noise(tmp_path):
+    # the p = 2 norm's sum of squared coefficients overflowed to a NaN error
+    config = tmp_path / "loud.cfg"
+    config.write_text("[tolerances]\nnoise_sigma = 1e200\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["--config", str(config), "--scenario", "deconv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(out / "deconv.csv", encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["statement_id"] == "noisy-error"]
+    assert len(rows) == len(scenarios.ScenarioConfig().schedule) == 5
+    for row in rows:
+        assert np.isfinite(float(row["residual"])) and row["verdict"] == "pass"
+
+
 def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")

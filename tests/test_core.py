@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from approxinv import operators, wiener
 from approxinv.core import (
-    ApproxIdentityFamily,
     ResidualTrace,
     TraceEntry,
     check_approx_invertible,
@@ -37,19 +36,19 @@ def _trace(residuals):
 
 
 def test_unit_family_has_zero_residuals(matrix8, rng):
-    family = ApproxIdentityFamily(lambda j: matrix8.unit, norm_bound=1.0)
     tests = [matrix8.sample(rng) for _ in range(3)]
-    report = check_approximate_identity(matrix8, family, tests, range(1, 6), tol=1e-12)
+    report = check_approximate_identity(
+        matrix8, lambda j: matrix8.unit, tests, range(1, 6), tol=1e-12
+    )
     assert report.passed
     assert report.final_residual == 0.0
-    assert report.bound_ok
+    assert all(entry.member_norm <= 1.0 + 1e-9 for entry in report.trace.entries)
 
 
 def test_zero_family_fails_with_element_norm(matrix8, rng):
     zero = np.zeros((8, 8), complex)
     x = matrix8.sample(rng)
-    family = ApproxIdentityFamily(lambda j: zero)
-    report = check_approximate_identity(matrix8, family, [x], range(1, 5), tol=1e-2)
+    report = check_approximate_identity(matrix8, lambda j: zero, [x], range(1, 5), tol=1e-2)
     assert not report.passed
     expect = matrix8.norm(x)
     for entry in report.trace.entries:
@@ -71,7 +70,7 @@ def test_fejer_trace_on_slow_kernel_matches_oracle(grid4096):
     # converges at this tolerance only by index 1024, not by 128
     assert rs[-2] > 1e-2
     assert report.passed
-    assert report.bound_ok
+    assert all(entry.member_norm <= 1.0 + 1e-9 for entry in trace.entries)
 
 
 def test_fejer_residual_agrees_with_direct_convolution(grid512):
@@ -85,16 +84,14 @@ def test_fejer_residual_agrees_with_direct_convolution(grid512):
 
 
 def test_empty_test_set_rejected(matrix8):
-    family = ApproxIdentityFamily(lambda j: matrix8.unit)
     with pytest.raises(ValueError):
-        check_approximate_identity(matrix8, family, [], range(1, 4), tol=1e-2)
+        check_approximate_identity(matrix8, lambda j: matrix8.unit, [], range(1, 4), tol=1e-2)
 
 
 def test_nonfinite_norm_raises_overflow(matrix8):
     bad = np.full((8, 8), np.inf + 0j)
-    family = ApproxIdentityFamily(lambda j: bad)
     with pytest.raises((NumericOverflowError, ValueError)):
-        check_approximate_identity(matrix8, family, [matrix8.unit], range(1, 3))
+        check_approximate_identity(matrix8, lambda j: bad, [matrix8.unit], range(1, 3))
 
 
 def test_decay_verdict_trivial_cases():
@@ -247,9 +244,7 @@ def test_trace_is_the_pointwise_worst_on_standard_models(model):
     rng = np.random.default_rng(17)
     members = {j: model.sample(rng) for j in (1, 2, 4)}
     tests = [model.sample(rng) for _ in range(4)]
-    _assert_pointwise_worst(
-        model, ApproxIdentityFamily(members.__getitem__), tests, (1, 2, 4)
-    )
+    _assert_pointwise_worst(model, members.__getitem__, tests, (1, 2, 4))
 
 
 def test_trace_is_the_pointwise_worst_for_the_kernel_family(grid512):
@@ -424,10 +419,7 @@ def test_commutative_models_check_one_side(model):
     tests = [model.sample(rng) for _ in range(3)]
     sched = (2, 4, 8, 16)
     counted, calls = _counted(model)
-    # a fresh member at every index, so no index repeats the previous member
-    cert = check_approx_invertible(
-        counted, x, lambda j: model.scale(1.0, net(j)), tests, sched, tol=1e-2
-    )
+    cert = check_approx_invertible(counted, x, net, tests, sched, tol=1e-2)
     if model.commutative:
         expected = 1 + len(sched) * (1 + len(tests))
         assert cert.left_trace is cert.right_trace
@@ -438,29 +430,3 @@ def test_commutative_models_check_one_side(model):
     assert calls["norm"] == expected
     # one product per member, one per (member, test element) and side
     assert calls["mul"] == expected - 1
-
-
-@pytest.mark.parametrize(
-    "model", _STANDARD_MODELS, ids=[model.name for model in _STANDARD_MODELS]
-)
-def test_repeated_net_members_are_evaluated_once(model):
-    rng = np.random.default_rng(5)
-    x, net = _element_and_net(model, rng)
-    tests = [model.sample(rng) for _ in range(3)]
-    sched = (2, 4, 8, 16)
-    # the net saturates at index 4: indices 4, 8 and 16 share one member
-    distinct = {j: model.scale(1.0, net(j)) for j in (2, 4)}
-    members = {j: distinct[min(j, 4)] for j in sched}
-    counted, calls = _counted(model)
-    cert = check_approx_invertible(
-        counted, x, members.__getitem__, tests, sched, tol=1e-2
-    )
-    sides = 1 if model.commutative else 2
-    assert calls["norm"] == 1 + sides * 2 * (1 + sides * len(tests))
-    reference = check_approx_invertible(
-        model, x, lambda j: model.scale(1.0, members[j]), tests, sched, tol=1e-2
-    )
-    assert cert.verdict == reference.verdict
-    assert cert.right_trace.entries == reference.right_trace.entries
-    assert cert.left_trace.entries == reference.left_trace.entries
-    assert [e.index for e in cert.right_trace.entries] == list(sched)

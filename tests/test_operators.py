@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from approxinv import operators, scenarios
-from approxinv.core import ApproxIdentityFamily, check_approximate_identity
+from approxinv.core import check_approximate_identity
 from approxinv.errors import RankDeficientError
 
 from .oracles import charpoly_singular_values, jacobi_svd, solved_pure_state_minimum
@@ -148,7 +148,7 @@ def _projection_family(basis, keep=None):
         b = basis[:, : min(m, keep or basis.shape[1])]
         return b @ b.conj().T
 
-    return ApproxIdentityFamily(member)
+    return member
 
 
 def test_projection_family_identity_in_trace_norm(rng):

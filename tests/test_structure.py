@@ -208,3 +208,54 @@ def test_values_is_the_only_synthesis_site():
     assert {(module, scope) for module, scope, _ in sites} == {
         ("wiener", "CircleSignal.values")
     }, sites
+
+
+def _public_members():
+    """(module, class, member) of every public field, property and method of
+    a public top-level class: annotated class-body names (dataclass fields)
+    and functions defined in the class body."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield path.stem, node.name, name
+
+
+def _read_attributes() -> set[str]:
+    """Attribute names read anywhere in the package, the demos, the tests or
+    the benchmark harness: loaded ``x.name`` and ``getattr(x, "name")``."""
+    found = set()
+    for directory in ("src", "demos", "tests", "bench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    found.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    found.add(node.args[1].value)
+    return found
+
+
+def test_every_public_member_is_read():
+    """A field, property or method nothing reads is state or code kept for
+    nobody; members match by name, so a read of any same-named attribute
+    counts."""
+    read = _read_attributes()
+    unread = sorted(
+        f"{module}.{cls}.{member}"
+        for module, cls, member in _public_members()
+        if member not in read
+    )
+    assert not unread, f"public members nobody reads: {unread}"

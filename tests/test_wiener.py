@@ -142,10 +142,9 @@ def test_pointwise_limit_traces(grid4096):
             )
     assert traces[16].entries[-1].residual == pytest.approx(0.125, abs=1e-12)
 
-    zero_family = wiener.ApproxIdentityFamily(
-        lambda j: 0.0 * wiener.character(grid4096, 0)
+    zero_traces = wiener.aid_pointwise_limit_check(
+        lambda j: 0.0 * wiener.character(grid4096, 0), [0, 5], [1, 2, 3, 4]
     )
-    zero_traces = wiener.aid_pointwise_limit_check(zero_family, [0, 5], [1, 2, 3, 4])
     assert all(r == pytest.approx(1.0) for r in zero_traces[5].residuals)
 
 
@@ -536,8 +535,10 @@ def test_p2_norm_by_parseval_matches_the_value_route(data, M, hermitian):
     f = _band_from_data(grid, [(k % (M // 2), c) for k, c in data])
     if hermitian:
         f = f + f.involution()
-    values = complex_synthesis(f.coeffs)
-    by_values = float(np.mean(np.abs(values) ** 2) ** 0.5)
+    mags = np.abs(complex_synthesis(f.coeffs))
+    # scaled by the sup, so the squares neither underflow nor overflow
+    top = mags.max()
+    by_values = float(top * np.mean((mags / top) ** 2) ** 0.5) if top > 0 else 0.0
     assert wiener.lp_norm(f, 2) == pytest.approx(by_values, rel=1e-13, abs=1e-300)
 
 
@@ -703,7 +704,7 @@ def test_synthesis_agrees_to_rounding_at_other_sizes(M, rng):
     assert np.abs(values - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-LARGE_EXPONENTS = [3, 50, 400, 1000, 1e300]
+LARGE_EXPONENTS = [2, 3, 50, 400, 1000, 1e300]
 
 
 def _logarithmic_norm(values, p):
@@ -723,11 +724,12 @@ def test_lp_norm_of_a_small_signal_at_large_p(grid4096, p):
         assert 0.0029 < norm <= 0.003
 
 
-@pytest.mark.parametrize("c", [1e-3, 1e3])
+@pytest.mark.parametrize("c", [1e-3, 1e3, 1e-170, 1e160])
 @pytest.mark.parametrize("p", LARGE_EXPONENTS)
 def test_lp_norm_is_homogeneous(grid4096, rng, c, p):
     f = _band_signal(grid4096, rng, 12)
-    assert wiener.lp_norm(c * f, p) == pytest.approx(c * wiener.lp_norm(f, p), rel=1e-12)
+    expected = c * wiener.lp_norm(f, p)
+    assert wiener.lp_norm(c * f, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_lp_norm_of_zero_and_nan_values(grid512):
