@@ -267,15 +267,9 @@ def c0_model(space: GridSpace) -> AlgebraModel:
     """Pointwise function algebra on the grid under the sup norm."""
     return AlgebraModel(
         name=f"c0-grid-{space.points}",
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        scale=lambda c, a: complex(c) * a,
         mul=lambda a, b: a * b,
         norm=sup_norm,
-        involution=np.conj,
-        unital=False,
         commutative=True,
-        sample=lambda rng: _sample_element(space, rng, _sample_profile(space)),
     )
 
 

@@ -1,7 +1,7 @@
 """Model-agnostic net machinery for approximate identities and inverses.
 
-An :class:`AlgebraModel` bundles the arithmetic of one concrete normed
-algebra (matrices, sampled circle signals, grid functions)
+An :class:`AlgebraModel` bundles the product and norm of one concrete
+normed algebra (matrices, sampled circle signals, grid functions)
 behind a uniform interface.  On top of it this module provides the shared
 verifiers: :func:`check_approximate_identity` traces a candidate
 approximate identity and :func:`check_approx_invertible` certifies
@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Literal, Optional, Sequence
 
-import numpy as np
-
 from .errors import NumericOverflowError
 
 Element = Any
@@ -31,36 +29,25 @@ Element = Any
 
 @dataclass(frozen=True)
 class AlgebraModel:
-    """Arithmetic and norm of one concrete normed algebra.
+    """Product and norm of one concrete normed algebra: exactly what the
+    verifiers read.
 
-    The verifiers read ``sub``, ``mul``, ``norm`` and ``commutative``:
     ``mul`` is the ring product and ``norm`` the submultiplicative algebra
-    norm.  ``sub`` is declared by each model rather than composed as
-    ``add(a, scale(-1, b))``, which would cost every residual a second pass
-    and a multiply.  The remaining fields describe the model for the
-    property checks of the test suite: ``add``/``scale`` the vector-space
-    operations, ``involution`` a norm-preserving involution of a *-algebra,
-    ``unital``/``unit`` the unit, and ``sample`` a generic element drawn
-    from a seeded generator.
+    norm.  A residual ``mul(e, x) - x`` is the elements' own difference
+    (numpy arrays and :class:`~approxinv.wiener.CircleSignal` both
+    subtract), so the model declares no vector-space operations.
 
-    ``commutative`` is declared by the model factory, like ``unital``: it
-    states that ``mul(a, b)`` equals ``mul(b, a)`` up to rounding.  The
-    verifiers then evaluate one side only, since left and right residuals
-    (and left and right inverse nets) coincide.  The circle and c0 models
-    declare it; the matrix models do not.
+    ``commutative`` is declared by the model factory: it states that
+    ``mul(a, b)`` equals ``mul(b, a)`` up to rounding.  The verifiers then
+    evaluate one side only, since left and right residuals (and left and
+    right inverse nets) coincide.  The circle and c0 models declare it; the
+    matrix models do not.
     """
 
     name: str
-    add: Callable[[Element, Element], Element]
-    sub: Callable[[Element, Element], Element]
-    scale: Callable[[complex, Element], Element]
     mul: Callable[[Element, Element], Element]
     norm: Callable[[Element], float]
-    involution: Optional[Callable[[Element], Element]] = None
-    unital: bool = False
     commutative: bool = False
-    unit: Optional[Element] = None
-    sample: Optional[Callable[[np.random.Generator], Element]] = None
 
 
 @dataclass(frozen=True)
@@ -211,11 +198,11 @@ def check_approximate_identity(
     for j in sched:
         e = family(j)
         member = _checked_norm(model, e)
-        lefts = [_checked_norm(model, model.sub(model.mul(e, x), x)) for x in test_set]
+        lefts = [_checked_norm(model, model.mul(e, x) - x) for x in test_set]
         if model.commutative:
             rights = lefts
         else:
-            rights = [_checked_norm(model, model.sub(model.mul(x, e), x)) for x in test_set]
+            rights = [_checked_norm(model, model.mul(x, e) - x) for x in test_set]
         left, right = max(lefts), max(rights)
         entries.append(TraceEntry(j, max(left, right), member, left, right))
 

@@ -18,9 +18,10 @@ thresholds at ``RANK_THRESHOLD_REL * sigma_max = 1e-10 * sigma_max``, far
 above LAPACK's ``eps * sigma_max`` absolute error.  The test suite still
 cross-checks the LAPACK route against an independent Jacobi sweep.
 
-At finite truncation "dense range" collapses to "surjective" and
-"injective" to "bounded below": the refuters report both flags, which here
-coincide by design.
+At finite truncation "dense range" collapses to "surjective", which the
+rank refuter reads off the smallest singular value.  The ``pure-state``
+scenario compares two criteria for it: that singular value above a
+threshold, and the pure-state minimum of :func:`min_pure_state_norm`.
 """
 
 from __future__ import annotations
@@ -157,18 +158,16 @@ def output_projection(a: np.ndarray, m: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RangeKernelReport:
     dense_range: bool
-    injective: bool
     min_singular_value: float
 
 
 def range_kernel_refuter(a: np.ndarray, threshold: Optional[float] = None) -> RangeKernelReport:
-    """Classify range density and injectivity through the smallest singular
-    value; at finite truncation the two flags coincide."""
+    """Classify range density through the smallest singular value."""
     lam = singular_values(a)
     if threshold is None:
         threshold = RANK_THRESHOLD_REL * (lam[0] if lam[0] > 0 else 1.0)
     full = bool(lam[-1] > threshold)
-    return RangeKernelReport(full, full, float(lam[-1]))
+    return RangeKernelReport(full, float(lam[-1]))
 
 
 def rank_refuter(a: np.ndarray) -> Optional[str]:
@@ -235,19 +234,13 @@ def _sample_operator(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def matrix_model(n: int = 16, p: float = np.inf) -> AlgebraModel:
-    """Full matrix algebra (unital) under the Schatten-p norm: the operator
-    norm for p = inf, the surrogate operator ideal for finite p."""
+    """The n-by-n matrix algebra (noncommutative) under the Schatten-p norm:
+    the operator norm for p = inf, the surrogate operator ideal for finite
+    p."""
     return AlgebraModel(
         name=f"matrices-{n}-op" if np.isinf(p) else f"matrices-{n}-schatten-{p}",
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        scale=lambda c, a: complex(c) * a,
         mul=lambda a, b: a @ b,
         norm=lambda a: schatten_norm(a, p),
-        involution=lambda a: a.conj().T,
-        unital=True,
-        unit=np.eye(n, dtype=complex),
-        sample=lambda rng: _sample_operator(n, rng),
     )
 
 

@@ -3,6 +3,8 @@ routes through the public verifiers that the tests and the acceptance
 criteria use for module density, product certification and adjoint
 duality."""
 
+from typing import Any, Callable, NamedTuple, Optional
+
 import numpy as np
 
 from approxinv import banach_module as bm
@@ -14,16 +16,42 @@ from approxinv.core import (
 )
 
 
-def standard_models() -> list[AlgebraModel]:
+class ModelCase(NamedTuple):
+    """A model with what the property sweeps need beyond the verifiers'
+    fields: a sampler of generic elements from a seeded generator, the
+    element type's own adjoint (a norm-preserving involution), and the unit
+    of a unital algebra."""
+
+    model: AlgebraModel
+    sample: Callable[[np.random.Generator], Any]
+    adjoint: Callable[[Any], Any]
+    unit: Optional[Any] = None
+
+
+def standard_models() -> list[ModelCase]:
     """One instance of every model the core verifiers run on, at sizes
     suitable for property sweeps."""
-    return [
-        wiener.l1_circle_model(wiener.CircleGrid(512)),
-        c0.c0_model(c0.GridSpace(10.0, 201, 1e-6)),
-        operators.matrix_model(8),
-        operators.matrix_model(8, 1.0),
-        operators.matrix_model(8, 2.0),
+    grid = wiener.CircleGrid(512)
+    space = c0.GridSpace(10.0, 201, 1e-6)
+    profile = c0._sample_profile(space)
+    circle = ModelCase(
+        wiener.l1_circle_model(grid),
+        lambda rng: wiener._sample_bandlimited(grid, rng),
+        wiener.CircleSignal.involution,
+    )
+    grid_functions = ModelCase(
+        c0.c0_model(space), lambda rng: c0._sample_element(space, rng, profile), np.conj
+    )
+    matrices = [
+        ModelCase(
+            operators.matrix_model(8, p),
+            lambda rng: operators._sample_operator(8, rng),
+            lambda a: a.conj().T,
+            np.eye(8, dtype=complex),
+        )
+        for p in (np.inf, 1.0, 2.0)
     ]
+    return [circle, grid_functions, *matrices]
 
 
 def density_residual(f, target, n, floor=None) -> float:

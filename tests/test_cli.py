@@ -489,6 +489,34 @@ def test_deconv_noisy_errors_are_finite_at_huge_noise(tmp_path):
         assert np.isfinite(float(row["residual"])) and row["verdict"] == "pass"
 
 
+def _noisy_errors(tmp_path, exponent):
+    config = tmp_path / f"loud-{exponent}.cfg"
+    config.write_text(
+        f"[models]\nmodule_exponent = {exponent}\n"
+        "[tolerances]\nnoise_sigma = 1e303\n[nets]\nschedule = 8,16\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / f"o-{exponent}"
+    argv = ["--config", str(config), "--scenario", "deconv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(out / "deconv.csv", encoding="utf-8", newline="") as handle:
+        return [
+            float(row["residual"])
+            for row in csv.DictReader(handle)
+            if row["statement_id"] == "noisy-error"
+        ]
+
+
+def test_deconv_l1_noisy_errors_are_finite_at_huge_noise(tmp_path):
+    # the p = 1 mean of |values| overflowed to an inf error at n = 16, while a
+    # p just above 1 took the sup-scaled route and stayed finite
+    l1 = _noisy_errors(tmp_path, "1")
+    near = _noisy_errors(tmp_path, "1.0000001")
+    assert len(l1) == len(near) == 2
+    assert all(np.isfinite(l1))
+    assert l1 == pytest.approx(near, rel=1e-6)
+
+
 def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")

@@ -259,3 +259,34 @@ def test_every_public_member_is_read():
         if member not in read
     )
     assert not unread, f"public members nobody reads: {unread}"
+
+
+def test_algebra_model_fields_are_read_by_the_verifiers():
+    """``AlgebraModel`` is the seam between the models and the verifiers, so
+    each of its fields must be read off a model in ``core``; a field only
+    the factories write is declared for nobody."""
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    record = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "AlgebraModel"
+    )
+    fields = [
+        item.target.id for item in record.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    models = {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if getattr(arg.annotation, "id", None) == "AlgebraModel"
+    }
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and getattr(node.value, "id", None) in models
+    }
+    unread = [name for name in fields if name not in read]
+    assert fields and models and not unread, f"AlgebraModel fields core never reads: {unread}"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -730,6 +732,21 @@ def test_lp_norm_is_homogeneous(grid4096, rng, c, p):
     f = _band_signal(grid4096, rng, 12)
     expected = c * wiener.lp_norm(f, p)
     assert wiener.lp_norm(c * f, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e300, 1e305, 1e307])
+def test_l1_norm_of_a_huge_kernel_is_finite(grid4096, c):
+    # the mean's sum of 4096 magnitudes overflowed from c = 1e305 on
+    kernel = wiener.poisson_kernel(grid4096, 0.5)
+    expected = c * wiener.l1_norm(kernel)
+    huge = kernel * c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = wiener.l1_norm(huge)
+        by_lp = wiener.lp_norm(huge, 1)
+    assert np.isfinite(norm)
+    assert norm == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert by_lp == norm
 
 
 def test_lp_norm_of_zero_and_nan_values(grid512):
