@@ -16,23 +16,21 @@ model = wiener.l1_circle_model(grid)
 print("kernel norms and coefficients")
 for n in (1, 8, 64, 256):
     kernel = wiener.fejer_kernel(grid, n)
-    coeffs = wiener.fourier(kernel, 70)
     print(
         f"  n={n:4d}  ||K_n||_1 = {wiener.l1_norm(kernel):.12f}"
-        f"  K^(16) = {coeffs[16].real:.6f}"
+        f"  K^(16) = {kernel.coeff(16).real:.6f}"
     )
 
 print("\nresiduals of K_n acting on the standard test set")
-report = check_approximate_identity(
+trace = check_approximate_identity(
     model,
     wiener.fejer_family(grid),
     wiener.standard_test_set(grid),
     schedule=[8, 16, 32, 64, 128],
-    tol=1e-2,
 )
-for entry in report.trace.entries:
+for entry in trace.entries:
     print(f"  n={entry.index:4d}  worst residual = {entry.residual:.6f}")
-print(f"  verdict at tol 1e-2: {'pass' if report.passed else 'fail'}")
+print(f"  verdict at tol 1e-2: {'pass' if trace.final_residual <= 1e-2 else 'fail'}")
 
 print("\nthe family is not Cauchy (no limit, hence no unit):")
 for n in (8, 32, 128):

@@ -33,8 +33,11 @@ for label, element in (
     ("element with a planted zero", c0.seeded_elements(space, 1, 9, zero_fraction=1.0)[0]),
 ):
     cert = c0.certify(space, element, test_set)
-    report = c0.is_nonvanishing(element, 1e-6)
-    print(f"  {label}: min|f| = {report.min_abs:.2e}, verdict = {cert.verdict}")
+    nonvanishing = c0.is_nonvanishing(element, 1e-6)
+    print(
+        f"  {label}: min|f| = {np.abs(element).min():.2e}, non-vanishing at 1e-6:"
+        f" {nonvanishing}, verdict = {cert.verdict}"
+    )
 
 print("\nboundary of the certified set: nearby non-certifiable perturbations")
 good = c0.seeded_elements(space, 1, 9, zero_fraction=0.0)[0]

@@ -13,12 +13,10 @@ from . import banach_module, c0, cli, core, disk, operators, scenarios, wiener
 from .core import (
     AlgebraModel,
     ApproxInvCertificate,
-    IdentityReport,
     ResidualTrace,
     ZeroDivisorModulus,
     check_approx_invertible,
     check_approximate_identity,
-    residual_decay_verdict,
 )
 from .errors import (
     AliasingError,

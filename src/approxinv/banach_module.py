@@ -81,37 +81,21 @@ class NoiseSpec:
         return CircleSignal.from_values(noisy)
 
 
-@dataclass(frozen=True)
-class DeconvolutionResult:
-    recovered: ModuleSignal
-    sigma: float
-    error: Optional[float] = None  # ||recovered - truth||_B
-
-
 def deconvolve(
     f: CircleSignal,
     b: ModuleSignal,
     n: int,
     noise: Optional[NoiseSpec] = None,
-    truth: Optional[ModuleSignal] = None,
     floor: Optional[float] = None,
-) -> DeconvolutionResult:
+) -> ModuleSignal:
     """Recover g from b = f (*) g through the order-n division member.
 
     The estimate is g_n = h_n . b_obs with h_n the spectral division of f,
     so in the noiseless case g_n = K_n . g exactly and the recovery error
-    equals the order-n kernel approximation error of g.  When ``truth`` is
-    given the error report compares against it.
+    equals the order-n kernel approximation error of g.
     """
     observed = b if noise is None else ModuleSignal(noise.apply(b.signal), b.p)
-    h = wiener_division(f, n, floor)
-    recovered = module_action(h, observed)
-    error = None
-    if truth is not None:
-        if truth.p != b.p:
-            raise ValueError("truth and observation use different exponents")
-        error = module_norm(ModuleSignal(recovered.signal - truth.signal, b.p))
-    return DeconvolutionResult(recovered, noise.sigma if noise else 0.0, error)
+    return module_action(wiener_division(f, n, floor), observed)
 
 
 def kernel_tail_error(g: ModuleSignal, n: int) -> float:

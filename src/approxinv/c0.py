@@ -139,22 +139,9 @@ class WindowFamily:
         return self._plateaus[self._position(n)]
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
-    ok: bool
-    offending_index: Optional[int]
-    min_abs: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_nonvanishing(f: np.ndarray, threshold: float) -> NonvanishingReport:
-    """min |f| > threshold, reporting the minimizing grid index on failure."""
-    mags = np.abs(np.asarray(f))
-    i = int(np.argmin(mags))
-    ok = bool(mags[i] > threshold)
-    return NonvanishingReport(ok, None if ok else i, float(mags[i]))
+def is_nonvanishing(f: np.ndarray, threshold: float) -> bool:
+    """min |f| > threshold."""
+    return bool(np.abs(np.asarray(f)).min() > threshold)
 
 
 def reciprocal_inverse_net(

@@ -104,7 +104,7 @@ class ApproxInvCertificate:
     """Outcome of an approximate-invertibility check for one element.
 
     ``certified-*`` verdicts require the corresponding worst-case trace to
-    pass :func:`residual_decay_verdict` at the check's tolerance.
+    end at or below the check's tolerance.
     ``refuted`` is only ever produced by a model-specific analytic refuter;
     stagnating residuals alone yield ``inconclusive``.
     """
@@ -131,29 +131,6 @@ class ZeroDivisorModulus:
     witness: Element
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Verdict of an approximate-identity check: the worst-case trace over
-    the test set and whether it passes :func:`residual_decay_verdict`."""
-
-    trace: ResidualTrace
-    passed: bool
-
-    @property
-    def final_residual(self) -> float:
-        return self.trace.final_residual
-
-
-@dataclass(frozen=True)
-class DecayVerdict:
-    passed: bool
-    eventually_nonincreasing: bool
-    final_residual: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def resolve_schedule(schedule: Sequence[int]) -> list[int]:
     """The schedule as a list of ints; ``ValueError`` unless it is a
     non-empty, strictly increasing sequence of positive indices."""
@@ -177,8 +154,7 @@ def check_approximate_identity(
     family: Callable[[int], Element],
     test_set: Sequence[Element],
     schedule: Sequence[int],
-    tol: float = 1e-2,
-) -> IdentityReport:
+) -> ResidualTrace:
     """Trace the worst residual of ``family`` over the test set along
     ``schedule``.
 
@@ -187,8 +163,6 @@ def check_approximate_identity(
     over the test elements x, and their maximum as ``residual`` (which is
     the worst ``max(left, right)`` of any single element).  A commutative
     model evaluates ``norm(e_j . x - x)`` once and records it as both sides.
-    The report passes iff the trace passes :func:`residual_decay_verdict`
-    at ``tol``.
     """
     if len(test_set) == 0:
         raise ValueError("test set must be non-empty")
@@ -206,23 +180,7 @@ def check_approximate_identity(
         left, right = max(lefts), max(rights)
         entries.append(TraceEntry(j, max(left, right), member, left, right))
 
-    trace = ResidualTrace(tuple(entries))
-    return IdentityReport(trace, residual_decay_verdict(trace, tol).passed)
-
-
-def residual_decay_verdict(trace: ResidualTrace, tol: float) -> DecayVerdict:
-    """Accept a trace iff its final residual is at most ``tol``.
-
-    The verdict also reports whether the second half of the trace is
-    non-increasing; that flag is diagnostic only and never affects
-    acceptance.
-    """
-    res = trace.residuals
-    half = res[len(res) // 2 :]
-    noninc = all(
-        b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(half, half[1:])
-    )
-    return DecayVerdict(trace.final_residual <= tol, noninc, trace.final_residual)
+    return ResidualTrace(tuple(entries))
 
 
 def check_approx_invertible(
@@ -240,12 +198,12 @@ def check_approx_invertible(
     asked first and may veto ``x`` outright, the zero element included;
     without a refuter a zero element raises ``ValueError`` and a failed
     trace only yields ``inconclusive``.  Otherwise the candidate families
-    ``j -> x . r_j`` (right) and ``j -> r_j . x`` (left) are each handed to
-    :func:`check_approximate_identity` along ``schedule``; a side is
-    certified iff its report passes, and both worst-case traces over the
-    test set are recorded in the certificate.  In a commutative model the
-    two families coincide, so the right family is checked once and its
-    trace stands for both sides.
+    ``j -> x . r_j`` (right) and ``j -> r_j . x`` (left) are each traced by
+    :func:`check_approximate_identity` along ``schedule``.  This is the one
+    acceptance rule: a side is certified iff its worst-case trace ends at
+    or below ``tol``.  Both traces are recorded in the certificate.  In a
+    commutative model the two families coincide, so the right family is
+    checked once and its trace stands for both sides.
     """
     if refuter is not None:
         reason = refuter(x)
@@ -261,24 +219,24 @@ def check_approx_invertible(
         )
 
     right = check_approximate_identity(
-        model, lambda j: model.mul(x, net(j)), test_set, schedule, tol
+        model, lambda j: model.mul(x, net(j)), test_set, schedule
     )
     if model.commutative:
         left = right
     else:
         left = check_approximate_identity(
-            model, lambda j: model.mul(net(j), x), test_set, schedule, tol
+            model, lambda j: model.mul(net(j), x), test_set, schedule
         )
 
-    if right.passed and left.passed:
+    right_ok = right.final_residual <= tol
+    left_ok = left.final_residual <= tol
+    if right_ok and left_ok:
         verdict: Verdict = "certified-two-sided"
-    elif right.passed:
+    elif right_ok:
         verdict = "certified-right"
-    elif left.passed:
+    elif left_ok:
         verdict = "certified-left"
     else:
         verdict = "inconclusive"
-    sup_member = max(e.member_norm for r in (right, left) for e in r.trace.entries)
-    return ApproxInvCertificate(
-        x, left.trace, right.trace, verdict, None, sup_member
-    )
+    sup_member = max(e.member_norm for t in (right, left) for e in t.entries)
+    return ApproxInvCertificate(x, left, right, verdict, None, sup_member)

@@ -66,12 +66,6 @@ class SingularSystem:
     def reconstruct(self) -> np.ndarray:
         return (self.outputs * self.values) @ self.inputs.conj().T
 
-    def truncated(self, rank: int) -> np.ndarray:
-        """Best approximation of the operator by rank <= ``rank``."""
-        return (self.outputs[:, :rank] * self.values[:rank]) @ self.inputs[
-            :, :rank
-        ].conj().T
-
 
 def _as_operator(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
@@ -155,31 +149,17 @@ def output_projection(a: np.ndarray, m: int) -> np.ndarray:
     return u @ u.conj().T
 
 
-@dataclass(frozen=True)
-class RangeKernelReport:
-    dense_range: bool
-    min_singular_value: float
-
-
-def range_kernel_refuter(a: np.ndarray, threshold: Optional[float] = None) -> RangeKernelReport:
-    """Classify range density through the smallest singular value."""
-    lam = singular_values(a)
-    if threshold is None:
-        threshold = RANK_THRESHOLD_REL * (lam[0] if lam[0] > 0 else 1.0)
-    full = bool(lam[-1] > threshold)
-    return RangeKernelReport(full, float(lam[-1]))
-
-
 def rank_refuter(a: np.ndarray) -> Optional[str]:
     """Analytic refuter: the reason ``a`` has no dense range at the rank
     threshold ``RANK_THRESHOLD_REL * sigma_max``, or None when it has."""
-    report = range_kernel_refuter(a)
-    if not report.dense_range:
-        return (
-            "range not dense at truncation: smallest singular value "
-            f"{report.min_singular_value:.3e}"
-        )
-    return None
+    lam = singular_values(a)
+    threshold = RANK_THRESHOLD_REL * (lam[0] if lam[0] > 0 else 1.0)
+    if lam[-1] > threshold:
+        return None
+    return (
+        "range not dense at truncation: smallest singular value "
+        f"{float(lam[-1]):.3e}"
+    )
 
 
 def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
@@ -198,8 +178,8 @@ def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
     level.
 
     Equals the smallest singular value up to refinement error; together with
-    :func:`range_kernel_refuter` this realizes the pure-state criterion for
-    right invertibility.
+    :func:`rank_refuter` this realizes the pure-state criterion for right
+    invertibility.
     """
     stack = np.asarray(a, dtype=complex)
     single = stack.ndim == 2

@@ -144,10 +144,6 @@ class CircleSignal:
 
     __rmul__ = __mul__
 
-    def involution(self) -> "CircleSignal":
-        """The group-algebra involution conj(f(-theta))."""
-        return CircleSignal._adopt(np.conj(self.coeffs))
-
     def __repr__(self) -> str:
         return f"CircleSignal(M={self.grid_size})"
 
@@ -228,38 +224,11 @@ def convolve(f: CircleSignal, g: CircleSignal) -> CircleSignal:
     """Circular convolution (f*g)(theta_m) = mean_s f(theta_m - theta_s) g(theta_s).
 
     Computed as the pointwise coefficient product, which is exact for the
-    sampled signals; the convolution theorem fourier(f*g) = fhat ghat holds
+    sampled signals; the convolution theorem (f*g)^ = fhat ghat holds
     to rounding for band-limited inputs.
     """
     _check_same_grid(f, g)
     return CircleSignal._adopt(f.coeffs * g.coeffs)
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """Coefficients fhat(k) for |k| <= n_max, indexed by signed frequency."""
-
-    values: np.ndarray
-    n_max: int
-
-    def __getitem__(self, k: int) -> complex:
-        if abs(k) > self.n_max:
-            raise IndexError(f"|{k}| exceeds n_max={self.n_max}")
-        return complex(self.values[k + self.n_max])
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(-self.n_max, self.n_max + 1)
-
-
-def fourier(f: CircleSignal, n_max: int) -> FourierCoeffs:
-    """Extract the coefficients on the band |k| <= n_max (0 <= n_max < M/2)."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if n_max >= f.grid_size // 2:
-        raise AliasingError(f"n_max={n_max} exceeds band of M={f.grid_size}")
-    ks = np.arange(-n_max, n_max + 1)
-    return FourierCoeffs(f.coeffs[ks % f.grid_size], n_max)
 
 
 def character(grid: CircleGrid, k: int) -> CircleSignal:

@@ -8,7 +8,8 @@ systems come from :func:`jacobi_svd`, a pure-Python one-sided Jacobi sweep
 that serves as the independent reference for the LAPACK route of
 ``approxinv.operators.svd``, and :func:`solved_pure_state_minimum` is the
 one-operator, solve-per-sweep form of the stacked inverse iteration in
-``approxinv.operators.min_pure_state_norm``.  :func:`complex_synthesis`,
+``approxinv.operators.min_pure_state_norm``.  :func:`truncated` is the best
+low-rank approximation read off a singular system.  :func:`complex_synthesis`,
 :func:`fejer_coeffs_full` and :func:`poisson_coeffs_full` are the full-grid
 forms that ``approxinv.wiener`` replaced by real synthesis for Hermitian
 spectra and by kernels built on their band.
@@ -168,6 +169,14 @@ def jacobi_svd(
         q_full, _ = np.linalg.qr(np.hstack([u[:, :rank], np.eye(n)]))
         u[:, rank:] = q_full[:, rank:n]
     return lam, u, v
+
+
+def truncated(system, rank: int) -> np.ndarray:
+    """Best approximation by rank <= ``rank`` of the operator behind the
+    singular system (values, outputs, inputs)."""
+    return (system.outputs[:, :rank] * system.values[:rank]) @ system.inputs[
+        :, :rank
+    ].conj().T
 
 
 def solved_pure_state_minimum(t: np.ndarray, seed: int) -> float:

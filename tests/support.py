@@ -1,5 +1,6 @@
-"""Test infrastructure: the algebra models at property-sweep sizes, and the
-routes through the public verifiers that the tests and the acceptance
+"""Test infrastructure: the algebra models at property-sweep sizes, the
+circle involution and the deconvolution error that only the tests read, and
+the routes through the public verifiers that the tests and the acceptance
 criteria use for module density, product certification and adjoint
 duality."""
 
@@ -28,6 +29,11 @@ class ModelCase(NamedTuple):
     unit: Optional[Any] = None
 
 
+def involution(f: wiener.CircleSignal) -> wiener.CircleSignal:
+    """The group-algebra involution conj(f(-theta)) of a circle signal."""
+    return wiener.CircleSignal(np.conj(f.coeffs))
+
+
 def standard_models() -> list[ModelCase]:
     """One instance of every model the core verifiers run on, at sizes
     suitable for property sweeps."""
@@ -37,7 +43,7 @@ def standard_models() -> list[ModelCase]:
     circle = ModelCase(
         wiener.l1_circle_model(grid),
         lambda rng: wiener._sample_bandlimited(grid, rng),
-        wiener.CircleSignal.involution,
+        involution,
     )
     grid_functions = ModelCase(
         c0.c0_model(space), lambda rng: c0._sample_element(space, rng, profile), np.conj
@@ -66,6 +72,12 @@ def density_residual(f, target, n, floor=None) -> float:
     y = wiener.band_division(f, lambda ks: target.signal.coeffs[ks % M], n, floor)
     reached = wiener.convolve(f, y)
     return bm.module_norm(bm.ModuleSignal(target.signal - reached, target.p))
+
+
+def recovery_error(recovered: bm.ModuleSignal, truth: bm.ModuleSignal) -> float:
+    """||recovered - truth||_B in the module norm of ``truth``: the error
+    expression of the ``deconv`` scenario."""
+    return bm.module_norm(bm.ModuleSignal(recovered.signal - truth.signal, truth.p))
 
 
 def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=None):

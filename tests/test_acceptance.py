@@ -17,7 +17,13 @@ from .oracles import (
     fejer_values_closed_form,
     kernel_tail_p2,
 )
-from .support import adjoint_certificate, certify_product, density_residual, mirrors
+from .support import (
+    adjoint_certificate,
+    certify_product,
+    density_residual,
+    mirrors,
+    recovery_error,
+)
 
 M = 4096
 
@@ -64,15 +70,14 @@ def test_criterion_01_fejer_identity(grid):
     checks.append((quad_worst <= 1e-10, f"quadrature oracle, worst {quad_worst:.2e}"))
 
     model = wiener.l1_circle_model(grid)
-    report = check_approximate_identity(
+    trace = check_approximate_identity(
         model,
         wiener.fejer_family(grid),
         wiener.standard_test_set(grid),
-        tol=1e-2,
         schedule=[8, 16, 32, 64, 128],
     )
-    checks.append((report.passed, "identity check at tol 1e-2 by n = 128"))
-    sup_member = max(entry.member_norm for entry in report.trace.entries)
+    checks.append((trace.final_residual <= 1e-2, "identity check at tol 1e-2 by n = 128"))
+    sup_member = max(entry.member_norm for entry in trace.entries)
     checks.append((sup_member <= 1.0 + 1e-9, f"unit bound holds, sup {sup_member:.12f}"))
 
     # one full-size residual validated against the quadratic convolution sum
@@ -136,7 +141,7 @@ def test_criterion_03_right_inverse_nets():
     _report(3, "singular-direction nets invert full-rank operators", checks)
 
 
-def test_criterion_04_three_way_criterion():
+def test_criterion_04_two_criteria():
     rng = np.random.default_rng(40)
     threshold = 1e-8
     disagreements = 0
@@ -146,16 +151,15 @@ def test_criterion_04_three_way_criterion():
         if trial % 3 == 0:
             t[:, trial % 16] = 0.0
             singular_count += 1
-        by_rank = operators.range_kernel_refuter(t, threshold).dense_range
         by_sigma = bool(np.linalg.svd(t, compute_uv=False)[-1] > threshold)
         by_state = bool(operators.min_pure_state_norm(t, seed=trial) > threshold)
-        if not (by_rank == by_sigma == by_state):
+        if by_sigma != by_state:
             disagreements += 1
     checks = [
         (disagreements == 0, f"{disagreements} disagreements on 100 operators"),
         (singular_count >= 30, "singular class populated"),
     ]
-    _report(4, "range, smallest singular value and state criteria agree", checks)
+    _report(4, "smallest singular value and pure-state criteria agree", checks)
 
 
 def test_criterion_05_schatten_contracts():
@@ -223,7 +227,7 @@ def test_criterion_07_c0_criterion_and_interior():
     certified = []
     for f in elements:
         cert = c0.certify(space, f, tests)
-        nonvanishing = bool(c0.is_nonvanishing(f, 1e-6))
+        nonvanishing = c0.is_nonvanishing(f, 1e-6)
         if cert.certified != nonvanishing:
             mismatches += 1
         if (cert.verdict == "refuted") != (not nonvanishing):
@@ -258,9 +262,9 @@ def test_criterion_08_module_deconvolution(grid):
         truth = bm.ModuleSignal(wiener.CircleSignal.from_band(grid, band), 2.0)
         observed = bm.module_action(blur, truth)
         for n in (64, 128):
-            result = bm.deconvolve(blur, observed, n, truth=truth, floor=floor)
+            error = recovery_error(bm.deconvolve(blur, observed, n, floor=floor), truth)
             oracle = kernel_tail_p2(band, n)
-            worst_match = max(worst_match, abs(result.error - oracle) / oracle)
+            worst_match = max(worst_match, abs(error - oracle) / oracle)
     checks = [
         (worst_match <= 1e-9, f"noiseless error equals spectral tail, worst {worst_match:.2e}")
     ]

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from approxinv import c0, cli, disk, operators, scenarios
+from approxinv import banach_module as bm
+from approxinv import c0, cli, disk, operators, scenarios, wiener
+from approxinv.core import ZeroDivisorModulus
 from approxinv.errors import ConfigError
 
 FAST_ARGS = [
@@ -172,6 +174,7 @@ def test_repeated_scenario_runs_once_in_first_named_order(tmp_path):
         "[models]\ncircle_samples = 64\n",
         "[models]\ncircle_samples = 128\n[nets]\nschedule = 8,16\n",
         "[nets]\nschedule = 8,16,2048\n",
+        "[nets]\nschedule = 8,1025\n",
         "[models]\ndisk_angles = 512\n",
         "[models]\ndisk_angles = 1024\ndisk_degree = 512\n",
         "[models]\ngrid_points = 2\n",
@@ -187,6 +190,7 @@ def test_repeated_scenario_runs_once_in_first_named_order(tmp_path):
         "circle-samples-64",
         "circle-samples-128-tdz",
         "schedule-at-half-circle",
+        "schedule-1025",
         "disk-angles-512",
         "disk-degree-half-angles",
         "grid-points-2",
@@ -235,6 +239,7 @@ BOUNDARY_OUTCOMES = {
         "[models]\ncircle_samples = 1024\n[nets]\nschedule = 8,64,511\n",
         CIRCLE_SCENARIOS, 0, [],
     ),
+    "schedule-1024": ("[nets]\nschedule = 8,1024\n", CIRCLE_SCENARIOS, 0, []),
     "grid-points-5": ("[models]\ngrid_points = 5\n", ("c0-interior",), 0, []),
     "circle-samples-130": (
         "[models]\ncircle_samples = 130\n[nets]\nschedule = 8,16,32,64\n",
@@ -407,6 +412,49 @@ def test_aliased_sampling_fails_both_disk_margins(tmp_path, monkeypatch):
     assert verdicts["annulus-margin"] == "fail"
     assert verdicts["product-margin"] == "fail"
     assert verdicts["monomial-isometry"] == "pass"
+
+
+def _nan(*args):
+    return float("nan")
+
+
+#: Each worst-case row with a primitive that, patched to give NaN, must make
+#: the row NaN and fail: (scenario, module, primitive, replacement).
+NAN_PRIMITIVES = {
+    "noiseless-monotone": ("deconv", bm, "module_norm", _nan),
+    "witness-monotone": (
+        "tdz", wiener, "tdz_witness", lambda f, n: ZeroDivisorModulus(_nan(), None)
+    ),
+    "annulus-margin": ("disk13", disk, "annulus_lower_bound", _nan),
+    "product-margin": ("disk13", disk, "product_lower_bound", _nan),
+    "monomial-isometry": ("disk13", disk, "chi1_isometry_check", lambda p, s: (_nan(), 1.0)),
+    "perturbation-distance": (
+        "c0-interior", c0, "perturb_to_noninvertible",
+        lambda space, f, eps: np.full_like(f, np.nan),
+    ),
+    "projection-identity": ("um-net", operators, "op_norm", _nan),
+    "net-final-residual": ("um-net", operators, "schatten_norm", _nan),
+}
+
+
+@pytest.mark.parametrize(
+    "statement, scenario, module, name, replacement",
+    [(statement, *entry) for statement, entry in NAN_PRIMITIVES.items()],
+    ids=NAN_PRIMITIVES.keys(),
+)
+def test_nan_primitive_fails_the_worst_case_row(
+    statement, scenario, module, name, replacement, tmp_path, monkeypatch
+):
+    # the built-in max(0.0, nan) is 0.0, which passed these rows
+    monkeypatch.setattr(module, name, replacement)
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", scenario, "--out", str(out)]) == 1
+    with open(out / f"{scenario}.csv", encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["statement_id"] == statement]
+    assert rows
+    for row in rows:
+        assert row["residual"] == "nan"
+        assert row["verdict"] == "fail"
 
 
 

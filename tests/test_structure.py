@@ -230,35 +230,56 @@ def _public_members():
 
 
 def _read_attributes() -> set[str]:
-    """Attribute names read anywhere in the package, the demos, the tests or
-    the benchmark harness: loaded ``x.name`` and ``getattr(x, "name")``."""
+    """Attribute names the lab and its users read, in the package and the
+    demos: loaded ``x.name`` and ``getattr(x, "name")``.  Tests and the
+    benchmark harness do not count, as for the names test."""
     found = set()
-    for directory in ("src", "demos", "tests", "bench"):
-        for path in (ROOT / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                    found.add(node.attr)
-                elif (
-                    isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "getattr"
-                    and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                ):
-                    found.add(node.args[1].value)
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                found.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                found.add(node.args[1].value)
     return found
+
+
+#: Members that only exist at check time and have no reader yet, each with
+#: the ROADMAP item that gives it one: the run manifest (item 6) and the
+#: measured ``tdz`` witness (item 4).  The dict may only shrink.
+AWAITING_READER = {
+    "core.TraceEntry.left": "item 6",
+    "core.TraceEntry.right": "item 6",
+    "core.ApproxInvCertificate.left_trace": "item 6",
+    "core.ApproxInvCertificate.reason": "item 6",
+    "core.ApproxInvCertificate.sup_member_norm": "item 6",
+    "core.ZeroDivisorModulus.witness": "item 4",
+}
 
 
 def test_every_public_member_is_read():
     """A field, property or method nothing reads is state or code kept for
     nobody; members match by name, so a read of any same-named attribute
-    counts."""
+    counts.  A member in ``AWAITING_READER`` must still be unread, so the
+    entry goes when its reader lands."""
     read = _read_attributes()
+    members = {
+        f"{module}.{cls}.{member}": member for module, cls, member in _public_members()
+    }
     unread = sorted(
-        f"{module}.{cls}.{member}"
-        for module, cls, member in _public_members()
-        if member not in read
+        name for name, member in members.items()
+        if member not in read and name not in AWAITING_READER
     )
     assert not unread, f"public members nobody reads: {unread}"
+    stale = sorted(
+        name for name in AWAITING_READER
+        if name not in members or members[name] in read
+    )
+    assert not stale, f"exempt members that are gone or now read: {stale}"
 
 
 def test_algebra_model_fields_are_read_by_the_verifiers():
