@@ -65,7 +65,6 @@ CONFIG_SECTIONS: dict[str, tuple[str, ...]] = {
         "matrix_count",
         "disk_angles",
         "disk_degree",
-        "disk_starts",
         "module_exponent",
     ),
     "nets": ("schedule",),
@@ -104,6 +103,10 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     except configparser.Error as err:
         raise ConfigError(f"malformed config file: {err}") from None
 
+    # configparser keeps [DEFAULT] out of sections() and merges its keys
+    # into every other section, so they would bypass the checks below
+    for key in parser.defaults():
+        raise ConfigError(f"unknown key {key!r} in section [DEFAULT]")
     updates: dict[str, object] = {}
     for section in parser.sections():
         if section not in CONFIG_SECTIONS:
@@ -235,3 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

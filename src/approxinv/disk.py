@@ -15,9 +15,10 @@ over the unit circle whenever 2 * degree < N: no sampled deviation from 1
 or from z falls below 1.  The zero element attains 1 in both, so 1 is the
 exact optimum.  The uniform measure (and conj(z) dtheta for products) is
 the dual certificate; this is the mean-value argument behind the Cauchy
-estimates.  :func:`annulus_lower_bound` and :func:`product_lower_bound`
-evaluate it on batches of elements as one matrix product with precomputed
-circle means.
+estimates.  :func:`annulus_certificate` and :func:`product_certificate`
+read it off the sampled circle moments: a value c puts the deviation of
+every element with coefficients of modulus at most ``COEFFICIENT_RADIUS``
+at 1 - c or above.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ ONE_THIRD = 1.0 / 3.0
 
 #: Radii of the annulus scans, 0.5 to 1 in steps of 0.05.
 RADII = tuple(np.round(np.arange(0.5, 1.0001, 0.05), 2))
+
+#: Modulus bound of the element family's coefficients: :func:`random_elements`
+#: draws from this disk and the certificates hold for every such element.
+COEFFICIENT_RADIUS = 2.0
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,6 @@ class CircleSampling:
     @cached_property
     def annulus(self) -> np.ndarray:
         return (np.asarray(RADII)[:, None] * self.circle[None, :]).ravel()
-
-    @cached_property
-    def boundary(self) -> np.ndarray:
-        """The annulus points on its innermost and outermost circles."""
-        return self.annulus.reshape(len(RADII), self.angles)[[0, -1]].ravel()
 
 
 def validate_a0(p: np.ndarray) -> np.ndarray:
@@ -108,8 +108,9 @@ def chi1_isometry_check(p: np.ndarray, sampling: CircleSampling) -> tuple[float,
 
 def random_elements(rng: np.random.Generator, count: int, degree: int) -> np.ndarray:
     """``count`` elements as rows z^0..z^degree, the constant column zero and
-    the other coefficients drawn uniformly from the complex disk of radius 2."""
-    radius = 2.0 * np.sqrt(rng.random((count, degree)))
+    the other coefficients drawn uniformly from the complex disk of radius
+    ``COEFFICIENT_RADIUS``."""
+    radius = COEFFICIENT_RADIUS * np.sqrt(rng.random((count, degree)))
     phase = np.exp(2j * np.pi * rng.random((count, degree)))
     out = np.zeros((count, degree + 1), dtype=complex)
     out[:, 1:] = radius * phase
@@ -121,28 +122,25 @@ def random_a0(rng: np.random.Generator, degree: int) -> np.ndarray:
     return random_elements(rng, 1, degree)[0]
 
 
-def annulus_lower_bound(elements: np.ndarray, sampling: CircleSampling) -> float:
-    """Smallest |mean of p - 1| over the two boundary circles, across the
-    rows of ``elements`` (coefficients of z^0..z^d).  Each mean is at most
-    the sampled sup of |p - 1| on its circle, so this bounds every row's
-    :func:`annulus_deviation` from below; it is 1 to rounding for
-    origin-vanishing rows of degree below ``sampling.angles``."""
-    rims = sampling.boundary.reshape(2, sampling.angles)
-    means = np.stack([(rims**k).mean(axis=1) for k in range(elements.shape[1])])
-    return float(np.abs(elements @ means - 1.0).min())
-
-
-def product_lower_bound(
-    first: np.ndarray, second: np.ndarray, sampling: CircleSampling
-) -> float:
-    """Smallest |mean of (f1 f2 - z) conj(z)| over the circle, across row
-    pairs of ``first`` and ``second`` (coefficients of z^0..z^d).  Each mean
-    is at most the sampled sup of |f1 f2 - z|, so this bounds every pair's
-    :func:`product_deviation` from below; it is 1 to rounding for
-    origin-vanishing rows with 2 d below ``sampling.angles``."""
+def annulus_certificate(sampling: CircleSampling, degree: int) -> float:
+    """R * sum of |mean of z^k| on the sampled circle over k = 1..``degree``,
+    R = ``COEFFICIENT_RADIUS``.  A circle of radius r <= 1 scales the k-th
+    term by r^k, so every element of :func:`random_elements` of this degree
+    has :func:`annulus_deviation` at least 1 minus this value."""
     circle = sampling.circle
-    degree = first.shape[1] - 1
-    # pairing[m] is the mean of z^m conj(z); f1 f2 pairs as a Hankel form
-    pairing = np.array([(circle**m * circle.conj()).mean() for m in range(2 * degree + 1)])
-    hankel = pairing[np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
-    return float(np.abs(((first @ hankel) * second).sum(axis=1) - pairing[1]).min())
+    moments = np.array([(circle**k).mean() for k in range(1, degree + 1)])
+    return float(COEFFICIENT_RADIUS * np.abs(moments).sum())
+
+
+def product_certificate(sampling: CircleSampling, degree: int) -> float:
+    """|1 - nu_1| + R^2 * sum of c_m |nu_m| over m = 2..2 ``degree``, where
+    nu_m is the mean of z^m conj(z) on the sampled circle and
+    c_m = min(m - 1, 2 degree + 1 - m) counts the coefficient pairs of f1 f2
+    at z^m.  On points of modulus at most 1, every pair of
+    :func:`random_elements` of this degree has :func:`product_deviation` at
+    least 1 minus this value."""
+    circle = sampling.circle
+    nu = np.array([(circle**m * circle.conj()).mean() for m in range(1, 2 * degree + 1)])
+    m = np.arange(2, 2 * degree + 1)
+    pairs = np.minimum(m - 1, 2 * degree + 1 - m)
+    return float(abs(1.0 - nu[0]) + COEFFICIENT_RADIUS**2 * (pairs * np.abs(nu[1:])).sum())

@@ -66,7 +66,6 @@ class ScenarioConfig:
     matrix_count: int = 10
     disk_angles: int = 2048
     disk_degree: int = 8
-    disk_starts: int = 10_000
     module_exponent: float = 2.0
     # net schedule
     schedule: tuple[int, ...] = (8, 16, 32, 64, 128)
@@ -83,7 +82,6 @@ class ScenarioConfig:
             "matrix_count": self.matrix_count,
             "disk_angles": self.disk_angles,
             "disk_degree": self.disk_degree,
-            "disk_starts": self.disk_starts,
         }
         for name, value in positive_ints.items():
             if value < 1:
@@ -163,19 +161,14 @@ class _Rows:
         self.rows: list[ReportRow] = []
 
     def add(
-        self,
-        statement: str,
-        index: int,
-        residual: float,
-        bound: float = INF,
-        model: str | None = None,
+        self, statement: str, index: int, residual: float, bound: float = INF
     ) -> None:
         elapsed = int((time.perf_counter() - self.start) * 1000)
         verdict = "pass" if residual <= bound else "fail"
         self.rows.append(
             ReportRow(
                 self.scenario,
-                model or self.model,
+                self.model,
                 statement,
                 index,
                 float(residual),
@@ -332,20 +325,16 @@ def _c0_interior(config: ScenarioConfig, seed: int) -> list[ReportRow]:
 
 def _disk13(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     sampling = disk.CircleSampling(config.disk_angles)
-    rows = _Rows("disk13", f"disk-a0-deg{config.disk_degree}")
-    margin = disk.ONE_THIRD - 1e-2
-    degree, starts = config.disk_degree, config.disk_starts
+    degree = config.disk_degree
+    rows = _Rows("disk13", f"disk-a0-deg{degree}")
+    # a certificate c puts every family deviation at 1 - c or above, so the
+    # margin holds while c stays at or below 1 - margin
+    bound = 1.0 - (disk.ONE_THIRD - 1e-2)
     zero = np.zeros(degree + 1, dtype=complex)  # attains the certified optimum 1
-    elements = disk.random_elements(np.random.default_rng(seed), starts, degree)
-    lower = disk.annulus_lower_bound(elements, sampling)
-    rows.add("annulus-found-minimum", starts, disk.annulus_deviation(zero, sampling))
-    rows.add("annulus-margin", starts, _worst(0.0, margin - lower), 0.0)
-    rng = np.random.default_rng(seed + 1)
-    first = disk.random_elements(rng, starts, degree)
-    second = disk.random_elements(rng, starts, degree)
-    lower = disk.product_lower_bound(first, second, sampling)
-    rows.add("product-found-minimum", starts, disk.product_deviation(zero, zero, sampling))
-    rows.add("product-margin", starts, _worst(0.0, margin - lower), 0.0)
+    rows.add("annulus-found-minimum", degree, disk.annulus_deviation(zero, sampling))
+    rows.add("annulus-margin", degree, disk.annulus_certificate(sampling, degree), bound)
+    rows.add("product-found-minimum", degree, disk.product_deviation(zero, zero, sampling))
+    rows.add("product-margin", degree, disk.product_certificate(sampling, degree), bound)
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     for _ in range(50):

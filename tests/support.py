@@ -1,15 +1,16 @@
 """Test infrastructure: the algebra models at property-sweep sizes, the
-circle involution and the deconvolution error that only the tests read, and
-the routes through the public verifiers that the tests and the acceptance
+circle involution and the deconvolution error that only the tests read, the
+routes through the public verifiers that the tests and the acceptance
 criteria use for module density, product certification and adjoint
-duality."""
+duality, and an aliased disk sampling."""
 
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from approxinv import banach_module as bm
-from approxinv import c0, operators, wiener
+from approxinv import c0, disk, operators, wiener
 from approxinv.core import (
     AlgebraModel,
     ApproxInvCertificate,
@@ -153,3 +154,12 @@ def mirrors(cert: ApproxInvCertificate, dual: ApproxInvCertificate) -> bool:
             ):
                 return False
     return True
+
+
+class PeriodFourSampling(disk.CircleSampling):
+    """A defective sampling whose circle repeats 1, i, -1, -i: z^4 averages
+    to 1 instead of 0, so the mean-value certificate no longer holds."""
+
+    @cached_property
+    def circle(self):
+        return 1j ** (np.arange(self.angles) % 4)

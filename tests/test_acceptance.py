@@ -188,26 +188,37 @@ def test_criterion_05_schatten_contracts():
 
 
 def test_criterion_06_disk_separation():
-    # a lower bound of 1 clears the asserted 1/3 - 1e-2 separation threefold
+    # a certificate c puts every family deviation at 1 - c or above, which
+    # clears the asserted 1/3 - 1e-2 separation threefold
     checks = []
     for angles in (1024, 2048):
         sampling = disk.CircleSampling(angles)
         zero = np.zeros(9, complex)
         rng = np.random.default_rng(6)
-        elements, first, second = (disk.random_elements(rng, 10_000, 8) for _ in range(3))
+        elements, first, second = (disk.random_elements(rng, 100, 8) for _ in range(3))
         results = {
             "annulus": (
                 disk.annulus_deviation(zero, sampling),
-                disk.annulus_lower_bound(elements, sampling),
+                disk.annulus_certificate(sampling, 8),
+                min(disk.annulus_deviation(p, sampling) for p in elements),
             ),
             "product": (
                 disk.product_deviation(zero, zero, sampling),
-                disk.product_lower_bound(first, second, sampling),
+                disk.product_certificate(sampling, 8),
+                min(disk.product_deviation(f1, f2, sampling) for f1, f2 in zip(first, second)),
             ),
         }
-        for kind, (found, lower) in results.items():
+        for kind, (found, certificate, seeded) in results.items():
             checks.append((abs(found - 1.0) <= 1e-12, f"{angles}: {kind} minimum {found!r} = 1"))
-            checks.append((lower >= 1.0 - 1e-12, f"{angles}: {kind} lower bound {lower!r} >= 1"))
+            checks.append((certificate <= 1e-12, f"{angles}: {kind} certificate {certificate!r}"))
+            checks.append(
+                (seeded >= 1.0 - certificate, f"{angles}: {kind} seeded minimum {seeded!r}")
+            )
+        # an element with a constant term is not covered: 1 - 1 vanishes
+        one = np.zeros(9, complex)
+        one[0] = 1.0
+        uncovered = disk.annulus_deviation(one, sampling)
+        checks.append((uncovered <= 1e-12, f"{angles}: constant term deviation {uncovered!r}"))
     sampling = disk.CircleSampling(1024)
     rng = np.random.default_rng(8)
     worst_iso = 0.0

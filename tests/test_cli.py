@@ -1,6 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ from approxinv import banach_module as bm
 from approxinv import c0, cli, disk, operators, scenarios, wiener
 from approxinv.core import ZeroDivisorModulus
 from approxinv.errors import ConfigError
+
+from .support import PeriodFourSampling
 
 FAST_ARGS = [
     "--scenario", "fejer",
@@ -52,6 +56,24 @@ def test_registry_matches_documented_names():
     for name, spec in scenarios.REGISTRY.items():
         assert spec.statements, name
         assert spec.description, name
+
+
+def test_module_entry_point_runs_the_lab(tmp_path):
+    # ``python -m approxinv.cli`` must run the lab like the console script
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "o"
+    result = subprocess.run(
+        [sys.executable, "-m", "approxinv.cli", "--scenario", "tdz", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (out / "tdz.csv").is_file()
+    assert (out / "summary.txt").is_file()
 
 
 def test_list_scenarios_stable():
@@ -144,6 +166,21 @@ def test_exit_two_on_bad_configs(tmp_path, capsys):
     decreasing.write_text("[nets]\nschedule = 8,4\n", encoding="utf-8")
     assert cli.main(["--config", str(decreasing)]) == 2
 
+    # configparser keeps [DEFAULT] out of its sections and merges its keys
+    # into every other section: alone, and beside a known section
+    for number, text in enumerate(
+        ("[DEFAULT]\nseed = 7\nbogus = 1\n", "[DEFAULT]\nseed = 7\n[run]\nout = o\n")
+    ):
+        defaults = tmp_path / f"defaults{number}.cfg"
+        defaults.write_text(text, encoding="utf-8")
+        assert cli.main(["--config", str(defaults), "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+
+    starts = tmp_path / "bad6.cfg"
+    starts.write_text("[models]\ndisk_starts = 10000\n", encoding="utf-8")
+    assert cli.main(["--config", str(starts), "--out", str(tmp_path / "s")]) == 2
+    assert not (tmp_path / "s").exists()
+
     assert cli.main(["--scenario", "unknown-name"]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert cli.main(["--scenario", "tdz", "--seed", str(2**64)]) == 2
@@ -232,6 +269,9 @@ BOUNDARY_OUTCOMES = {
         "[models]\nmatrix_size = 200\nmatrix_count = 1\n", ("um-net",), 0, []
     ),
     "disk-degree-1": ("[models]\ndisk_degree = 1\n", ("disk13",), 0, []),
+    "disk-degree-511-at-1024": (
+        "[models]\ndisk_angles = 1024\ndisk_degree = 511\n", ("disk13",), 0, []
+    ),
     "module-exponent-1": ("[models]\nmodule_exponent = 1\n", ("deconv",), 0, []),
     "module-exponent-inf": ("[models]\nmodule_exponent = inf\n", ("deconv",), 0, []),
     "noise-sigma-0": ("[tolerances]\nnoise_sigma = 0\n", ("deconv",), 0, []),
@@ -394,17 +434,8 @@ def test_raising_scenario_is_recorded_and_the_rest_run(tmp_path, monkeypatch, ca
     assert (out / "tdz.csv").exists()
 
 
-class _PeriodFourSampling(disk.CircleSampling):
-    """A defective sampling whose circle repeats 1, i, -1, -i: z^4 averages
-    to 1 instead of 0, so the mean-value certificate no longer holds."""
-
-    @cached_property
-    def circle(self):
-        return 1j ** (np.arange(self.angles) % 4)
-
-
 def test_aliased_sampling_fails_both_disk_margins(tmp_path, monkeypatch):
-    monkeypatch.setattr(disk, "CircleSampling", _PeriodFourSampling)
+    monkeypatch.setattr(disk, "CircleSampling", PeriodFourSampling)
     out = tmp_path / "o"
     assert cli.main(["--scenario", "disk13", "--out", str(out)]) == 1
     with open(out / "disk13.csv", encoding="utf-8", newline="") as handle:
@@ -425,8 +456,8 @@ NAN_PRIMITIVES = {
     "witness-monotone": (
         "tdz", wiener, "tdz_witness", lambda f, n: ZeroDivisorModulus(_nan(), None)
     ),
-    "annulus-margin": ("disk13", disk, "annulus_lower_bound", _nan),
-    "product-margin": ("disk13", disk, "product_lower_bound", _nan),
+    "annulus-margin": ("disk13", disk, "annulus_certificate", _nan),
+    "product-margin": ("disk13", disk, "product_certificate", _nan),
     "monomial-isometry": ("disk13", disk, "chi1_isometry_check", lambda p, s: (_nan(), 1.0)),
     "perturbation-distance": (
         "c0-interior", c0, "perturb_to_noninvertible",

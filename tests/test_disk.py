@@ -3,7 +3,9 @@ import pytest
 
 from approxinv import disk
 
-#: Rounding allowance of the certified optimum 1 and of its lower bound.
+from .support import PeriodFourSampling
+
+#: Rounding allowance of the certified optimum 1 and of its certificates.
 EXACT = 1e-12
 
 
@@ -89,17 +91,16 @@ def test_sampled_sup_monotone_under_refinement(rng):
 
 @pytest.mark.parametrize("angles", [1024, 2048])
 def test_annulus_certificate_is_exact(angles):
-    # the zero element attains 1 and no seeded element gets below 1, so the
-    # infimum over degree-8 elements is exactly 1 on this sampling
+    # the zero element attains 1 and the certificate puts every seeded
+    # element at 1 - c >= 1 - EXACT, so the infimum over degree-8 elements is
+    # exactly 1 on this sampling
     sampling = disk.CircleSampling(angles)
     zero = np.zeros(9, complex)
     assert abs(disk.annulus_deviation(zero, sampling) - 1.0) <= EXACT
-    elements = disk.random_elements(np.random.default_rng(3), 10_000, 8)
-    assert disk.annulus_lower_bound(elements, sampling) >= 1.0 - EXACT
-    # the certificate never exceeds the objective it bounds
-    for p in elements[:100]:
-        lower = disk.annulus_lower_bound(p[None, :], sampling)
-        assert lower <= disk.annulus_deviation(p, sampling) + EXACT
+    certificate = disk.annulus_certificate(sampling, 8)
+    assert certificate <= EXACT
+    for p in disk.random_elements(np.random.default_rng(3), 100, 8):
+        assert disk.annulus_deviation(p, sampling) >= 1.0 - certificate
 
 
 @pytest.mark.parametrize("angles", [1024, 2048])
@@ -107,37 +108,47 @@ def test_product_certificate_is_exact(angles):
     sampling = disk.CircleSampling(angles)
     zero = np.zeros(9, complex)
     assert abs(disk.product_deviation(zero, zero, sampling) - 1.0) <= EXACT
+    certificate = disk.product_certificate(sampling, 8)
+    assert certificate <= EXACT
     rng = np.random.default_rng(4)
-    first = disk.random_elements(rng, 10_000, 8)
-    second = disk.random_elements(rng, 10_000, 8)
-    assert disk.product_lower_bound(first, second, sampling) >= 1.0 - EXACT
-    for f1, f2 in zip(first[:100], second[:100]):
-        lower = disk.product_lower_bound(f1[None, :], f2[None, :], sampling)
-        assert lower <= disk.product_deviation(f1, f2, sampling) + EXACT
+    first = disk.random_elements(rng, 100, 8)
+    second = disk.random_elements(rng, 100, 8)
+    for f1, f2 in zip(first, second):
+        assert disk.product_deviation(f1, f2, sampling) >= 1.0 - certificate
+
+
+def test_certificates_weigh_the_aliased_moments():
+    # annulus: 2 (|mu_4| + |mu_8|); product: nu_m = 1 at m = 5, 9, 13, where
+    # f1 f2 has 4, 8 and 4 coefficient pairs of modulus up to 2 * 2
+    sampling = PeriodFourSampling(1024)
+    assert disk.annulus_certificate(sampling, 8) == pytest.approx(4.0, abs=EXACT)
+    assert disk.product_certificate(sampling, 8) == pytest.approx(64.0, abs=EXACT)
 
 
 def test_certificates_see_a_constant_term(sampling):
-    # elements outside A0 are not covered: the unit constant has annulus mean
-    # 1 - 1 = 0, and 1 * z pairs with conj(z) to 1, so both bounds drop to 0
-    one = np.zeros((1, 9), complex)
-    one[0, 0] = 1.0
-    chi = np.zeros((1, 9), complex)
-    chi[0, 1] = 1.0
-    assert disk.annulus_lower_bound(one, sampling) <= EXACT
-    assert disk.product_lower_bound(one, chi, sampling) <= EXACT
+    # elements outside A0 are not covered: the unit constant has annulus
+    # deviation 0, and 1 * z matches z exactly, although both certificates
+    # promise 1 - c for every origin-vanishing element
+    one = np.zeros(9, complex)
+    one[0] = 1.0
+    assert disk.annulus_deviation(one, sampling) <= EXACT
+    assert disk.annulus_deviation(one, sampling) < 1.0 - disk.annulus_certificate(sampling, 8)
+    with pytest.raises(ValueError):
+        disk.product_deviation(one, disk.chi1(), sampling)
+    product = disk.poly_mul(one, disk.chi1())
+    product[1] -= 1.0
+    assert np.abs(disk.poly_eval(product, sampling.circle)).max() <= EXACT
+    assert disk.product_certificate(sampling, 8) <= EXACT
 
 
 def test_candidate_nets_stay_away_from_generator(sampling, rng):
     # every degree-capped candidate net member keeps sup|chi1 g - chi1| at
     # least one, so no approximate identity can form in this model
     chi = disk.chi1()
-    candidates = disk.random_elements(rng, 10_000, 8)
-    for g in candidates[:200]:
-        assert disk.product_deviation(chi, g, sampling) >= 1.0 - EXACT
-    generator = np.zeros_like(candidates)
-    generator[:, 1] = 1.0
-    lower = disk.product_lower_bound(generator, candidates, sampling)
-    assert lower >= 1.0 - EXACT
+    certificate = disk.product_certificate(sampling, 8)
+    for g in disk.random_elements(rng, 200, 8):
+        deviation = disk.product_deviation(chi, g, sampling)
+        assert deviation >= 1.0 - EXACT and deviation >= 1.0 - certificate
 
 
 def test_zero_identity_candidate_is_coordinatewise_minimal(sampling):
@@ -146,15 +157,12 @@ def test_zero_identity_candidate_is_coordinatewise_minimal(sampling):
     # improves it
     zero = np.zeros(9, complex)
     assert disk.annulus_deviation(zero, sampling) == pytest.approx(1.0, abs=EXACT)
-    moves = []
     for k in range(1, 9):
         for step in np.linspace(-2.2, 2.2, 23):
             for axis in (1.0, 1j):
                 p = zero.copy()
                 p[k] = axis * step
-                moves.append(p)
                 assert disk.annulus_deviation(p, sampling) >= 1.0 - EXACT
-    assert disk.annulus_lower_bound(np.array(moves), sampling) >= 1.0 - EXACT
 
 
 @pytest.mark.parametrize("angles", [1024, 2048])
@@ -162,8 +170,9 @@ def test_boundary_screen_equals_annulus_max(angles, rng):
     # maximum modulus: the sampled sup of |p - 1| over every annulus radius
     # is attained on the innermost or outermost circle
     sampling = disk.CircleSampling(angles)
-    assert sampling.boundary.shape == (2 * angles,)
+    rims = sampling.annulus.reshape(len(disk.RADII), angles)[[0, -1]].ravel()
+    assert rims.shape == (2 * angles,)
     for _ in range(500):
         p = disk.random_a0(rng, 8)
-        rim = float(np.abs(disk.poly_eval(p, sampling.boundary) - 1.0).max())
+        rim = float(np.abs(disk.poly_eval(p, rims) - 1.0).max())
         assert rim == disk.annulus_deviation(p, sampling)
