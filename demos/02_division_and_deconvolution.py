@@ -45,21 +45,19 @@ except DivisionFloorError as err:
 
 rng = np.random.default_rng(0)
 band = {k: 0.6 ** abs(k) * np.exp(2j * np.pi * rng.random()) for k in range(-24, 25)}
-truth = bm.ModuleSignal(wiener.CircleSignal.from_band(grid, band), p=2.0)
-observed = bm.module_action(blur, truth)
+truth = wiener.CircleSignal.from_band(grid, band)
+observed = wiener.convolve(blur, truth)
 
 
 def error(recovered):
-    return bm.module_norm(bm.ModuleSignal(recovered.signal - truth.signal, truth.p))
+    return wiener.lp_norm(recovered - truth, 2.0)
 
 
 print("\nnoiseless and noisy recovery error across the net")
 print("  order   noiseless    sigma=1e-3")
 for n in (8, 16, 32, 64, 128):
-    clean = error(bm.deconvolve(blur, observed, n, floor=floor))
-    noisy = error(
-        bm.deconvolve(blur, observed, n, noise=bm.NoiseSpec(1e-3, seed=n), floor=floor)
-    )
+    clean = error(bm.deconvolve(blur, observed, n, floor))
+    noisy = error(bm.deconvolve(blur, bm.add_noise(observed, 1e-3, n), n, floor))
     print(f"  {n:5d}   {clean:.3e}    {noisy:.3e}")
 print(
     "  (noiseless error shrinks with the order; the inverse coefficients\n"

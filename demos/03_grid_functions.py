@@ -17,9 +17,9 @@ test_set = c0.seeded_elements(space, 3, seed=5, zero_fraction=0.0)
 
 print("plateau members: 1 on the window, linear ramp, 0 outside")
 for n in (1, 4, 12):
-    window = family.window(n)
+    a, b = family.window(n)
     e = family.element(n)
-    print(f"  n={n:3d}  window indices [{window.a}, {window.b}], sup = {c0.sup_norm(e):.1f}")
+    print(f"  n={n:3d}  window indices [{a}, {b}], sup = {c0.sup_norm(e):.1f}")
 
 f = test_set[0]
 print("\nresiduals ||f e_n - f|| along the family")

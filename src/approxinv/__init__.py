@@ -14,7 +14,6 @@ from .core import (
     AlgebraModel,
     ApproxInvCertificate,
     ResidualTrace,
-    ZeroDivisorModulus,
     check_approx_invertible,
     check_approximate_identity,
 )

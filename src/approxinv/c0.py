@@ -69,32 +69,22 @@ def sup_norm(f: np.ndarray) -> float:
     return float(np.abs(f).max())
 
 
-@dataclass(frozen=True)
-class CompactWindow:
-    """Closed index interval [a, b] inside the grid."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not 0 <= self.a <= self.b:
-            raise ValueError("window indices must satisfy 0 <= a <= b")
-
-
-def plateau(space: GridSpace, window: CompactWindow, ramp: int) -> np.ndarray:
-    """Piecewise-linear bump: 1 on the window, linear ramp to 0 over ``ramp``
-    cells on each side, 0 beyond."""
+def plateau(space: GridSpace, a: int, b: int, ramp: int) -> np.ndarray:
+    """Piecewise-linear bump: 1 on the closed index window [a, b], linear
+    ramp to 0 over ``ramp`` cells on each side, 0 beyond."""
+    if not 0 <= a <= b:
+        raise ValueError("window indices must satisfy 0 <= a <= b")
     if ramp < 1:
         raise ValueError("ramp width must be >= 1")
-    if window.b > space.points - 1:
+    if b > space.points - 1:
         raise ValueError("window exceeds the grid")
-    if window.a - ramp < 0 or window.b + ramp > space.points - 1:
+    if a - ramp < 0 or b + ramp > space.points - 1:
         raise ValueError("window plus ramp exceeds the grid")
     e = np.zeros(space.points)
-    e[window.a : window.b + 1] = 1.0
+    e[a : b + 1] = 1.0
     slope = np.arange(ramp + 1) / ramp
-    e[window.a - ramp : window.a + 1] = slope
-    e[window.b : window.b + ramp + 1] = slope[::-1]
+    e[a - ramp : a + 1] = slope
+    e[b : b + ramp + 1] = slope[::-1]
     return e
 
 
@@ -117,10 +107,10 @@ class WindowFamily:
         cap = space.center - ramp
         step = max(1, cap // WINDOW_STEPS)
         self._windows = tuple(
-            CompactWindow(space.center - half, space.center + half)
+            (space.center - half, space.center + half)
             for half in (*range(step, cap, step), cap)
         )
-        self._plateaus = tuple(plateau(space, w, ramp) for w in self._windows)
+        self._plateaus = tuple(plateau(space, a, b, ramp) for a, b in self._windows)
         for e in self._plateaus:
             e.setflags(write=False)
 
@@ -132,7 +122,8 @@ class WindowFamily:
             raise ValueError("net index must be >= 1")
         return min(n, len(self)) - 1
 
-    def window(self, n: int) -> CompactWindow:
+    def window(self, n: int) -> tuple[int, int]:
+        """The closed index window ``(a, b)`` of member n."""
         return self._windows[self._position(n)]
 
     def element(self, n: int) -> np.ndarray:
@@ -191,7 +182,7 @@ def perturb_to_noninvertible(space: GridSpace, f: np.ndarray, eps: float) -> np.
         a, b = int(big[0]), int(big[-1])
         if a > 0 and b < space.points - 1:
             ramp = min(a, space.points - 1 - b)
-            g = plateau(space, CompactWindow(a, b), ramp)
+            g = plateau(space, a, b, ramp)
             return g * f
     raise CannotPerturbError("element stays above eps up to the grid boundary")
 
@@ -210,9 +201,7 @@ def _sample_profile(space: GridSpace) -> np.ndarray:
     tail_level = space.tail_tol / 4.0
     margin = max(1, space.points // 10)
     envelope = plateau(
-        space,
-        CompactWindow(margin, space.points - 1 - margin),
-        max(1, space.points // 12),
+        space, margin, space.points - 1 - margin, max(1, space.points // 12)
     )
     return tail_level + (1.0 - tail_level) * envelope
 

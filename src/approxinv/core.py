@@ -82,10 +82,6 @@ class ResidualTrace:
                 )
 
     @property
-    def residuals(self) -> list[float]:
-        return [e.residual for e in self.entries]
-
-    @property
     def final_residual(self) -> float:
         return self.entries[-1].residual
 
@@ -119,16 +115,6 @@ class ApproxInvCertificate:
     @property
     def certified(self) -> bool:
         return self.verdict.startswith("certified")
-
-
-@dataclass(frozen=True)
-class ZeroDivisorModulus:
-    """Upper estimate of the left zero-divisor modulus
-    inf_{norm(y)=1} norm(x . y): ``value`` is norm(x . witness) for the
-    unit-norm ``witness``."""
-
-    value: float
-    witness: Element
 
 
 def resolve_schedule(schedule: Sequence[int]) -> list[int]:

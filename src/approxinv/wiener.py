@@ -20,18 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    AlgebraModel,
-    ResidualTrace,
-    TraceEntry,
-    ZeroDivisorModulus,
-    resolve_schedule,
-)
+from .core import AlgebraModel
 # an explicit re-export: the benchmark harness checks that its tracer
 # patches this binding along with the other modules' ones
 from .core import check_approx_invertible as check_approx_invertible
@@ -53,11 +46,6 @@ class CircleGrid:
     def __post_init__(self):
         if self.M < 8:
             raise ValueError("circle grid needs at least 8 samples")
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        """Signed frequency of each FFT bin."""
-        return np.fft.fftfreq(self.M, 1.0 / self.M).astype(int)
 
 
 class CircleSignal:
@@ -286,26 +274,6 @@ def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
     return CircleSignal._adopt(coeffs)
 
 
-def aid_pointwise_limit_check(
-    family: Callable[[int], CircleSignal],
-    frequencies: Sequence[int],
-    schedule: Sequence[int],
-) -> dict[int, ResidualTrace]:
-    """Trace |ehat_j(k) - 1| per frequency along ``schedule``: the transform
-    of an approximate identity must tend to one at every fixed frequency."""
-    sched = resolve_schedule(schedule)
-    entries: dict[int, list[TraceEntry]] = {int(k): [] for k in frequencies}
-    for j in sched:
-        e = family(j)
-        member = l1_norm(e)
-        for k in entries:
-            if abs(k) >= e.grid_size // 2:
-                raise AliasingError(f"frequency {k} outside band of M={e.grid_size}")
-            r = abs(e.coeff(k) - 1.0)
-            entries[k].append(TraceEntry(j, r, member, r, r))
-    return {k: ResidualTrace(tuple(ent)) for k, ent in entries.items()}
-
-
 def default_floor(f: CircleSignal) -> float:
     return DIVISION_FLOOR_REL * float(np.abs(f.coeffs).max())
 
@@ -385,17 +353,14 @@ def wiener_division_net(
     return lambda n: wiener_division(f, n, floor)
 
 
-def tdz_witness(f: CircleSignal, N: int) -> ZeroDivisorModulus:
-    """Character witness for the zero-divisor direction at frequency N.
-
-    Convolving with the unit-norm character scales it by fhat(N), so the
-    reported value |fhat(N)| is exact.
-    """
+def tdz_witness(f: CircleSignal, N: int) -> float:
+    """Character witness value for the zero-divisor direction at frequency
+    N: convolving f with the unit-norm character exp(i N theta) scales it by
+    fhat(N), so the witness value |fhat(N)| is exact."""
     M = f.grid_size
     if not 0 <= N < M // 2:
         raise ValueError(f"witness frequency must lie in [0, {M // 2})")
-    grid = CircleGrid(M)
-    return ZeroDivisorModulus(abs(f.coeff(N)), character(grid, N))
+    return abs(f.coeff(N))
 
 
 def _sample_bandlimited(

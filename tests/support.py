@@ -1,15 +1,14 @@
 """Test infrastructure: the algebra models at property-sweep sizes, the
-circle involution and the deconvolution error that only the tests read, the
-routes through the public verifiers that the tests and the acceptance
-criteria use for module density, product certification and adjoint
-duality, and an aliased disk sampling."""
+circle involution that only the tests read, the routes through the public
+verifiers that the tests and the acceptance criteria use for module
+density, product certification and adjoint duality, and an aliased disk
+sampling."""
 
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from approxinv import banach_module as bm
 from approxinv import c0, disk, operators, wiener
 from approxinv.core import (
     AlgebraModel,
@@ -66,19 +65,13 @@ def density_residual(f, target, n, floor=None) -> float:
 
     The candidate y with yhat(k) = that(k)/fhat(k) on |k| < n (zero beyond)
     matches the target exactly inside the band, so the residual is the
-    p-norm of the spectral tail.  Raises the order, aliasing and
+    2-norm of the spectral tail.  Raises the order, aliasing and
     division-floor errors of ``wiener.band_division``.
     """
     M = f.grid_size
-    y = wiener.band_division(f, lambda ks: target.signal.coeffs[ks % M], n, floor)
+    y = wiener.band_division(f, lambda ks: target.coeffs[ks % M], n, floor)
     reached = wiener.convolve(f, y)
-    return bm.module_norm(bm.ModuleSignal(target.signal - reached, target.p))
-
-
-def recovery_error(recovered: bm.ModuleSignal, truth: bm.ModuleSignal) -> float:
-    """||recovered - truth||_B in the module norm of ``truth``: the error
-    expression of the ``deconv`` scenario."""
-    return bm.module_norm(bm.ModuleSignal(recovered.signal - truth.signal, truth.p))
+    return wiener.lp_norm(target - reached, 2.0)
 
 
 def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=None):

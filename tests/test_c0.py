@@ -25,7 +25,7 @@ def _honours_tail(space, f):
 
 def test_sup_norm_basics(space, lorentz):
     assert c0.sup_norm(np.zeros(space.points)) == 0.0
-    e = c0.plateau(space, c0.CompactWindow(50, 150), 10)
+    e = c0.plateau(space, 50, 150, 10)
     assert c0.sup_norm(e) == 1.0
     assert c0.sup_norm(lorentz) == pytest.approx(1.0, abs=1e-14)  # peak at t=0
 
@@ -41,14 +41,14 @@ def test_grid_space_validation():
 
 
 def test_plateau_whole_interior(space):
-    e = c0.plateau(space, c0.CompactWindow(1, space.points - 2), 1)
+    e = c0.plateau(space, 1, space.points - 2, 1)
     assert e[0] == 0.0 and e[-1] == 0.0
     assert np.all(e[1:-1] == 1.0)
 
 
 def test_plateau_tent(space):
     mid = space.center
-    e = c0.plateau(space, c0.CompactWindow(mid, mid), 2)
+    e = c0.plateau(space, mid, mid, 2)
     assert e[mid] == 1.0
     assert e[mid - 1] == pytest.approx(0.5)
     assert e[mid + 1] == pytest.approx(0.5)
@@ -58,21 +58,27 @@ def test_plateau_tent(space):
 
 def test_plateau_overflow_rejected(space):
     with pytest.raises(ValueError):
-        c0.plateau(space, c0.CompactWindow(0, 5), 1)
+        c0.plateau(space, 0, 5, 1)
     with pytest.raises(ValueError):
-        c0.plateau(space, c0.CompactWindow(5, space.points - 1), 1)
+        c0.plateau(space, 5, space.points - 1, 1)
+
+
+@pytest.mark.parametrize("a, b", [(-1, 5), (6, 5)])
+def test_plateau_rejects_a_reversed_or_negative_window(space, a, b):
+    with pytest.raises(ValueError, match="0 <= a <= b"):
+        c0.plateau(space, a, b, 1)
 
 
 def test_window_family_uniform_on_fixed_window(space):
     family = c0.WindowFamily(space, ramp=2)
-    fixed = c0.CompactWindow(space.center - 20, space.center + 20)
+    fixed_a, fixed_b = space.center - 20, space.center + 20
     windows = [family.window(n) for n in range(1, 20)]
-    for inner, outer in zip(windows, windows[1:]):
-        assert outer.a <= inner.a and inner.b <= outer.b
-    for n, window in enumerate(windows, start=1):
-        if window.a <= fixed.a and fixed.b <= window.b:
+    for (a, b), (outer_a, outer_b) in zip(windows, windows[1:]):
+        assert outer_a <= a and b <= outer_b
+    for n, (a, b) in enumerate(windows, start=1):
+        if a <= fixed_a and fixed_b <= b:
             e = family.element(n)
-            assert np.abs(e[fixed.a : fixed.b + 1] - 1.0).max() == 0.0
+            assert np.abs(e[fixed_a : fixed_b + 1] - 1.0).max() == 0.0
 
 
 def test_plateau_family_is_approximate_identity(space):
@@ -153,7 +159,7 @@ def test_perturbation_zero_for_large_eps(space, lorentz):
 
 
 def test_perturbation_keeps_clear_plateau(space):
-    f = c0.plateau(space, c0.CompactWindow(80, 120), 10).astype(complex)
+    f = c0.plateau(space, 80, 120, 10).astype(complex)
     g = c0.perturb_to_noninvertible(space, f, eps=1e-1)
     plateau_region = slice(80, 121)
     assert np.array_equal(g[plateau_region], f[plateau_region])
@@ -205,9 +211,9 @@ def _count_plateaus(monkeypatch):
     calls = []
     original = c0.plateau
 
-    def counted(space, window, ramp):
-        calls.append(window)
-        return original(space, window, ramp)
+    def counted(space, a, b, ramp):
+        calls.append((a, b))
+        return original(space, a, b, ramp)
 
     monkeypatch.setattr(c0, "plateau", counted)
     return calls
@@ -220,13 +226,13 @@ def test_window_family_builds_each_window_once_read_only(space, monkeypatch):
     assert len(calls) == len(family)
     windows = [family.window(n) for n in range(1, len(family) + 1)]
     assert calls == windows
-    for inner, outer in zip(windows, windows[1:]):
-        assert outer.a < inner.a and inner.b < outer.b
-    assert windows[-1].a == 2 and windows[-1].b == space.points - 3
+    for (a, b), (outer_a, outer_b) in zip(windows, windows[1:]):
+        assert outer_a < a and b < outer_b
+    assert windows[-1] == (2, space.points - 3)
     members = [family.element(n) for n in range(1, len(family) + 1)]
-    for e, window in zip(members, windows):
+    for e, (a, b) in zip(members, windows):
         assert not e.flags.writeable
-        assert np.array_equal(e, c0.plateau(space, window, 2))
+        assert np.array_equal(e, c0.plateau(space, a, b, 2))
     for n in range(len(family), 40):
         assert family.element(n) is members[-1]
         assert family.window(n) == windows[-1]

@@ -10,7 +10,6 @@ import pytest
 
 from approxinv import banach_module as bm
 from approxinv import c0, cli, disk, operators, scenarios, wiener
-from approxinv.core import ZeroDivisorModulus
 from approxinv.errors import ConfigError
 
 from .support import PeriodFourSampling
@@ -452,10 +451,9 @@ def _nan(*args):
 #: Each worst-case row with a primitive that, patched to give NaN, must make
 #: the row NaN and fail: (scenario, module, primitive, replacement).
 NAN_PRIMITIVES = {
-    "noiseless-monotone": ("deconv", bm, "module_norm", _nan),
-    "witness-monotone": (
-        "tdz", wiener, "tdz_witness", lambda f, n: ZeroDivisorModulus(_nan(), None)
-    ),
+    "noiseless-monotone": ("deconv", wiener, "lp_norm", _nan),
+    "noiseless-tail-match": ("deconv", bm, "kernel_tail_error", _nan),
+    "witness-monotone": ("tdz", wiener, "tdz_witness", _nan),
     "annulus-margin": ("disk13", disk, "annulus_certificate", _nan),
     "product-margin": ("disk13", disk, "product_certificate", _nan),
     "monomial-isometry": ("disk13", disk, "chi1_isometry_check", lambda p, s: (_nan(), 1.0)),
@@ -487,6 +485,21 @@ def test_nan_primitive_fails_the_worst_case_row(
         assert row["residual"] == "nan"
         assert row["verdict"] == "fail"
 
+
+def test_zero_tail_fails_the_tail_match_row(tmp_path, monkeypatch):
+    # a zero tail leaves the absolute mismatch, which the nonzero noiseless
+    # errors of the default schedule exceed
+    monkeypatch.setattr(bm, "kernel_tail_error", lambda g, n, p: 0.0)
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "deconv", "--out", str(out)]) == 1
+    with open(out / "deconv.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    errors = [row for row in rows if row["statement_id"] == "noiseless-error"]
+    matches = [row for row in rows if row["statement_id"] == "noiseless-tail-match"]
+    assert len(matches) == len(errors) == 5
+    for error, match in zip(errors, matches):
+        assert match["residual"] == error["residual"]
+        assert match["verdict"] == "fail"
 
 
 def test_state_route_alone_can_fail_the_pure_state_row(tmp_path, monkeypatch):

@@ -164,7 +164,7 @@ def test_projection_family_identity_in_trace_norm(rng):
     tests = [operators._sample_operator(n, rng) for _ in range(20)]
     trace = check_approximate_identity(model, family, tests, range(1, n + 1))
     assert trace.final_residual <= 1e-9
-    rs = trace.residuals
+    rs = [entry.residual for entry in trace.entries]
     assert all(b <= a + 1e-12 for a, b in zip(rs, rs[1:]))
     assert rs[-1] <= 1e-12
 

@@ -249,15 +249,14 @@ def _read_attributes() -> set[str]:
 
 
 #: Members that only exist at check time and have no reader yet, each with
-#: the ROADMAP item that gives it one: the run manifest (item 6) and the
-#: measured ``tdz`` witness (item 4).  The dict may only shrink.
+#: the ROADMAP item that gives it one: the run manifest (item 6).  The dict
+#: may only shrink.
 AWAITING_READER = {
     "core.TraceEntry.left": "item 6",
     "core.TraceEntry.right": "item 6",
     "core.ApproxInvCertificate.left_trace": "item 6",
     "core.ApproxInvCertificate.reason": "item 6",
     "core.ApproxInvCertificate.sup_member_norm": "item 6",
-    "core.ZeroDivisorModulus.witness": "item 4",
 }
 
 
@@ -280,6 +279,45 @@ def test_every_public_member_is_read():
         if name not in members or members[name] in read
     )
     assert not stale, f"exempt members that are gone or now read: {stale}"
+
+
+#: Every ``@dataclass`` class of the package.  A record whose fields only
+#: repeat what its callers hold should be plain values instead, so a new one
+#: must add itself here.
+DATACLASSES = {
+    "c0.GridSpace",
+    "core.AlgebraModel",
+    "core.ApproxInvCertificate",
+    "core.ResidualTrace",
+    "core.TraceEntry",
+    "disk.CircleSampling",
+    "operators.SingularSystem",
+    "scenarios.ReportRow",
+    "scenarios.ScenarioConfig",
+    "scenarios.ScenarioSpec",
+    "wiener.CircleGrid",
+}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or the ``dataclasses.`` forms."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "dataclass"
+
+
+def test_dataclass_records_are_pinned():
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+    }
+    assert found == DATACLASSES, (
+        f"new: {sorted(found - DATACLASSES)}, gone: {sorted(DATACLASSES - found)}"
+    )
 
 
 def test_algebra_model_fields_are_read_by_the_verifiers():

@@ -127,25 +127,15 @@ def test_gelfand_contraction_seeded(grid512, rng):
         assert sup <= norm + 1e-9
 
 
-def test_pointwise_limit_traces(grid4096):
-    family = wiener.fejer_family(grid4096)
-    traces = wiener.aid_pointwise_limit_check(
-        family, [0, 1, 5, 16, 40], schedule=[8, 16, 32, 64, 128]
-    )
-    assert max(traces[0].residuals) <= 1e-14
-    for k, trace in traces.items():
-        if k == 0:
-            continue
-        for entry in trace.entries:
-            assert entry.residual == pytest.approx(
-                min(1.0, k / entry.index), abs=1e-12
-            )
-    assert traces[16].entries[-1].residual == pytest.approx(0.125, abs=1e-12)
-
-    zero_traces = wiener.aid_pointwise_limit_check(
-        lambda j: 0.0 * wiener.character(grid4096, 0), [0, 5], [1, 2, 3, 4]
-    )
-    assert all(r == pytest.approx(1.0) for r in zero_traces[5].residuals)
+def test_fejer_transform_tends_to_one_pointwise(grid4096):
+    # |K_n^(k) - 1| = min(1, |k|/n): the transform of an approximate
+    # identity tends to one at every fixed frequency
+    for n in (8, 16, 32, 64, 128):
+        kernel = wiener.fejer_kernel(grid4096, n)
+        for k in (0, 1, -5, 16, 40):
+            residual = abs(kernel.coeff(k) - 1.0)
+            assert residual == pytest.approx(min(1.0, abs(k) / n), abs=1e-12)
+    assert abs(wiener.fejer_kernel(grid4096, 128).coeff(16) - 1.0) == 0.125
 
 
 def test_division_constant_gives_kernel_at_order_one(grid512):
@@ -242,32 +232,32 @@ def test_certificate_standard_test_set(grid4096):
 
 def test_tdz_witness_values(grid4096):
     one = wiener.character(grid4096, 0)
-    assert wiener.tdz_witness(one, 3).value == 0.0
+    assert wiener.tdz_witness(one, 3) == 0.0
 
     f = wiener.poisson_kernel(grid4096, 0.5)
-    w = wiener.tdz_witness(f, 20)
-    assert w.value == pytest.approx(0.5**20, abs=1e-10)
+    value = wiener.tdz_witness(f, 20)
+    assert value == pytest.approx(0.5**20, abs=1e-10)
     # quadrature route to the same coefficient
-    assert w.value == pytest.approx(abs(direct_coeff(f.values, 20)), abs=1e-12)
-    assert wiener.l1_norm(w.witness) == pytest.approx(1.0, abs=1e-12)
-    # convolving with the witness character scales it by the coefficient
-    moved = wiener.convolve(f, w.witness)
-    assert wiener.l1_norm(moved) == pytest.approx(w.value, abs=1e-12)
+    assert value == pytest.approx(abs(direct_coeff(f.values, 20)), abs=1e-12)
+    # convolving with the unit-norm character scales it by the coefficient
+    chi = wiener.character(grid4096, 20)
+    assert wiener.l1_norm(chi) == pytest.approx(1.0, abs=1e-12)
+    assert wiener.l1_norm(wiener.convolve(f, chi)) == pytest.approx(value, abs=1e-12)
 
     kern = wiener.fejer_kernel(grid4096, 16)
-    assert wiener.tdz_witness(kern, 20).value == 0.0
+    assert wiener.tdz_witness(kern, 20) == 0.0
 
 
 def test_tdz_decay_monotone(grid4096):
     f = wiener.poisson_kernel(grid4096, 0.5)
-    values = [wiener.tdz_witness(f, n).value for n in range(1, 65)]
+    values = [wiener.tdz_witness(f, n) for n in range(1, 65)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_tdz_decays_on_standard_test_set(grid4096):
     # every test element is a zero-divisor direction in the deep-band limit
     for f in wiener.standard_test_set(grid4096):
-        values = [wiener.tdz_witness(f, n).value for n in (1, 16, 64, 256)]
+        values = [wiener.tdz_witness(f, n) for n in (1, 16, 64, 256)]
         assert values[-1] <= 1e-6
         assert values[-1] <= values[0]
 
@@ -638,15 +628,15 @@ def test_deconv_at_p2_synthesizes_only_to_add_noise(monkeypatch):
     config = scenarios.ScenarioConfig(circle_samples=1024)
     log = _SynthesisLog(monkeypatch)
     inside = []
-    original = bm.NoiseSpec.apply
+    original = bm.add_noise
 
-    def apply(self, signal):
+    def add_noise(signal, sigma, seed):
         before = len(log.calls)
-        out = original(self, signal)
+        out = original(signal, sigma, seed)
         inside.append(len(log.calls) - before)
         return out
 
-    monkeypatch.setattr(bm.NoiseSpec, "apply", apply)
+    monkeypatch.setattr(bm, "add_noise", add_noise)
     rows = scenarios.REGISTRY["deconv"].run(config, 1)
     assert all(row.verdict == "pass" for row in rows)
     # the noisy observation is synthesized once and its values are cached
