@@ -19,7 +19,7 @@ system = operators.svd(t)
 print("singular values:", np.round(system.values, 4))
 print(f"reconstruction error: {np.abs(system.reconstruct() - t).max():.2e}")
 
-net = operators.right_inverse_net(t)
+net = operators.right_inverse_net(system)
 print("\nprojection identity T U_m = P_m")
 for m in (1, 4, 8):
     proj = operators.output_projection(system, m)

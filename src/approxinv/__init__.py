@@ -13,7 +13,6 @@ from . import banach_module, c0, cli, core, disk, operators, scenarios, wiener
 from .core import (
     AlgebraModel,
     ApproxInvCertificate,
-    ResidualTrace,
     check_approx_invertible,
     check_approximate_identity,
 )

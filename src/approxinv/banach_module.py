@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .wiener import (
-    CircleGrid,
     CircleSignal,
     convolve,
     fejer_kernel,
@@ -58,5 +57,5 @@ def deconvolve(
 def kernel_tail_error(g: CircleSignal, n: int, p: float) -> float:
     """Exact order-n kernel approximation error ||K_n * g - g||_p, evaluated
     directly from the coefficient action."""
-    k = fejer_kernel(CircleGrid(g.grid_size), n)
+    k = fejer_kernel(g.grid_size, n)
     return lp_norm(convolve(k, g) - g, p)

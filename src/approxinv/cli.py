@@ -1,12 +1,13 @@
 """Batch scenario runner with deterministic CSV reports.
 
 Configuration is a flat ``key = value`` text file with bracketed section
-headers (every key documented in the README; unknown keys fail fast), and
-the flags ``--config``, ``--scenario`` (repeatable; a repeated name runs
-once), ``--seed``, ``--out`` and ``--list`` override file values.  Each
-scenario writes one CSV named after it plus a shared ``summary.txt``; given
-the same seed and configuration the CSV bytes are identical across runs
-except for the elapsed-time column.
+headers and ``;`` comments, inline ones included (every key documented in
+the README; unknown keys fail fast), and the flags ``--config``,
+``--scenario`` (repeatable; a repeated name runs once), ``--seed``,
+``--out`` and ``--list`` override file values.  Each scenario writes one
+CSV named after it plus a shared ``summary.txt``; given the same seed and
+configuration the CSV bytes are identical across runs except for the
+elapsed-time column.
 
 Exit status: 0 when every emitted row passes, 1 when any row fails or a
 scenario raises, 2 on a configuration error (an output directory that
@@ -23,7 +24,8 @@ import csv
 import hashlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -31,16 +33,8 @@ from . import scenarios
 from .errors import ConfigError
 from .scenarios import ReportRow, ScenarioConfig
 
-CSV_COLUMNS = (
-    "scenario",
-    "model",
-    "statement_id",
-    "net_index",
-    "residual",
-    "bound",
-    "verdict",
-    "elapsed_ms",
-)
+#: The CSV header: ``ReportRow``'s fields in declaration order.
+CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
 
 
 def _format_float(x: float) -> str:
@@ -92,7 +86,9 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     config = ScenarioConfig()
     if path is None:
         return config
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",)
+    )
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -125,21 +121,13 @@ def derive_seed(master: int, scenario: str) -> int:
 
 
 def write_csv(path: Path, rows: Sequence[ReportRow]) -> None:
+    values = attrgetter(*CSV_COLUMNS)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    row.scenario,
-                    row.model,
-                    row.statement_id,
-                    str(row.net_index),
-                    _format_float(row.residual),
-                    _format_float(row.bound),
-                    row.verdict,
-                    str(row.elapsed_ms),
-                ]
+                [_format_float(v) if isinstance(v, float) else str(v) for v in values(row)]
             )
 
 

@@ -6,8 +6,9 @@ behind a uniform interface.  On top of it this module provides the shared
 verifiers: :func:`check_approximate_identity` traces a candidate
 approximate identity and :func:`check_approx_invertible` certifies
 approximate one-sided invertibility.  Each check walks one explicit
-schedule of indices and records one trace: at every index, the worst
-residual over the whole test set.
+schedule of indices and records one trace, a tuple of
+:class:`TraceEntry` records: at every index, the worst residual over the
+whole test set.
 
 A net, like a candidate approximate identity, is any callable from a
 positive integer index to an element; larger index means finer.  Every
@@ -59,33 +60,6 @@ class TraceEntry:
     right: float           # norm(x . e_j - x)
 
 
-@dataclass(frozen=True)
-class ResidualTrace:
-    """Numerical witness of a convergence claim along a net.
-
-    Entries are ordered by strictly increasing index; residuals are finite
-    and nonnegative.
-    """
-
-    entries: tuple[TraceEntry, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("residual trace must be non-empty")
-        indices = [e.index for e in self.entries]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("trace indices must be strictly increasing")
-        for e in self.entries:
-            if not (math.isfinite(e.residual) and e.residual >= 0):
-                raise NumericOverflowError(
-                    f"non-finite or negative residual at index {e.index}"
-                )
-
-    @property
-    def final_residual(self) -> float:
-        return self.entries[-1].residual
-
-
 Verdict = Literal[
     "certified-right",
     "certified-left",
@@ -106,8 +80,8 @@ class ApproxInvCertificate:
     """
 
     element: Element
-    left_trace: Optional[ResidualTrace]
-    right_trace: Optional[ResidualTrace]
+    left_trace: Optional[tuple[TraceEntry, ...]]
+    right_trace: Optional[tuple[TraceEntry, ...]]
     verdict: Verdict
     reason: Optional[str] = None
     sup_member_norm: Optional[float] = None
@@ -129,8 +103,10 @@ def resolve_schedule(schedule: Sequence[int]) -> list[int]:
 
 
 def _checked_norm(model: AlgebraModel, x: Element) -> float:
+    """``model.norm(x)``; :class:`NumericOverflowError` unless it is finite
+    and nonnegative, so every residual a trace records is one."""
     value = float(model.norm(x))
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and value >= 0):
         raise NumericOverflowError(f"norm evaluated to {value} in {model.name}")
     return value
 
@@ -140,11 +116,12 @@ def check_approximate_identity(
     family: Callable[[int], Element],
     test_set: Sequence[Element],
     schedule: Sequence[int],
-) -> ResidualTrace:
+) -> tuple[TraceEntry, ...]:
     """Trace the worst residual of ``family`` over the test set along
-    ``schedule``.
+    ``schedule``: one entry per index, in the schedule's strictly
+    increasing order.
 
-    At each index j the trace entry records the member norm, the worst
+    At each index j the entry records the member norm, the worst
     ``left = norm(e_j . x - x)`` and the worst ``right = norm(x . e_j - x)``
     over the test elements x, and their maximum as ``residual`` (which is
     the worst ``max(left, right)`` of any single element).  A commutative
@@ -166,7 +143,7 @@ def check_approximate_identity(
         left, right = max(lefts), max(rights)
         entries.append(TraceEntry(j, max(left, right), member, left, right))
 
-    return ResidualTrace(tuple(entries))
+    return tuple(entries)
 
 
 def check_approx_invertible(
@@ -214,8 +191,8 @@ def check_approx_invertible(
             model, lambda j: model.mul(net(j), x), test_set, schedule
         )
 
-    right_ok = right.final_residual <= tol
-    left_ok = left.final_residual <= tol
+    right_ok = right[-1].residual <= tol
+    left_ok = left[-1].residual <= tol
     if right_ok and left_ok:
         verdict: Verdict = "certified-two-sided"
     elif right_ok:
@@ -224,5 +201,5 @@ def check_approx_invertible(
         verdict = "certified-left"
     else:
         verdict = "inconclusive"
-    sup_member = max(e.member_norm for t in (right, left) for e in t.entries)
+    sup_member = max(e.member_norm for t in (right, left) for e in t)
     return ApproxInvCertificate(x, left, right, verdict, None, sup_member)

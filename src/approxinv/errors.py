@@ -2,7 +2,7 @@
 
 
 class NumericOverflowError(ArithmeticError):
-    """A norm or residual evaluated to a non-finite number."""
+    """A norm or residual evaluated to a non-finite or negative number."""
 
 
 class DivisionFloorError(ValueError):

@@ -18,16 +18,16 @@ thresholds at ``RANK_THRESHOLD_REL * sigma_max = 1e-10 * sigma_max``, far
 above LAPACK's ``eps * sigma_max`` absolute error.  The test suite still
 cross-checks the LAPACK route against an independent Jacobi sweep.
 
-At finite truncation "dense range" collapses to "surjective", which the
-rank refuter reads off the smallest singular value.  The ``pure-state``
-scenario compares two criteria for it: that singular value above a
-threshold, and the pure-state minimum of :func:`min_pure_state_norm`.
+At finite truncation "dense range" collapses to "surjective", which
+:func:`right_inverse_net` reads off the smallest singular value.  The
+``pure-state`` scenario compares two criteria for it: that singular value
+above a threshold, and the pure-state minimum of :func:`min_pure_state_norm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,18 +114,23 @@ def rank_one(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.outer(np.asarray(f, complex), np.conj(np.asarray(g, complex)))
 
 
-def right_inverse_net(a: np.ndarray | SingularSystem) -> Callable[[int], np.ndarray]:
-    """The net ``m -> U_m`` inverting the operator on its leading singular
-    directions, arranged so that a . U_m is the orthogonal projection onto
-    the span of the first m output vectors.  ``a`` may be the operator's
-    singular system, so a caller that already holds it decomposes once.
+def _rank_threshold(values: np.ndarray) -> float:
+    """The rank threshold ``RANK_THRESHOLD_REL * sigma_max`` of the
+    non-increasing singular ``values`` (``sigma_max`` read as 1 for the zero
+    operator): a singular value at or below it refutes dense range at this
+    truncation."""
+    return RANK_THRESHOLD_REL * (values[0] if values[0] > 0 else 1.0)
 
-    Refuses rank-deficient input: a singular value at or below
-    ``RANK_THRESHOLD_REL * sigma_max`` refutes dense range at this
-    truncation.
+
+def right_inverse_net(system: SingularSystem) -> Callable[[int], np.ndarray]:
+    """The net ``m -> U_m`` inverting an operator, given by its singular
+    system, on its leading singular directions, arranged so that a . U_m is
+    the orthogonal projection onto the span of the first m output vectors.
+
+    Raises :class:`RankDeficientError` at the first singular value at or
+    below the rank threshold: it refutes dense range at this truncation.
     """
-    system = a if isinstance(a, SingularSystem) else svd(a)
-    threshold = RANK_THRESHOLD_REL * (system.values[0] if system.values[0] > 0 else 1.0)
+    threshold = _rank_threshold(system.values)
     small = np.flatnonzero(system.values <= threshold)
     if small.size:
         k = int(small[0])
@@ -140,26 +145,12 @@ def right_inverse_net(a: np.ndarray | SingularSystem) -> Callable[[int], np.ndar
     return member
 
 
-def output_projection(a: np.ndarray, m: int) -> np.ndarray:
+def output_projection(system: SingularSystem, m: int) -> np.ndarray:
     """Orthogonal projection onto the span of the first m output singular
-    vectors of ``a``."""
-    system = a if isinstance(a, SingularSystem) else svd(a)
+    vectors of ``system``."""
     m = min(m, system.dim)
     u = system.outputs[:, :m]
     return u @ u.conj().T
-
-
-def rank_refuter(a: np.ndarray) -> Optional[str]:
-    """Analytic refuter: the reason ``a`` has no dense range at the rank
-    threshold ``RANK_THRESHOLD_REL * sigma_max``, or None when it has."""
-    lam = singular_values(a)
-    threshold = RANK_THRESHOLD_REL * (lam[0] if lam[0] > 0 else 1.0)
-    if lam[-1] > threshold:
-        return None
-    return (
-        "range not dense at truncation: smallest singular value "
-        f"{float(lam[-1]):.3e}"
-    )
 
 
 def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
@@ -177,8 +168,8 @@ def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
     not the Gram matrix, so the singular case resolves down to rounding
     level.
 
-    Equals the smallest singular value up to refinement error; together with
-    :func:`rank_refuter` this realizes the pure-state criterion for right
+    Equals the smallest singular value up to refinement error; against the
+    rank threshold this realizes the pure-state criterion for right
     invertibility.
     """
     stack = np.asarray(a, dtype=complex)
@@ -230,11 +221,15 @@ def certify_operator(
     """Certify right approximate invertibility of ``a`` in the Schatten
     model of exponent :data:`CERTIFY_EXPONENT` through its singular-direction
     net, checked at indices 1..n against tolerance :data:`CERTIFY_TOL` and
-    refuted on rank deficiency at :data:`RANK_THRESHOLD_REL`."""
+    refuted on rank deficiency at :data:`RANK_THRESHOLD_REL`.  One singular
+    system decides the rank and builds the net."""
     a = _as_operator(a)
     n = a.shape[0]
-    reason = rank_refuter(a)
-    net = None if reason else right_inverse_net(a)
+    system = svd(a)
+    try:
+        net, reason = right_inverse_net(system), None
+    except RankDeficientError as err:
+        net, reason = None, f"range not dense at truncation: {err}"
     return check_approx_invertible(
         matrix_model(n, CERTIFY_EXPONENT), a, net, test_set, range(1, n + 1),
         CERTIFY_TOL, refuter=lambda _: reason,

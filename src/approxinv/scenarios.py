@@ -20,7 +20,7 @@ import numpy as np
 
 from . import banach_module as bm
 from . import c0, disk, operators, wiener
-from .core import check_approximate_identity
+from .core import check_approximate_identity, resolve_schedule
 from .errors import ConfigError, DivisionFloorError
 
 INF = float("inf")
@@ -75,16 +75,14 @@ class ScenarioConfig:
     noise_sigma: float = 1e-3
 
     def validate(self) -> None:
-        positive_ints = {
-            "circle_samples": self.circle_samples,
-            "grid_points": self.grid_points,
-            "matrix_size": self.matrix_size,
-            "matrix_count": self.matrix_count,
-            "disk_angles": self.disk_angles,
-            "disk_degree": self.disk_degree,
-        }
-        for name, value in positive_ints.items():
-            if value < 1:
+        """``ConfigError`` unless every scenario can run on this config.
+
+        The schedule, grid-space and angle rules belong to
+        ``core.resolve_schedule``, ``c0.GridSpace`` and
+        ``disk.CircleSampling``; their ``ValueError`` becomes a
+        ``ConfigError`` here."""
+        for name in ("matrix_count", "disk_degree"):
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         # p = inf is the sup norm; every other float must be finite
         for field in fields(self):
@@ -98,18 +96,18 @@ class ScenarioConfig:
             raise ConfigError("matrix_size must be at least 2")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.grid_half_width <= 0 or self.grid_tail_tol <= 0:
-            raise ConfigError("grid half width and tail tolerance must be positive")
-        if not math.isfinite(2.0 * self.grid_half_width):
-            raise ConfigError("grid diameter 2 * grid_half_width must be finite")
+        # c0's centered window family keeps a 2-cell ramp on each side of
+        # the center cell
+        if self.grid_points < 5:
+            raise ConfigError("grid_points must be at least 5")
+        try:
+            resolve_schedule(self.schedule)
+            c0.GridSpace(self.grid_half_width, self.grid_points, self.grid_tail_tol)
+            disk.CircleSampling(self.disk_angles)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.module_exponent < 1:
             raise ConfigError("module exponent must satisfy p >= 1")
-        if not self.schedule:
-            raise ConfigError("net schedule must be non-empty")
-        if self.schedule[0] < 1 or any(
-            b <= a for a, b in zip(self.schedule, self.schedule[1:])
-        ):
-            raise ConfigError("net schedule must be strictly increasing and positive")
         if max(self.schedule) > MAX_SCHEDULE_ORDER:
             raise ConfigError(
                 f"net schedule order {max(self.schedule)} exceeds "
@@ -127,19 +125,10 @@ class ScenarioConfig:
                 f"circle_samples = {self.circle_samples}; orders must stay "
                 f"below circle_samples/2"
             )
-        if self.disk_angles < 1024:
-            raise ConfigError("disk_angles must be at least 1024")
         if 2 * self.disk_degree >= self.disk_angles:
             raise ConfigError("disk_degree must stay below disk_angles/2")
-        # c0's centered window family keeps a 2-cell ramp on each side of
-        # the center cell
-        if self.grid_points < 5:
-            raise ConfigError("grid_points must be at least 5")
-        for name, value in (
-            ("identity_tol", self.identity_tol),
-            ("exact_tol", self.exact_tol),
-        ):
-            if value <= 0:
+        for name in ("identity_tol", "exact_tol"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")
@@ -180,14 +169,14 @@ class _Rows:
 
 
 def _fejer(config: ScenarioConfig, seed: int) -> list[ReportRow]:
-    grid = wiener.CircleGrid(config.circle_samples)
-    rows = _Rows("fejer", f"l1-circle-{grid.M}")
+    M = config.circle_samples
+    rows = _Rows("fejer", f"l1-circle-{M}")
     entries = check_approximate_identity(
-        wiener.l1_circle_model(grid),
-        wiener.fejer_family(grid),
-        wiener.standard_test_set(grid),
+        wiener.l1_circle_model(M),
+        wiener.fejer_family(M),
+        wiener.standard_test_set(M),
         config.schedule,
-    ).entries
+    )
     # the trace already holds each kernel's l1 norm: no second synthesis
     for entry in entries:
         n = entry.index
@@ -201,20 +190,20 @@ def _fejer(config: ScenarioConfig, seed: int) -> list[ReportRow]:
 
 
 def _wiener_division(config: ScenarioConfig, seed: int) -> list[ReportRow]:
-    grid = wiener.CircleGrid(config.circle_samples)
-    rows = _Rows("wiener-division", f"l1-circle-{grid.M}")
+    M = config.circle_samples
+    rows = _Rows("wiener-division", f"l1-circle-{M}")
     for r in (0.3, 0.5, 0.7):
-        f = wiener.poisson_kernel(grid, r)
+        f = wiener.poisson_kernel(M, r)
         for n in config.schedule:
             if n > 128:
                 continue
             floor = 0.5 * r ** (n - 1)  # admit the full band deliberately
             h = wiener.wiener_division(f, n, floor)
             resid = wiener.l1_norm(
-                wiener.convolve(f, h) - wiener.fejer_kernel(grid, n)
+                wiener.convolve(f, h) - wiener.fejer_kernel(M, n)
             )
             rows.add(f"division-exactness-r{r}", n, resid, config.exact_tol)
-    monomial = wiener.character(grid, 1)
+    monomial = wiener.character(M, 1)
     try:
         wiener.wiener_division(monomial, 4)
         raised = False
@@ -341,12 +330,12 @@ def _disk13(config: ScenarioConfig, seed: int) -> list[ReportRow]:
 
 
 def _deconv(config: ScenarioConfig, seed: int) -> list[ReportRow]:
-    grid = wiener.CircleGrid(config.circle_samples)
+    M = config.circle_samples
     rows = _Rows("deconv", f"module-p{config.module_exponent}")
     rng = np.random.default_rng(seed)
     p = config.module_exponent
-    truth = wiener._sample_bandlimited(grid, rng, 32, 0.5)
-    blur = wiener.poisson_kernel(grid, 0.5)
+    truth = wiener._sample_bandlimited(M, rng, 32, 0.5)
+    blur = wiener.poisson_kernel(M, 0.5)
     observed = wiener.convolve(blur, truth)
     floor = 0.5 * 0.5 ** max(config.schedule)
     sigma = config.noise_sigma
@@ -377,9 +366,9 @@ def _deconv(config: ScenarioConfig, seed: int) -> list[ReportRow]:
 
 
 def _tdz(config: ScenarioConfig, seed: int) -> list[ReportRow]:
-    grid = wiener.CircleGrid(config.circle_samples)
-    rows = _Rows("tdz", f"l1-circle-{grid.M}")
-    f = wiener.poisson_kernel(grid, 0.5)
+    M = config.circle_samples
+    rows = _Rows("tdz", f"l1-circle-{M}")
+    f = wiener.poisson_kernel(M, 0.5)
     values = []
     for big_n in range(1, TDZ_MAX_FREQUENCY + 1):
         value = wiener.tdz_witness(f, big_n)

@@ -19,7 +19,6 @@ non-unital continuum algebra and are only meaningful in the regime
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,20 +36,10 @@ DIVISION_FLOOR_REL = 1e-12
 _STANDARD_SEED = 20260809
 
 
-@dataclass(frozen=True)
-class CircleGrid:
-    """The M-point sampled circle; M >= 8, powers of two recommended."""
-
-    M: int
-
-    def __post_init__(self):
-        if self.M < 8:
-            raise ValueError("circle grid needs at least 8 samples")
-
-
 class CircleSignal:
     """A complex signal on the sampled circle, stored by its coefficients.
 
+    The circle has M >= 8 points (powers of two recommended);
     ``coeffs[k % M]`` is the coefficient of ``exp(i k theta)``.  Values on
     the grid are derived lazily and cached.  Instances are immutable: the
     constructor copies the caller's array, while the operations of this
@@ -85,13 +74,12 @@ class CircleSignal:
         return cls._adopt(np.fft.fft(np.asarray(values, dtype=complex), norm="forward"))
 
     @classmethod
-    def from_band(cls, grid: CircleGrid, band: dict[int, complex]) -> "CircleSignal":
-        """Build a trig polynomial from {frequency: coefficient}."""
-        coeffs = np.zeros(grid.M, dtype=complex)
+    def from_band(cls, M: int, band: dict[int, complex]) -> "CircleSignal":
+        """Build a trig polynomial on M points from {frequency: coefficient}."""
+        coeffs = np.zeros(M, dtype=complex)
         for k, c in band.items():
-            if abs(k) >= grid.M // 2:
-                raise AliasingError(f"frequency {k} outside band of M={grid.M}")
-            coeffs[k % grid.M] = c
+            _check_band(k, M)
+            coeffs[k % M] = c
         return cls._adopt(coeffs)
 
     @property
@@ -145,6 +133,13 @@ def _is_hermitian(c: np.ndarray) -> bool:
         return False
     half = M // 2
     return np.array_equal(c[1 : half + 1], np.conj(c[: M - half - 1 : -1]))
+
+
+def _check_band(k: int, M: int) -> None:
+    """:class:`AliasingError` unless |k| < M/2: a frequency, or the order n
+    of a band |k| < n, at or beyond M/2 would wrap onto the band itself."""
+    if abs(k) >= M // 2:
+        raise AliasingError(f"|{k}| >= M/2 would alias on M = {M} samples")
 
 
 def _check_same_grid(f: CircleSignal, g: CircleSignal) -> None:
@@ -219,12 +214,11 @@ def convolve(f: CircleSignal, g: CircleSignal) -> CircleSignal:
     return CircleSignal._adopt(f.coeffs * g.coeffs)
 
 
-def character(grid: CircleGrid, k: int) -> CircleSignal:
-    """The unit-norm character exp(i k theta)."""
-    if abs(k) >= grid.M // 2:
-        raise AliasingError(f"frequency {k} outside band of M={grid.M}")
-    coeffs = np.zeros(grid.M, dtype=complex)
-    coeffs[k % grid.M] = 1.0
+def character(M: int, k: int) -> CircleSignal:
+    """The unit-norm character exp(i k theta) on M points."""
+    _check_band(k, M)
+    coeffs = np.zeros(M, dtype=complex)
+    coeffs[k % M] = 1.0
     return CircleSignal._adopt(coeffs)
 
 
@@ -236,7 +230,7 @@ def _whole_order(n) -> int:
     return int(n)
 
 
-def fejer_kernel(grid: CircleGrid, n: int) -> CircleSignal:
+def fejer_kernel(M: int, n: int) -> CircleSignal:
     """Order-n kernel with triangular coefficients (1 - |k|/n)_+.
 
     Pointwise nonnegative with unit algebra norm; the canonical norm-one
@@ -245,23 +239,22 @@ def fejer_kernel(grid: CircleGrid, n: int) -> CircleSignal:
     n = _whole_order(n)
     if n < 1:
         raise ValueError("kernel order must be >= 1")
-    if n >= grid.M // 2:
-        raise AliasingError(f"order n={n} would alias on M={grid.M} samples")
+    _check_band(n, M)
     ks = np.arange(1 - n, n)
-    coeffs = np.zeros(grid.M, dtype=complex)
-    coeffs[ks % grid.M] = 1.0 - np.abs(ks) / n
+    coeffs = np.zeros(M, dtype=complex)
+    coeffs[ks % M] = 1.0 - np.abs(ks) / n
     return CircleSignal._adopt(coeffs)
 
 
-def fejer_family(grid: CircleGrid) -> Callable[[int], CircleSignal]:
-    return lambda n: fejer_kernel(grid, n)
+def fejer_family(M: int) -> Callable[[int], CircleSignal]:
+    return lambda n: fejer_kernel(M, n)
 
 
-def poisson_kernel(grid: CircleGrid, r: float) -> CircleSignal:
+def poisson_kernel(M: int, r: float) -> CircleSignal:
     """Kernel with coefficients r^|k|; nonnegative with unit algebra norm."""
     if not 0 <= r < 1:
         raise ValueError("radius must lie in [0, 1)")
-    M, half = grid.M, grid.M // 2
+    half = M // 2
     # r^k <= 2^-1100 from k = cut on, far below the smallest subnormal
     # (2^-1074), so those coefficients are exact zeros
     cut = 1 if r == 0 else math.ceil(1100 / -math.log2(r))
@@ -291,8 +284,7 @@ def band_nonvanishing(
     n = _whole_order(n)
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n >= f.grid_size // 2:
-        raise AliasingError(f"order n={n} would alias on M={f.grid_size} samples")
+    _check_band(n, f.grid_size)
     if floor is None:
         floor = default_floor(f)
     ks = np.arange(1, n)
@@ -364,30 +356,31 @@ def tdz_witness(f: CircleSignal, N: int) -> float:
 
 
 def _sample_bandlimited(
-    grid: CircleGrid, rng: np.random.Generator, degree: int = 32, decay: float = 0.25
+    M: int, rng: np.random.Generator, degree: int = 32, decay: float = 0.25
 ) -> CircleSignal:
     ks = np.arange(-degree, degree + 1)
     amps = decay ** np.abs(ks) * (0.5 + 0.5 * rng.random(ks.shape[0]))
     phases = np.exp(2j * np.pi * rng.random(ks.shape[0]))
-    return CircleSignal.from_band(grid, dict(zip(ks.tolist(), amps * phases)))
+    return CircleSignal.from_band(M, dict(zip(ks.tolist(), amps * phases)))
 
 
-def standard_test_set(grid: CircleGrid) -> list[CircleSignal]:
-    """The fixed test set used by the identity checks: two slowly varying
-    kernels plus three band-limited signals of degree 32 drawn from a fixed
-    seed."""
+def standard_test_set(M: int) -> list[CircleSignal]:
+    """The fixed test set on M points used by the identity checks: two
+    slowly varying kernels plus three band-limited signals of degree 32
+    drawn from a fixed seed."""
     rng = np.random.default_rng(_STANDARD_SEED)
-    out = [poisson_kernel(grid, 0.3), poisson_kernel(grid, 0.5)]
-    out.extend(_sample_bandlimited(grid, rng) for _ in range(3))
+    out = [poisson_kernel(M, 0.3), poisson_kernel(M, 0.5)]
+    out.extend(_sample_bandlimited(M, rng) for _ in range(3))
     return out
 
 
-def l1_circle_model(grid: CircleGrid) -> AlgebraModel:
-    """The sampled circle convolution algebra under the mean-absolute norm.
+def l1_circle_model(M: int) -> AlgebraModel:
+    """The M-point sampled circle convolution algebra under the
+    mean-absolute norm.
 
     It stands in for the non-unital continuum algebra and is trusted only
     for kernel orders well below M/2.
     """
     return AlgebraModel(
-        name=f"l1-circle-{grid.M}", mul=convolve, norm=l1_norm, commutative=True
+        name=f"l1-circle-{M}", mul=convolve, norm=l1_norm, commutative=True
     )

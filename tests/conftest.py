@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from approxinv import c0, disk, operators, wiener
+from approxinv import c0, disk, operators
 
 
 @pytest.fixture(scope="session")
-def grid512():
-    return wiener.CircleGrid(512)
+def M512():
+    return 512
 
 
 @pytest.fixture(scope="session")
-def grid4096():
-    return wiener.CircleGrid(4096)
+def M4096():
+    return 4096
 
 
 @pytest.fixture(scope="session")

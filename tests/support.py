@@ -1,8 +1,8 @@
 """Test infrastructure: the algebra models at property-sweep sizes, the
-circle involution that only the tests read, the routes through the public
-verifiers that the tests and the acceptance criteria use for module
-density, product certification and adjoint duality, and an aliased disk
-sampling."""
+circle involution and the values-only rank refuter that only the tests
+read, the routes through the public verifiers that the tests and the
+acceptance criteria use for module density, product certification and
+adjoint duality, and an aliased disk sampling."""
 
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
@@ -37,12 +37,12 @@ def involution(f: wiener.CircleSignal) -> wiener.CircleSignal:
 def standard_models() -> list[ModelCase]:
     """One instance of every model the core verifiers run on, at sizes
     suitable for property sweeps."""
-    grid = wiener.CircleGrid(512)
+    M = 512
     space = c0.GridSpace(10.0, 201, 1e-6)
     profile = c0._sample_profile(space)
     circle = ModelCase(
-        wiener.l1_circle_model(grid),
-        lambda rng: wiener._sample_bandlimited(grid, rng),
+        wiener.l1_circle_model(M),
+        lambda rng: wiener._sample_bandlimited(M, rng),
         involution,
     )
     grid_functions = ModelCase(
@@ -80,20 +80,33 @@ def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=Non
     product fails the band check up to order n (which happens exactly where
     a factor's does).  The default test set is the constant character."""
     product = wiener.convolve(f1, f2)
-    grid = wiener.CircleGrid(product.grid_size)
+    M = product.grid_size
 
     def refuter(x):
         bad = wiener.band_nonvanishing(x, n, floor)
         return None if bad is None else f"vanishes in band at frequency {bad}"
 
     return check_approx_invertible(
-        wiener.l1_circle_model(grid),
+        wiener.l1_circle_model(M),
         product,
         wiener.wiener_division_net(product, floor),
-        [wiener.character(grid, 0)] if test_set is None else test_set,
+        [wiener.character(M, 0)] if test_set is None else test_set,
         range(1, n + 1) if schedule is None else schedule,
         tol=tol,
         refuter=refuter,
+    )
+
+
+def rank_refuter(a) -> Optional[str]:
+    """Analytic refuter from the singular values alone: the reason ``a`` has
+    no dense range at the rank threshold of ``operators``, or None when it
+    has."""
+    lam = operators.singular_values(a)
+    if lam[-1] > operators._rank_threshold(lam):
+        return None
+    return (
+        "range not dense at truncation: smallest singular value "
+        f"{float(lam[-1]):.3e}"
     )
 
 
@@ -104,10 +117,10 @@ def adjoint_certificate(t, test_set) -> ApproxInvCertificate:
     refutes it (no net is built then)."""
     t = np.asarray(t, dtype=complex)
     adjoint = t.conj().T
-    reason = operators.rank_refuter(adjoint)
+    reason = rank_refuter(adjoint)
     net = None
     if reason is None:
-        right = operators.right_inverse_net(t)
+        right = operators.right_inverse_net(operators.svd(t))
 
         def net(m):
             return right(m).conj().T
@@ -138,9 +151,9 @@ def mirrors(cert: ApproxInvCertificate, dual: ApproxInvCertificate) -> bool:
             if mine is not theirs:
                 return False
             continue
-        if len(mine.entries) != len(theirs.entries):
+        if len(mine) != len(theirs):
             return False
-        for a, b in zip(mine.entries, theirs.entries):
+        for a, b in zip(mine, theirs):
             pairs = ((a.residual, b.residual), (a.left, b.right), (a.right, b.left))
             if a.index != b.index or any(
                 abs(x - y) > 1e-9 * max(1.0, abs(x)) for x, y in pairs

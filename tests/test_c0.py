@@ -86,8 +86,8 @@ def test_plateau_family_is_approximate_identity(space):
     family = c0.WindowFamily(space, ramp=2)
     tests = c0.seeded_elements(space, 4, seed=7, zero_fraction=0.0)
     trace = check_approximate_identity(model, family.element, tests, range(1, 13))
-    assert trace.final_residual <= 1e-3
-    assert all(entry.member_norm <= 1.0 + 1e-9 for entry in trace.entries)
+    assert trace[-1].residual <= 1e-3
+    assert all(entry.member_norm <= 1.0 + 1e-9 for entry in trace)
     # element times plateau converges to the element itself
     f = tests[0]
     resids = [
@@ -312,9 +312,9 @@ def test_certify_along_distinct_windows_matches_the_long_schedule(points):
             (cert.right_trace, reference.right_trace),
             (cert.left_trace, reference.left_trace),
         ):
-            assert len(trace.entries) == len(family)
-            assert trace.final_residual == ref.final_residual
-            assert trace.entries == ref.entries[: len(family)]
+            assert len(trace) == len(family)
+            assert trace[-1].residual == ref[-1].residual
+            assert trace == ref[: len(family)]
     # small grids leave the plateaus short of the tail tolerance: inconclusive
     assert "refuted" in verdicts
     assert ("certified-two-sided" if points > 11 else "inconclusive") in verdicts

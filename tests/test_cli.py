@@ -337,22 +337,18 @@ def test_hostile_config_values_exit_two(section, key, tmp_path, capsys):
 
 
 def _readme_config(tmp_path):
-    """The README's ``ini`` block as {section: [keys]}, and its documented
-    values written to a config file without the comments."""
+    """The README's ``ini`` block as {section: [keys]}, and the block itself,
+    comments included, written verbatim to a config file."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
     sections: dict[str, list[str]] = {}
-    lines = []
     for line in block.splitlines():
         if line.startswith("["):
             keys = sections.setdefault(line.strip("[]"), [])
-            lines.append(line)
         elif line[:1].isalpha():
-            key, value = line.split(";", 1)[0].split("=", 1)
-            keys.append(key.strip())
-            lines.append(f"{key.strip()} = {value.strip()}")
+            keys.append(line.split("=", 1)[0].strip())
     path = tmp_path / "readme.cfg"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(block, encoding="utf-8")
     return sections, path
 
 

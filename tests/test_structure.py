@@ -155,6 +155,14 @@ def _defaulted_parameters():
                     yield path.stem, node.name, arg.arg, None
 
 
+def _called_name(node: ast.AST):
+    """The bare name a call or raise targets: ``f`` of ``f(...)``,
+    ``m.f(...)`` or ``raise f``; None for anything else."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _set_arguments() -> set[tuple[str, object]]:
     """(called name, keyword or position) of every argument that some call
     in the package or the demos passes; calls match by the called name."""
@@ -162,8 +170,7 @@ def _set_arguments() -> set[tuple[str, object]]:
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                name = _called_name(node)
                 found.update((name, keyword.arg) for keyword in node.keywords)
                 found.update((name, position) for position in range(len(node.args)))
     return found
@@ -184,30 +191,50 @@ def test_every_defaulted_parameter_is_set():
 INVERSE_FFTS = {"ifft", "irfft", "hfft"}
 
 
-def _inverse_fft_calls(node: ast.AST, scope: tuple[str, ...] = ()):
-    """(scope, name) of every call to an inverse FFT under ``node``, where
-    scope is the chain of enclosing class and function names."""
+def _scoped_nodes(node: ast.AST, scope: tuple[str, ...] = ()):
+    """(scope, node) of every node under ``node``, where scope is the chain
+    of enclosing class and function names."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = scope + (child.name,)
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in INVERSE_FFTS:
-                yield inner, name
-        yield from _inverse_fft_calls(child, inner)
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def _sites(found) -> set[tuple[str, str]]:
+    """(module, dotted scope) of every package node for which ``found`` holds."""
+    return {
+        (path.stem, ".".join(scope))
+        for path in PACKAGE.glob("*.py")
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if found(node)
+    }
 
 
 def test_values_is_the_only_synthesis_site():
-    sites = sorted(
-        (path.stem, ".".join(scope), name)
-        for path in PACKAGE.glob("*.py")
-        for scope, name in _inverse_fft_calls(ast.parse(path.read_text(encoding="utf-8")))
+    sites = _sites(
+        lambda node: isinstance(node, ast.Call) and _called_name(node) in INVERSE_FFTS
     )
-    assert {(module, scope) for module, scope, _ in sites} == {
-        ("wiener", "CircleSignal.values")
-    }, sites
+    assert sites == {("wiener", "CircleSignal.values")}, sites
+
+
+def test_rank_threshold_is_read_in_one_function():
+    sites = _sites(
+        lambda node: isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and node.id == "RANK_THRESHOLD_REL"
+    )
+    assert sites == {("operators", "_rank_threshold")}, sites
+
+
+def test_aliasing_error_is_raised_in_one_function():
+    sites = _sites(
+        lambda node: isinstance(node, ast.Raise)
+        and node.exc is not None
+        and _called_name(node.exc) == "AliasingError"
+    )
+    assert sites == {("wiener", "_check_band")}, sites
 
 
 def _public_members():
@@ -231,20 +258,29 @@ def _public_members():
 
 def _read_attributes() -> set[str]:
     """Attribute names the lab and its users read, in the package and the
-    demos: loaded ``x.name`` and ``getattr(x, "name")``.  Tests and the
-    benchmark harness do not count, as for the names test."""
+    demos: loaded ``x.name``, ``getattr(x, "name")`` and every field of a
+    class named in a ``fields(Class)`` call, which reads them all by name.
+    Tests and the benchmark harness do not count, as for the names test."""
     found = set()
+    fields_of: dict[str, set[str]] = {}
+    whole = set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 found.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "getattr"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-            ):
-                found.add(node.args[1].value)
+            elif isinstance(node, ast.ClassDef):
+                fields_of[node.name] = {
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+            elif isinstance(node, ast.Call) and node.args:
+                name, args = _called_name(node), node.args
+                if name == "getattr" and len(args) >= 2 and isinstance(args[1], ast.Constant):
+                    found.add(args[1].value)
+                elif name == "fields" and isinstance(args[0], ast.Name):
+                    whole.add(args[0].id)
+    for name in whole & fields_of.keys():
+        found |= fields_of[name]
     return found
 
 
@@ -288,23 +324,13 @@ DATACLASSES = {
     "c0.GridSpace",
     "core.AlgebraModel",
     "core.ApproxInvCertificate",
-    "core.ResidualTrace",
     "core.TraceEntry",
     "disk.CircleSampling",
     "operators.SingularSystem",
     "scenarios.ReportRow",
     "scenarios.ScenarioConfig",
     "scenarios.ScenarioSpec",
-    "wiener.CircleGrid",
 }
-
-
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    """``@dataclass``, ``@dataclass(...)`` or the ``dataclasses.`` forms."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-    return name == "dataclass"
 
 
 def test_dataclass_records_are_pinned():
@@ -313,7 +339,7 @@ def test_dataclass_records_are_pinned():
         for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ClassDef)
-        and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+        and any(_called_name(d) == "dataclass" for d in node.decorator_list)
     }
     assert found == DATACLASSES, (
         f"new: {sorted(found - DATACLASSES)}, gone: {sorted(DATACLASSES - found)}"

@@ -24,30 +24,30 @@ from .support import certify_product, involution
 TWO_SINE_L1 = 1.2732392950638007
 
 
-def _band_signal(grid, rng, degree, decay=0.5):
+def _band_signal(M, rng, degree, decay=0.5):
     ks = np.arange(-degree, degree + 1)
     coeffs = decay ** np.abs(ks) * np.exp(2j * np.pi * rng.random(ks.size))
-    return wiener.CircleSignal.from_band(grid, dict(zip(ks.tolist(), coeffs)))
+    return wiener.CircleSignal.from_band(M, dict(zip(ks.tolist(), coeffs)))
 
 
-def test_constant_transform(grid512):
-    one = wiener.character(grid512, 0)
+def test_constant_transform(M512):
+    one = wiener.character(M512, 0)
     assert one.coeff(0) == pytest.approx(1.0, abs=1e-14)
     for k in range(1, 9):
         assert abs(one.coeff(k)) <= 1e-14
         assert abs(one.coeff(-k)) <= 1e-14
 
 
-def test_convolve_with_constant_projects(grid512, rng):
-    g = _band_signal(grid512, rng, 12)
-    out = wiener.convolve(wiener.character(grid512, 0), g)
-    expected = g.coeff(0) * wiener.character(grid512, 0).values
+def test_convolve_with_constant_projects(M512, rng):
+    g = _band_signal(M512, rng, 12)
+    out = wiener.convolve(wiener.character(M512, 0), g)
+    expected = g.coeff(0) * wiener.character(M512, 0).values
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
-def test_convolution_theorem_against_direct_sum(grid512, rng):
-    f = _band_signal(grid512, rng, grid512.M // 4)
-    g = _band_signal(grid512, rng, grid512.M // 4)
+def test_convolution_theorem_against_direct_sum(M512, rng):
+    f = _band_signal(M512, rng, M512 // 4)
+    g = _band_signal(M512, rng, M512 // 4)
     prod = wiener.convolve(f, g)
     direct = direct_convolve(f.values, g.values)
     assert np.abs(prod.values - direct).max() <= 1e-12
@@ -55,46 +55,46 @@ def test_convolution_theorem_against_direct_sum(grid512, rng):
         assert prod.coeff(k) == pytest.approx(f.coeff(k) * g.coeff(k), abs=1e-12)
 
 
-def test_grid_mismatch_rejected(grid512, grid4096):
+def test_grid_mismatch_rejected(M512, M4096):
     with pytest.raises(ValueError):
         wiener.convolve(
-            wiener.character(grid512, 0), wiener.character(grid4096, 0)
+            wiener.character(M512, 0), wiener.character(M4096, 0)
         )
 
 
-def test_fejer_kernel_order_one_is_constant(grid512):
-    k1 = wiener.fejer_kernel(grid512, 1)
+def test_fejer_kernel_order_one_is_constant(M512):
+    k1 = wiener.fejer_kernel(M512, 1)
     assert np.allclose(k1.values, 1.0, atol=1e-12)
 
 
-def test_fejer_kernel_shape(grid4096):
+def test_fejer_kernel_shape(M4096):
     for n in (2, 16, 64, 256):
-        kernel = wiener.fejer_kernel(grid4096, n)
+        kernel = wiener.fejer_kernel(M4096, n)
         assert kernel.coeff(0) == pytest.approx(1.0, abs=1e-14)
         assert wiener.l1_norm(kernel) == pytest.approx(1.0, abs=1e-9)
         assert kernel.values.real.min() >= -1e-12
         assert np.abs(kernel.values.imag).max() <= 1e-12
 
 
-def test_fejer_matches_closed_form_and_quadrature(grid4096):
+def test_fejer_matches_closed_form_and_quadrature(M4096):
     # independent route: closed trigonometric form, then direct quadrature
-    kernel = wiener.fejer_kernel(grid4096, 64)
-    closed = fejer_values_closed_form(grid4096.M, 64)
+    kernel = wiener.fejer_kernel(M4096, 64)
+    closed = fejer_values_closed_form(M4096, 64)
     assert np.abs(kernel.values - closed).max() <= 1e-9
     assert direct_coeff(closed, 16) == pytest.approx(0.75, abs=1e-10)
     assert direct_coeff(closed, 0) == pytest.approx(1.0, abs=1e-10)
     assert direct_coeff(closed, 64) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_fejer_kernel_aliasing_guard(grid512):
+def test_fejer_kernel_aliasing_guard(M512):
     with pytest.raises(AliasingError):
-        wiener.fejer_kernel(grid512, grid512.M // 2)
+        wiener.fejer_kernel(M512, M512 // 2)
 
 
-def test_kernel_family_not_cauchy(grid4096):
+def test_kernel_family_not_cauchy(M4096):
     for n in range(8, 129):
-        k1 = wiener.fejer_kernel(grid4096, n)
-        k2 = wiener.fejer_kernel(grid4096, 2 * n)
+        k1 = wiener.fejer_kernel(M4096, n)
+        k2 = wiener.fejer_kernel(M4096, 2 * n)
         assert wiener.l1_norm(k1 - k2) >= 0.1
 
 
@@ -103,94 +103,94 @@ def _gelfand_pair(f):
     return float(np.abs(f.coeffs).max()), wiener.l1_norm(f)
 
 
-def test_gelfand_bound_trivia(grid4096):
-    one = wiener.character(grid4096, 0)
+def test_gelfand_bound_trivia(M4096):
+    one = wiener.character(M4096, 0)
     assert _gelfand_pair(one) == (pytest.approx(1.0), pytest.approx(1.0))
-    kern = wiener.fejer_kernel(grid4096, 32)
+    kern = wiener.fejer_kernel(M4096, 32)
     sup, norm = _gelfand_pair(kern)
     assert sup == pytest.approx(1.0, abs=1e-12)
     assert norm == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gelfand_bound_two_sine(grid4096):
-    sig = wiener.CircleSignal.from_band(grid4096, {1: 1.0, -1: -1.0})
+def test_gelfand_bound_two_sine(M4096):
+    sig = wiener.CircleSignal.from_band(M4096, {1: 1.0, -1: -1.0})
     sup, norm = _gelfand_pair(sig)
     assert sup == pytest.approx(1.0, abs=1e-12)
     assert norm == pytest.approx(TWO_SINE_L1, abs=1e-12)
     assert norm == pytest.approx(4.0 / np.pi, abs=1e-6)
 
 
-def test_gelfand_contraction_seeded(grid512, rng):
+def test_gelfand_contraction_seeded(M512, rng):
     for _ in range(200):
-        f = _band_signal(grid512, rng, int(rng.integers(1, 60)), decay=0.8)
+        f = _band_signal(M512, rng, int(rng.integers(1, 60)), decay=0.8)
         sup, norm = _gelfand_pair(f)
         assert sup <= norm + 1e-9
 
 
-def test_fejer_transform_tends_to_one_pointwise(grid4096):
+def test_fejer_transform_tends_to_one_pointwise(M4096):
     # |K_n^(k) - 1| = min(1, |k|/n): the transform of an approximate
     # identity tends to one at every fixed frequency
     for n in (8, 16, 32, 64, 128):
-        kernel = wiener.fejer_kernel(grid4096, n)
+        kernel = wiener.fejer_kernel(M4096, n)
         for k in (0, 1, -5, 16, 40):
             residual = abs(kernel.coeff(k) - 1.0)
             assert residual == pytest.approx(min(1.0, abs(k) / n), abs=1e-12)
-    assert abs(wiener.fejer_kernel(grid4096, 128).coeff(16) - 1.0) == 0.125
+    assert abs(wiener.fejer_kernel(M4096, 128).coeff(16) - 1.0) == 0.125
 
 
-def test_division_constant_gives_kernel_at_order_one(grid512):
+def test_division_constant_gives_kernel_at_order_one(M512):
     # the constant's coefficients vanish off zero, so its band check only
     # admits order one; the element dividing at every order is the unit
     # (all-ones spectrum)
-    one = wiener.character(grid512, 0)
+    one = wiener.character(M512, 0)
     h = wiener.wiener_division(one, 1)
-    assert np.allclose(h.coeffs, wiener.fejer_kernel(grid512, 1).coeffs, atol=1e-14)
+    assert np.allclose(h.coeffs, wiener.fejer_kernel(M512, 1).coeffs, atol=1e-14)
     with pytest.raises(DivisionFloorError):
         wiener.wiener_division(one, 4)
 
-    unit = wiener.CircleSignal(np.ones(grid512.M, complex))
+    unit = wiener.CircleSignal(np.ones(M512, complex))
     for n in (1, 4, 16):
         h = wiener.wiener_division(unit, n)
-        assert np.allclose(h.coeffs, wiener.fejer_kernel(grid512, n).coeffs, atol=1e-14)
+        assert np.allclose(h.coeffs, wiener.fejer_kernel(M512, n).coeffs, atol=1e-14)
 
 
-def test_division_poisson_coefficients(grid4096):
-    f = wiener.poisson_kernel(grid4096, 0.5)
+def test_division_poisson_coefficients(M4096):
+    f = wiener.poisson_kernel(M4096, 0.5)
     h = wiener.wiener_division(f, 4)
     assert h.coeff(1) == pytest.approx(1.5, abs=1e-12)
-    resid = wiener.convolve(f, h) - wiener.fejer_kernel(grid4096, 4)
+    resid = wiener.convolve(f, h) - wiener.fejer_kernel(M4096, 4)
     assert wiener.l1_norm(resid) <= 1e-10
 
 
-def test_division_exactness_deep_band(grid4096):
+def test_division_exactness_deep_band(M4096):
     for r in (0.3, 0.5, 0.7):
-        f = wiener.poisson_kernel(grid4096, r)
+        f = wiener.poisson_kernel(M4096, r)
         floor = 0.5 * r**127
         for n in (8, 32, 128):
             resid = wiener.convolve(f, wiener.wiener_division(f, n, floor))
-            resid = resid - wiener.fejer_kernel(grid4096, n)
+            resid = resid - wiener.fejer_kernel(M4096, n)
             assert wiener.l1_norm(resid) <= 1e-9
 
 
-def test_division_floor_error_on_monomial(grid512):
-    monomial = wiener.character(grid512, 1)
+def test_division_floor_error_on_monomial(M512):
+    monomial = wiener.character(M512, 1)
     with pytest.raises(DivisionFloorError) as err:
         wiener.wiener_division(monomial, 4)
     assert err.value.frequency == 0
 
 
-def test_division_default_floor_refuses_sub_noise_band(grid4096):
+def test_division_default_floor_refuses_sub_noise_band(M4096):
     # with the default relative floor the r=0.3 kernel only divides on a
     # shallow band; the refusal reports the first offending frequency
-    f = wiener.poisson_kernel(grid4096, 0.3)
+    f = wiener.poisson_kernel(M4096, 0.3)
     with pytest.raises(DivisionFloorError) as err:
         wiener.wiener_division(f, 128)
     assert abs(err.value.frequency) == 23  # 0.3^23 sits just below the floor
     wiener.wiener_division(f, 23)  # shallow band still divides
 
 
-def test_division_net_not_cauchy(grid4096):
-    f = wiener.poisson_kernel(grid4096, 0.5)
+def test_division_net_not_cauchy(M4096):
+    f = wiener.poisson_kernel(M4096, 0.5)
     floor = 0.5**130
     for n in (8, 16, 32, 64):
         h1 = wiener.wiener_division(f, n, floor)
@@ -198,31 +198,31 @@ def test_division_net_not_cauchy(grid4096):
         assert wiener.l1_norm(h2 - h1) >= 0.1
 
 
-def test_certificate_constant_test_element(grid4096):
+def test_certificate_constant_test_element(M4096):
     # the division family fixes constants exactly, so certification at a
     # tight tolerance succeeds on the constant test element
-    model = wiener.l1_circle_model(grid4096)
-    f = wiener.poisson_kernel(grid4096, 0.5)
+    model = wiener.l1_circle_model(M4096)
+    f = wiener.poisson_kernel(M4096, 0.5)
     cert = check_approx_invertible(
         model,
         f,
         wiener.wiener_division_net(f),
-        [wiener.character(grid4096, 0)],
+        [wiener.character(M4096, 0)],
         tol=1e-6,
         schedule=[4, 8, 16],
     )
     assert cert.verdict == "certified-two-sided"
-    assert cert.right_trace.final_residual <= 1e-12
+    assert cert.right_trace[-1].residual <= 1e-12
 
 
-def test_certificate_standard_test_set(grid4096):
-    model = wiener.l1_circle_model(grid4096)
-    f = wiener.poisson_kernel(grid4096, 0.5)
+def test_certificate_standard_test_set(M4096):
+    model = wiener.l1_circle_model(M4096)
+    f = wiener.poisson_kernel(M4096, 0.5)
     cert = check_approx_invertible(
         model,
         f,
         wiener.wiener_division_net(f, floor=0.5**130),
-        wiener.standard_test_set(grid4096),
+        wiener.standard_test_set(M4096),
         tol=1e-2,
         schedule=[8, 16, 32, 64, 128],
     )
@@ -230,58 +230,58 @@ def test_certificate_standard_test_set(grid4096):
     assert cert.sup_member_norm <= 1.0 + 1e-9
 
 
-def test_tdz_witness_values(grid4096):
-    one = wiener.character(grid4096, 0)
+def test_tdz_witness_values(M4096):
+    one = wiener.character(M4096, 0)
     assert wiener.tdz_witness(one, 3) == 0.0
 
-    f = wiener.poisson_kernel(grid4096, 0.5)
+    f = wiener.poisson_kernel(M4096, 0.5)
     value = wiener.tdz_witness(f, 20)
     assert value == pytest.approx(0.5**20, abs=1e-10)
     # quadrature route to the same coefficient
     assert value == pytest.approx(abs(direct_coeff(f.values, 20)), abs=1e-12)
     # convolving with the unit-norm character scales it by the coefficient
-    chi = wiener.character(grid4096, 20)
+    chi = wiener.character(M4096, 20)
     assert wiener.l1_norm(chi) == pytest.approx(1.0, abs=1e-12)
     assert wiener.l1_norm(wiener.convolve(f, chi)) == pytest.approx(value, abs=1e-12)
 
-    kern = wiener.fejer_kernel(grid4096, 16)
+    kern = wiener.fejer_kernel(M4096, 16)
     assert wiener.tdz_witness(kern, 20) == 0.0
 
 
-def test_tdz_decay_monotone(grid4096):
-    f = wiener.poisson_kernel(grid4096, 0.5)
+def test_tdz_decay_monotone(M4096):
+    f = wiener.poisson_kernel(M4096, 0.5)
     values = [wiener.tdz_witness(f, n) for n in range(1, 65)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_tdz_decays_on_standard_test_set(grid4096):
+def test_tdz_decays_on_standard_test_set(M4096):
     # every test element is a zero-divisor direction in the deep-band limit
-    for f in wiener.standard_test_set(grid4096):
+    for f in wiener.standard_test_set(M4096):
         values = [wiener.tdz_witness(f, n) for n in (1, 16, 64, 256)]
         assert values[-1] <= 1e-6
         assert values[-1] <= values[0]
 
 
-def test_band_guards(grid512):
+def test_band_guards(M512):
     with pytest.raises(AliasingError):
-        wiener.CircleSignal.from_band(grid512, {grid512.M // 2: 1.0})
+        wiener.CircleSignal.from_band(M512, {M512 // 2: 1.0})
     with pytest.raises(AliasingError):
-        wiener.character(grid512, grid512.M // 2)
+        wiener.character(M512, M512 // 2)
     with pytest.raises(ValueError):
-        wiener.tdz_witness(wiener.character(grid512, 0), grid512.M // 2)
-    with pytest.raises(ValueError):
-        wiener.CircleGrid(4)
+        wiener.tdz_witness(wiener.character(M512, 0), M512 // 2)
+    with pytest.raises(ValueError):  # fewer than 8 samples
+        wiener.CircleSignal.from_band(4, {0: 1.0})
 
 
-def test_product_check_constants(grid512):
-    one = wiener.character(grid512, 0)
+def test_product_check_constants(M512):
+    one = wiener.character(M512, 0)
     cert = certify_product(one, one, n=1)
     assert cert.certified
-    assert cert.right_trace.final_residual <= 1e-12
+    assert cert.right_trace[-1].residual <= 1e-12
 
 
-def test_product_check_poisson_pair(grid4096):
-    f = wiener.poisson_kernel(grid4096, 0.5)
+def test_product_check_poisson_pair(M4096):
+    f = wiener.poisson_kernel(M4096, 0.5)
     floor = 0.25**130
     cert = certify_product(
         f,
@@ -296,15 +296,15 @@ def test_product_check_poisson_pair(grid4096):
     # the product times its order-128 division member is the order-128
     # kernel, so the residual is the kernel's error on f: pinned by the
     # direct-convolution oracle
-    kernel = wiener.fejer_kernel(grid4096, 128)
+    kernel = wiener.fejer_kernel(M4096, 128)
     oracle = np.mean(np.abs(direct_convolve(kernel.values, f.values) - f.values))
-    assert cert.right_trace.final_residual == pytest.approx(oracle, rel=1e-9)
-    assert cert.right_trace.final_residual < 0.05
+    assert cert.right_trace[-1].residual == pytest.approx(oracle, rel=1e-9)
+    assert cert.right_trace[-1].residual < 0.05
 
 
-def test_product_check_refutes_vanishing_factor(grid512):
-    monomial = wiener.character(grid512, 1)
-    smooth = wiener.poisson_kernel(grid512, 0.4)
+def test_product_check_refutes_vanishing_factor(M512):
+    monomial = wiener.character(M512, 1)
+    smooth = wiener.poisson_kernel(M512, 0.4)
     # the product vanishes where the monomial does, in either order
     for f1, f2 in ((monomial, smooth), (smooth, monomial)):
         cert = certify_product(f1, f2, n=4)
@@ -312,14 +312,14 @@ def test_product_check_refutes_vanishing_factor(grid512):
         assert "frequency 0" in cert.reason
 
 
-def test_product_certifies_iff_both_factors(grid512):
+def test_product_certifies_iff_both_factors(M512):
     good = [
-        wiener.poisson_kernel(grid512, 0.4),
-        wiener.poisson_kernel(grid512, 0.7),
+        wiener.poisson_kernel(M512, 0.4),
+        wiener.poisson_kernel(M512, 0.7),
     ]
     bad = [
-        wiener.character(grid512, 1),
-        wiener.CircleSignal.from_band(grid512, {0: 1.0, 2: 1.0}),
+        wiener.character(M512, 1),
+        wiener.CircleSignal.from_band(M512, {0: 1.0, 2: 1.0}),
     ]
     # the second bad factor vanishes at an interior band frequency
     assert wiener.band_nonvanishing(bad[1], 4) is not None
@@ -335,26 +335,26 @@ def test_product_certifies_iff_both_factors(grid512):
                 assert cert.verdict == "refuted"
 
 
-def test_standard_test_set_deterministic(grid512):
-    a = wiener.standard_test_set(grid512)
-    b = wiener.standard_test_set(grid512)
+def test_standard_test_set_deterministic(M512):
+    a = wiener.standard_test_set(M512)
+    b = wiener.standard_test_set(M512)
     assert len(a) == 5
     for f, g in zip(a, b):
         assert np.array_equal(f.coeffs, g.coeffs)
 
 
-def test_signal_immutable(grid512):
-    f = wiener.character(grid512, 0)
+def test_signal_immutable(M512):
+    f = wiener.character(M512, 0)
     with pytest.raises((AttributeError, ValueError)):
         f.coeffs = None
     with pytest.raises(ValueError):
         f.coeffs[0] = 2.0
 
 
-def test_signal_copies_caller_arrays(grid512):
-    coeffs = np.zeros(grid512.M, complex)
+def test_signal_copies_caller_arrays(M512):
+    coeffs = np.zeros(M512, complex)
     coeffs[1] = 1.0
-    values = np.ones(grid512.M, complex)
+    values = np.ones(M512, complex)
     f = wiener.CircleSignal(coeffs)
     g = wiener.CircleSignal.from_values(values)
     coeffs[1] = 5.0
@@ -365,9 +365,9 @@ def test_signal_copies_caller_arrays(grid512):
     assert np.allclose(g.values, 1.0)
 
 
-def test_operation_results_are_read_only_and_unshared(grid512):
-    f = wiener.poisson_kernel(grid512, 0.5)
-    g = wiener.fejer_kernel(grid512, 8)
+def test_operation_results_are_read_only_and_unshared(M512):
+    f = wiener.poisson_kernel(M512, 0.5)
+    g = wiener.fejer_kernel(M512, 8)
     results = [
         f + g,
         f - g,
@@ -376,10 +376,10 @@ def test_operation_results_are_read_only_and_unshared(grid512):
         involution(f),
         wiener.convolve(f, g),
         wiener.wiener_division(f, 8),
-        wiener.character(grid512, 3),
-        wiener.character(grid512, 0),
-        wiener.CircleSignal.from_band(grid512, {2: 1.0}),
-        wiener.CircleSignal.from_values(np.ones(grid512.M)),
+        wiener.character(M512, 3),
+        wiener.character(M512, 0),
+        wiener.CircleSignal.from_band(M512, {2: 1.0}),
+        wiener.CircleSignal.from_values(np.ones(M512)),
         f,
         g,
     ]
@@ -396,7 +396,7 @@ def test_operation_results_are_read_only_and_unshared(grid512):
 @pytest.mark.parametrize("n", [8, 9, 16])
 def test_band_nonvanishing_rejects_aliasing_order(n):
     # at n >= M/2 the band |k| < n would read the Nyquist bin twice
-    f = wiener.poisson_kernel(wiener.CircleGrid(16), 0.5)
+    f = wiener.poisson_kernel(16, 0.5)
     with pytest.raises(AliasingError):
         wiener.band_nonvanishing(f, n)
     assert wiener.band_nonvanishing(f, 7) is None
@@ -405,17 +405,17 @@ def test_band_nonvanishing_rejects_aliasing_order(n):
 @pytest.mark.parametrize("n", [0, -1])
 def test_band_nonvanishing_rejects_empty_band(n):
     # an order below one has an empty band, so frequency 0 lies outside it
-    f = wiener.character(wiener.CircleGrid(16), 1)
+    f = wiener.character(16, 1)
     with pytest.raises(ValueError) as err:
         wiener.band_nonvanishing(f, n)
     assert not isinstance(err.value, AliasingError)
     assert wiener.band_nonvanishing(f, 1) == 0
 
-def _band_from_data(grid, data):
+def _band_from_data(M, data):
     band = {}
     for k, c in data:
         band[k] = band.get(k, 0) + c
-    return wiener.CircleSignal.from_band(grid, band)
+    return wiener.CircleSignal.from_band(M, band)
 
 
 _band_data = st.lists(
@@ -431,9 +431,8 @@ _band_data = st.lists(
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=_band_data)
 def test_convolution_commutes_and_involution_is_isometric(data):
-    grid = wiener.CircleGrid(64)
-    f = _band_from_data(grid, data)
-    g = wiener.poisson_kernel(grid, 0.5)
+    f = _band_from_data(64, data)
+    g = wiener.poisson_kernel(64, 0.5)
     fg = wiener.convolve(f, g)
     gf = wiener.convolve(g, f)
     assert np.allclose(fg.coeffs, gf.coeffs, atol=1e-12)
@@ -446,10 +445,9 @@ def test_convolution_commutes_and_involution_is_isometric(data):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data1=_band_data, data2=_band_data)
 def test_convolution_associates_and_distributes(data1, data2):
-    grid = wiener.CircleGrid(64)
-    f = _band_from_data(grid, data1)
-    g = _band_from_data(grid, data2)
-    h = wiener.poisson_kernel(grid, 0.7)
+    f = _band_from_data(64, data1)
+    g = _band_from_data(64, data2)
+    h = wiener.poisson_kernel(64, 0.7)
     left = wiener.convolve(wiener.convolve(f, g), h)
     right = wiener.convolve(f, wiener.convolve(g, h))
     assert np.allclose(left.coeffs, right.coeffs, atol=1e-10)
@@ -465,8 +463,7 @@ def test_convolution_associates_and_distributes(data1, data2):
 
 @pytest.mark.parametrize("M", [8, 9, 512, 4096])
 def test_hermitian_spectra_synthesize_real_read_only_values(M, rng):
-    grid = wiener.CircleGrid(M)
-    signals = [wiener.poisson_kernel(grid, 0.5), wiener.fejer_kernel(grid, 3)]
+    signals = [wiener.poisson_kernel(M, 0.5), wiener.fejer_kernel(M, 3)]
     signals.append(signals[0] - signals[1])
     # an exactly mirrored random spectrum
     half = rng.standard_normal(M // 2 + 1) + 1j * rng.standard_normal(M // 2 + 1)
@@ -484,7 +481,7 @@ def test_hermitian_spectra_synthesize_real_read_only_values(M, rng):
 
 
 def _broken_spectra(M):
-    base = wiener.poisson_kernel(wiener.CircleGrid(M), 0.5).coeffs
+    base = wiener.poisson_kernel(M, 0.5).coeffs
     mirror = base.copy()
     mirror[3] += 1e-9j
     dc = base.copy()
@@ -519,8 +516,7 @@ def test_non_hermitian_spectra_take_the_complex_route(M, case):
     hermitian=st.booleans(),
 )
 def test_p2_norm_by_parseval_matches_the_value_route(data, M, hermitian):
-    grid = wiener.CircleGrid(M)
-    f = _band_from_data(grid, [(k % (M // 2), c) for k, c in data])
+    f = _band_from_data(M, [(k % (M // 2), c) for k, c in data])
     if hermitian:
         f = f + involution(f)
     mags = np.abs(complex_synthesis(f.coeffs))
@@ -532,42 +528,40 @@ def test_p2_norm_by_parseval_matches_the_value_route(data, M, hermitian):
 
 @pytest.mark.parametrize("M", [8, 4096, 262144])
 def test_kernels_equal_the_full_grid_formulas(M):
-    grid = wiener.CircleGrid(M)
     for n in (1, 2, 128, M // 2 - 1):
         if n < M // 2:
             assert np.array_equal(
-                wiener.fejer_kernel(grid, n).coeffs, fejer_coeffs_full(M, n)
+                wiener.fejer_kernel(M, n).coeffs, fejer_coeffs_full(M, n)
             )
     for r in (0.0, 0.3, 0.5, 0.7, 0.999):
         assert np.array_equal(
-            wiener.poisson_kernel(grid, r).coeffs, poisson_coeffs_full(M, r)
+            wiener.poisson_kernel(M, r).coeffs, poisson_coeffs_full(M, r)
         )
 
 
 @pytest.mark.parametrize("M", [9, 17])
 def test_kernels_on_odd_grids_equal_the_full_grid_formulas(M):
-    grid = wiener.CircleGrid(M)
     for n in range(1, M // 2):
         assert np.array_equal(
-            wiener.fejer_kernel(grid, n).coeffs, fejer_coeffs_full(M, n)
+            wiener.fejer_kernel(M, n).coeffs, fejer_coeffs_full(M, n)
         )
     for r in (0.0, 1e-300, 0.5, 0.999):
         assert np.array_equal(
-            wiener.poisson_kernel(grid, r).coeffs, poisson_coeffs_full(M, r)
+            wiener.poisson_kernel(M, r).coeffs, poisson_coeffs_full(M, r)
         )
 
 
 @pytest.mark.parametrize("p", [np.nan, 0.5, -np.inf])
-def test_lp_norm_rejects_bad_exponents(grid512, p):
+def test_lp_norm_rejects_bad_exponents(M512, p):
     with pytest.raises(ValueError):
-        wiener.lp_norm(wiener.character(grid512, 0), p)
+        wiener.lp_norm(wiener.character(M512, 0), p)
 
 
 @pytest.mark.parametrize("n", [2.5, 0.5, np.nan, np.inf])
-def test_non_integral_orders_are_rejected(grid512, n):
-    f = wiener.poisson_kernel(grid512, 0.5)
+def test_non_integral_orders_are_rejected(M512, n):
+    f = wiener.poisson_kernel(M512, 0.5)
     for call in (
-        lambda: wiener.fejer_kernel(grid512, n),
+        lambda: wiener.fejer_kernel(M512, n),
         lambda: wiener.band_nonvanishing(f, n),
         lambda: wiener.band_division(f, lambda ks: np.ones(ks.shape), n),
         lambda: wiener.wiener_division(f, n),
@@ -577,10 +571,10 @@ def test_non_integral_orders_are_rejected(grid512, n):
         assert not isinstance(err.value, AliasingError)
 
 
-def test_whole_float_orders_are_accepted(grid512):
-    f = wiener.poisson_kernel(grid512, 0.5)
+def test_whole_float_orders_are_accepted(M512):
+    f = wiener.poisson_kernel(M512, 0.5)
     assert np.array_equal(
-        wiener.fejer_kernel(grid512, 4.0).coeffs, wiener.fejer_kernel(grid512, 4).coeffs
+        wiener.fejer_kernel(M512, 4.0).coeffs, wiener.fejer_kernel(M512, 4).coeffs
     )
     assert np.array_equal(
         wiener.wiener_division(f, np.int64(4)).coeffs,
@@ -609,9 +603,9 @@ class _SynthesisLog:
         return [route for route, _ in self.calls]
 
 
-def test_p2_norm_synthesizes_nothing(grid512, rng, monkeypatch):
+def test_p2_norm_synthesizes_nothing(M512, rng, monkeypatch):
     log = _SynthesisLog(monkeypatch)
-    for f in (_band_signal(grid512, rng, 12), wiener.poisson_kernel(grid512, 0.5)):
+    for f in (_band_signal(M512, rng, 12), wiener.poisson_kernel(M512, 0.5)):
         wiener.lp_norm(f, 2)
     assert log.calls == []
 
@@ -646,14 +640,14 @@ def test_deconv_at_p2_synthesizes_only_to_add_noise(monkeypatch):
 
 def test_fejer_scenario_synthesizes_each_kernel_once(monkeypatch):
     config = scenarios.ScenarioConfig(circle_samples=1024)
-    grid = wiener.CircleGrid(config.circle_samples)
+    M = config.circle_samples
     log = _SynthesisLog(monkeypatch)
     rows = scenarios.REGISTRY["fejer"].run(config, 1)
     assert all(row.verdict == "pass" for row in rows)
     inputs = [data for _, data in log.calls]
     for n in config.schedule:
-        kernel = wiener.fejer_kernel(grid, n).coeffs
-        assert inputs.count(kernel[: grid.M // 2 + 1].tobytes()) == 1
+        kernel = wiener.fejer_kernel(M, n).coeffs
+        assert inputs.count(kernel[: M // 2 + 1].tobytes()) == 1
     assert len(inputs) == len(set(inputs))
 
 
@@ -669,7 +663,7 @@ def _complex_spectrum(M, rng):
 def test_synthesis_is_exact_at_power_of_two_sizes(M, rng):
     coeffs = _complex_spectrum(M, rng)
     assert np.array_equal(wiener.CircleSignal(coeffs).values, complex_synthesis(coeffs))
-    kernel = wiener.poisson_kernel(wiener.CircleGrid(M), 0.5)
+    kernel = wiener.poisson_kernel(M, 0.5)
     scaled = np.fft.irfft(kernel.coeffs[: M // 2 + 1], M) * M
     assert np.array_equal(kernel.values, scaled)
     values = complex_synthesis(coeffs)
@@ -698,8 +692,8 @@ def _logarithmic_norm(values, p):
 
 
 @pytest.mark.parametrize("p", LARGE_EXPONENTS)
-def test_lp_norm_of_a_small_signal_at_large_p(grid4096, p):
-    f = 1e-3 * wiener.poisson_kernel(grid4096, 0.5)  # sup 0.003 at theta = 0
+def test_lp_norm_of_a_small_signal_at_large_p(M4096, p):
+    f = 1e-3 * wiener.poisson_kernel(M4096, 0.5)  # sup 0.003 at theta = 0
     norm = wiener.lp_norm(f, p)
     assert norm == pytest.approx(_logarithmic_norm(f.values, p), rel=1e-12)
     if p >= 400:
@@ -708,16 +702,16 @@ def test_lp_norm_of_a_small_signal_at_large_p(grid4096, p):
 
 @pytest.mark.parametrize("c", [1e-3, 1e3, 1e-170, 1e160])
 @pytest.mark.parametrize("p", LARGE_EXPONENTS)
-def test_lp_norm_is_homogeneous(grid4096, rng, c, p):
-    f = _band_signal(grid4096, rng, 12)
+def test_lp_norm_is_homogeneous(M4096, rng, c, p):
+    f = _band_signal(M4096, rng, 12)
     expected = c * wiener.lp_norm(f, p)
     assert wiener.lp_norm(c * f, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [1e300, 1e305, 1e307])
-def test_l1_norm_of_a_huge_kernel_is_finite(grid4096, c):
+def test_l1_norm_of_a_huge_kernel_is_finite(M4096, c):
     # the mean's sum of 4096 magnitudes overflowed from c = 1e305 on
-    kernel = wiener.poisson_kernel(grid4096, 0.5)
+    kernel = wiener.poisson_kernel(M4096, 0.5)
     expected = c * wiener.l1_norm(kernel)
     huge = kernel * c
     with warnings.catch_warnings():
@@ -729,8 +723,8 @@ def test_l1_norm_of_a_huge_kernel_is_finite(grid4096, c):
     assert by_lp == norm
 
 
-def test_lp_norm_of_zero_and_nan_values(grid512):
-    assert wiener.lp_norm(0.0 * wiener.character(grid512, 0), 3) == 0.0
-    coeffs = np.zeros(grid512.M, dtype=complex)
+def test_lp_norm_of_zero_and_nan_values(M512):
+    assert wiener.lp_norm(0.0 * wiener.character(M512, 0), 3) == 0.0
+    coeffs = np.zeros(M512, dtype=complex)
     coeffs[0] = np.nan
     assert np.isnan(wiener.lp_norm(wiener.CircleSignal(coeffs), 3))
