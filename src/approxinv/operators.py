@@ -9,8 +9,11 @@ module targets, because it is independent of tie-breaking among repeated
 singular values.
 
 Every singular system comes from LAPACK (``numpy.linalg.svd``): the full
-decomposition where vectors are needed, the values-only driver for norms and
-rank tests.  A backward-stable SVD is enough here.  The extra accuracy of
+decomposition where vectors are needed, the values-only routine for rank
+tests and the Schatten norms of exponent p != 2.  Norms that need no
+decomposition take none: the Schatten-2 norm is the Frobenius norm, and
+:func:`projection_residuals` reads every member's residual off one Gram
+matrix.  A backward-stable SVD is enough here.  The extra accuracy of
 one-sided Jacobi (Demmel & Veselic, "Jacobi's method is more accurate than
 QR", SIAM J. Matrix Anal. Appl., 1992) is *relative* accuracy on the tiny
 singular values of graded matrices, while every rank decision in this module
@@ -67,12 +70,23 @@ class SingularSystem:
         return (self.outputs * self.values) @ self.inputs.conj().T
 
 
-def _as_operator(a: np.ndarray) -> np.ndarray:
+def _as_operators(a: np.ndarray) -> np.ndarray:
+    """``a`` as a complex array: one square operator or a non-empty stack of
+    them, with finite entries."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("operator must be a square 2-D array")
+    square = a.ndim in (2, 3) and a.shape[-1] == a.shape[-2]
+    if not square or (a.ndim == 3 and a.shape[0] == 0):
+        raise ValueError("operators must be one square array or a non-empty stack")
     if not np.all(np.isfinite(a)):
         raise ValueError("operator entries must be finite")
+    return a
+
+
+def _as_operator(a: np.ndarray) -> np.ndarray:
+    """Like :func:`_as_operators`, refusing a stack."""
+    a = _as_operators(a)
+    if a.ndim != 2:
+        raise ValueError("operator must be a square 2-D array")
     return a
 
 
@@ -90,15 +104,21 @@ def svd(a: np.ndarray) -> SingularSystem:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Non-increasing singular values via the LAPACK backend (the
-    values-only path used by the norms and the rank tests)."""
-    return np.linalg.svd(_as_operator(a), compute_uv=False)
+    """Non-increasing singular values via the values-only LAPACK routine:
+    those of one operator, or, for a stack of k operators, one row per
+    operator in a single call."""
+    return np.linalg.svd(_as_operators(a), compute_uv=False)
 
 
 def schatten_norm(a: np.ndarray, p: float = 2.0) -> float:
-    """(sum lambda_k^p)^(1/p); p = inf gives the largest singular value."""
+    """(sum lambda_k^p)^(1/p); p = inf gives the largest singular value.
+    For p = 2 that sum is the squared Frobenius norm, so no decomposition
+    is taken."""
     if p < 1:
         raise ValueError("exponent must satisfy p >= 1")
+    a = _as_operator(a)
+    if p == 2:
+        return float(np.linalg.norm(a))
     lam = singular_values(a)
     if np.isinf(p):
         return float(lam[0]) if lam.size else 0.0
@@ -145,6 +165,34 @@ def right_inverse_net(system: SingularSystem) -> Callable[[int], np.ndarray]:
     return member
 
 
+def projection_residuals(
+    t: np.ndarray, system: SingularSystem, net: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """``||t . net(m) - P_m||`` (operator norm) for m = 1..n, where ``system``
+    is the singular system of ``t``, ``net`` its :func:`right_inverse_net`
+    and P_m the projection of :func:`output_projection`.
+
+    Only the net's full member is read.  With U the output vectors,
+    ``R = t . net(n) . U - U`` has the columns r_k = t v_k / lambda_k - u_k,
+    and member m inverts on the first m directions, so
+    ``t . net(m) - P_m = R_m U_m^H`` and its norm is ``||R_m||``, the root of
+    the largest eigenvalue of the leading m-by-m block of G = R^H R: one
+    Hermitian eigenvalue problem per member in place of an SVD.  By Cauchy
+    interlacing (Golub & Van Loan, *Matrix Computations*, 8.1) the
+    residuals are nondecreasing in m.  A non-finite R, or one whose Gram
+    matrix overflows, gives NaN for every m, which the worst-case rows
+    report as a failure.
+    """
+    n = system.dim
+    u = system.outputs
+    r = t @ net(n) @ u - u
+    gram = r.conj().T @ r
+    if not np.all(np.isfinite(gram)):
+        return np.full(n, np.nan)
+    largest = [np.linalg.eigvalsh(gram[:m, :m])[-1] for m in range(1, n + 1)]
+    return np.sqrt(np.maximum(largest, 0.0))
+
+
 def output_projection(system: SingularSystem, m: int) -> np.ndarray:
     """Orthogonal projection onto the span of the first m output singular
     vectors of ``system``."""
@@ -172,14 +220,10 @@ def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
     rank threshold this realizes the pure-state criterion for right
     invertibility.
     """
-    stack = np.asarray(a, dtype=complex)
+    stack = _as_operators(a)
     single = stack.ndim == 2
     if single:
         stack = stack[None]
-    if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
-        raise ValueError("operators must be one square array or a non-empty stack")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("operator entries must be finite")
     k, n = stack.shape[:2]
     vecs = np.empty((k, n), dtype=complex)
     for j in range(k):
@@ -190,11 +234,13 @@ def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
     diagonal = np.arange(n)
     gram[:, diagonal, diagonal] += eps[:, None]
     inverse = np.linalg.inv(gram)
+    # column vectors, so that each sweep is one stacked matrix product
+    vecs = vecs[..., None]
     for _ in range(PURE_STATE_SWEEPS):
-        vecs = np.einsum("kij,kj->ki", inverse, vecs)
+        vecs = inverse @ vecs
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     # T^T conj(v) is the conjugate of T* v, so no adjoint copy of the stack.
-    minima = np.linalg.norm(np.einsum("kji,kj->ki", stack, vecs.conj()), axis=1)
+    minima = np.linalg.norm(np.einsum("kji,kj->ki", stack, vecs[..., 0].conj()), axis=1)
     return float(minima[0]) if single else minima
 
 

@@ -256,9 +256,10 @@ def poisson_kernel(M: int, r: float) -> CircleSignal:
         raise ValueError("radius must lie in [0, 1)")
     half = M // 2
     # r^k <= 2^-1100 from k = cut on, far below the smallest subnormal
-    # (2^-1074), so those coefficients are exact zeros
+    # (2^-1074), so those coefficients are exact zeros; no more bins than
+    # the M the array has, so that _bind, not an IndexError, rejects M < 8
     cut = 1 if r == 0 else math.ceil(1100 / -math.log2(r))
-    ks = np.arange(min(half + 1, cut))
+    ks = np.arange(min(half + 1, cut, M))
     with np.errstate(under="ignore"):
         powers = r**ks
     coeffs = np.zeros(M, dtype=complex)

@@ -71,6 +71,8 @@ def test_module_entry_point_runs_the_lab(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # runpy warns when the package has already imported the module it runs
+    assert "Warning" not in result.stderr, result.stderr
     assert (out / "tdz.csv").is_file()
     assert (out / "summary.txt").is_file()
 
@@ -457,7 +459,10 @@ NAN_PRIMITIVES = {
         "c0-interior", c0, "perturb_to_noninvertible",
         lambda space, f, eps: np.full_like(f, np.nan),
     ),
-    "projection-identity": ("um-net", operators, "op_norm", _nan),
+    "projection-identity": (
+        "um-net", operators, "projection_residuals",
+        lambda t, system, net: np.full(len(t), np.nan),
+    ),
     "net-final-residual": ("um-net", operators, "schatten_norm", _nan),
 }
 
@@ -512,6 +517,48 @@ def test_state_route_alone_can_fail_the_pure_state_row(tmp_path, monkeypatch):
     assert row["statement_id"] == "criterion-agreement"
     assert float(row["residual"]) > 0.0
     assert row["verdict"] == "fail"
+
+
+def _weighted_net(weight, direction):
+    """A stand-in for ``right_inverse_net`` whose members scale singular
+    direction ``direction`` by ``weight`` (0 drops it); it keeps the real
+    net's refusal of rank-deficient systems."""
+    real = operators.right_inverse_net
+
+    def build(system):
+        real(system)
+        weights = np.ones(system.dim)
+        weights[direction] = weight
+
+        def member(m):
+            m = min(m, system.dim)
+            scaled = system.inputs[:, :m] * weights[:m] / system.values[:m]
+            return scaled @ system.outputs[:, :m].conj().T
+
+        return member
+
+    return build
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0 + 1e-6], ids=["dropped", "mis-scaled"])
+def test_wrong_net_direction_fails_the_projection_rows(weight, tmp_path, monkeypatch):
+    # a direction the net drops or mis-scales leaves the residual
+    # |weight - 1| on every member that includes it, and none before it
+    direction = 3
+    monkeypatch.setattr(operators, "right_inverse_net", _weighted_net(weight, direction))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "um-net", "--out", str(out)]) == 1
+    with open(out / "um-net.csv", encoding="utf-8", newline="") as handle:
+        rows = [
+            row for row in csv.DictReader(handle)
+            if row["statement_id"] == "projection-identity"
+        ]
+    assert len(rows) == scenarios.ScenarioConfig().matrix_size
+    for row in rows:
+        failing = int(row["net_index"]) > direction
+        assert row["verdict"] == ("fail" if failing else "pass")
+        if failing:
+            assert float(row["residual"]) >= 0.5 * abs(weight - 1.0)
 
 
 def _c0_rows(out):

@@ -128,11 +128,21 @@ def test_op_norm_below_schatten(rng):
 
 
 def test_schatten_two_matches_frobenius(rng):
+    # p = 2 takes the Frobenius norm; it must equal the singular-value sum
     for _ in range(50):
-        a = _random_operator(8, rng)
+        a = _random_operator(int(rng.integers(2, 33)), rng)
+        values = operators.singular_values(a)
         assert operators.schatten_norm(a, 2.0) == pytest.approx(
-            float(np.linalg.norm(a)), rel=1e-10
+            float(np.sqrt(np.sum(values**2))), rel=1e-14
         )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_schatten_norm_rejects_stacks_and_non_finite_entries(p):
+    with pytest.raises(ValueError):
+        operators.schatten_norm(np.zeros((2, 3, 3), complex), p)
+    with pytest.raises(ValueError):
+        operators.schatten_norm(np.diag([1.0, np.nan]), p)
 
 
 def test_schatten_agrees_with_jacobi_values(rng):
@@ -225,6 +235,63 @@ def test_right_inverse_net_seeded(rng):
             assert operators.schatten_norm(t @ net(n) @ c - c, 2.0) <= 1e-9
 
 
+def test_net_members_truncate_to_the_leading_directions(rng):
+    # projection_residuals reads only the full member, so the truncation of
+    # the others is pinned here: U_m = V_m diag(1/lambda_1..m) U_m^H, rank m
+    n = 12
+    system = operators.svd(_full_rank(n, rng))
+    net = operators.right_inverse_net(system)
+    for m in range(1, n):
+        expected = sum(
+            np.outer(system.inputs[:, k], system.outputs[:, k].conj()) / system.values[k]
+            for k in range(m)
+        )
+        assert np.abs(net(m) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.linalg.matrix_rank(net(m)) == m
+
+
+def _perturbed_net(system, rng):
+    """A net with member m = F U_m U_m^H for one perturbed full member F, so
+    that its residuals are far above rounding and R has no special
+    structure."""
+    n = system.dim
+    full = operators.right_inverse_net(system)(n) + 1e-3 * _random_operator(n, rng)
+    return lambda m: full @ operators.output_projection(system, m)
+
+
+@pytest.mark.parametrize("n", [2, 8, 24, 40])
+def test_projection_residuals_match_the_definition(n, rng):
+    for _ in range(5):
+        t = _full_rank(n, rng)
+        system = operators.svd(t)
+        exact = operators.right_inverse_net(system)
+        # the true net sits at rounding level, the perturbed one well above
+        for net, tol in ((exact, 1e-13), (_perturbed_net(system, rng), 0.0)):
+            residuals = operators.projection_residuals(t, system, net)
+            direct = np.array([
+                operators.op_norm(t @ net(m) - operators.output_projection(system, m))
+                for m in range(1, n + 1)
+            ])
+            assert residuals.shape == (n,)
+            assert np.abs(residuals - direct).max() <= tol + 1e-10 * direct.max()
+            # Cauchy interlacing on the leading blocks of one Gram matrix
+            assert np.all(np.diff(residuals) >= 0.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e300])
+def test_projection_residuals_are_nan_for_a_non_finite_residual(entry, rng):
+    # eigvalsh raises on NaN input; the row must print nan and fail instead,
+    # and a NaN clipped at 0.0 would pass it (1e300 overflows the Gram matrix)
+    n = 6
+    t = _full_rank(n, rng)
+    system = operators.svd(t)
+    member = np.full((n, n), entry, dtype=complex)
+    with np.errstate(all="ignore"):
+        residuals = operators.projection_residuals(t, system, lambda m: member)
+    assert residuals.shape == (n,)
+    assert np.all(np.isnan(residuals))
+
+
 def test_right_inverse_net_refuses_singular():
     t = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(RankDeficientError) as err:
@@ -259,8 +326,8 @@ def test_certify_operator_verdicts(rng):
 
 def test_certify_operator_decides_rank_once(rng, monkeypatch):
     # decompositions of the certified operator itself: one singular system
-    # decides the rank and builds the net, and the verifier's norm of x
-    # takes a second, values-only one unless the rank check refuted x
+    # decides the rank and builds the net; the verifier's Schatten-2 norm of
+    # x is the Frobenius norm and takes none
     calls = []
     decompose = np.linalg.svd
 
@@ -275,7 +342,7 @@ def test_certify_operator_decides_rank_once(rng, monkeypatch):
     unit = [np.eye(8, dtype=complex)]
     zero = np.zeros((8, 8), complex)
     for op, verdict, count in (
-        (t, "certified-two-sided", 2), (singular, "refuted", 1), (zero, "refuted", 1)
+        (t, "certified-two-sided", 1), (singular, "refuted", 1), (zero, "refuted", 1)
     ):
         calls.clear()
         assert operators.certify_operator(op, unit).verdict == verdict
@@ -362,7 +429,7 @@ def test_stack_matches_the_per_operator_solve_oracle(rng):
         assert abs(together[j] - solved_pure_state_minimum(t, 7 + j)) <= 1e-12
 
 
-@pytest.mark.parametrize(
+BAD_STACKS = pytest.mark.parametrize(
     "operators_in",
     [
         np.zeros((2, 3, 4), complex),
@@ -374,9 +441,27 @@ def test_stack_matches_the_per_operator_solve_oracle(rng):
     ],
     ids=["non-square", "nan", "inf-member", "empty-stack", "empty-list", "vector"],
 )
+
+
+@BAD_STACKS
 def test_pure_state_minimum_rejects_bad_stacks(operators_in):
     with pytest.raises(ValueError):
         operators.min_pure_state_norm(operators_in)
+
+
+@BAD_STACKS
+def test_singular_values_reject_bad_stacks(operators_in):
+    with pytest.raises(ValueError):
+        operators.singular_values(operators_in)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_stacked_singular_values_equal_the_per_operator_calls(n, rng):
+    stack = _stack_with_singular_members(n, 10, rng)
+    together = operators.singular_values(stack)
+    assert together.shape == (10, n)
+    for t, values in zip(stack, together):
+        assert np.array_equal(values, operators.singular_values(t))
 
 
 def test_pure_state_route_inverts_each_gram_matrix_once(monkeypatch):

@@ -154,6 +154,15 @@ def test_division_constant_gives_kernel_at_order_one(M512):
         assert np.allclose(h.coeffs, wiener.fejer_kernel(M512, n).coeffs, atol=1e-14)
 
 
+@pytest.mark.parametrize("M", range(8))
+def test_poisson_kernel_rejects_small_circles(M):
+    # M = 0 used to raise IndexError before the signal's own size check
+    with pytest.raises(ValueError):
+        wiener.poisson_kernel(M, 0.5)
+    with pytest.raises(ValueError):
+        wiener.standard_test_set(M)
+
+
 def test_division_poisson_coefficients(M4096):
     f = wiener.poisson_kernel(M4096, 0.5)
     h = wiener.wiener_division(f, 4)
