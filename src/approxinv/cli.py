@@ -11,9 +11,9 @@ elapsed-time column.
 
 Exit status: 0 when every emitted row passes, 1 when any row fails or a
 scenario raises, 2 on a configuration error (an output directory that
-cannot be created included).  A scenario that raises is recorded as
-``<name>: ERROR (<ExceptionType>)`` in ``summary.txt`` and on stderr, and
-the remaining scenarios still run.
+cannot be created and a ``summary.txt`` that cannot be written included).
+A scenario that raises is recorded as ``<name>: ERROR (<ExceptionType>)``
+in ``summary.txt`` and on stderr, and the remaining scenarios still run.
 """
 
 from __future__ import annotations
@@ -219,8 +219,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     overall = "FAIL" if failed else "PASS"
     lines.append(f"overall: {overall}")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
+    try:
+        (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as err:
+        print(f"config error: cannot write summary: {err}", file=sys.stderr)
+        return 2
     return 0 if overall == "PASS" else 1
 
 

@@ -10,6 +10,18 @@ the convolution theorem and the spectral division below exact by
 construction, even when divided coefficients span hundreds of orders of
 magnitude.
 
+Each signal also carries a band B: every coefficient of a frequency k with
+min(k, M - k) > B is an exact zero.  The builders set the band they write
+(M//2, which promises nothing, for the public constructor and
+:meth:`CircleSignal.from_values`), and sums, differences, scalar multiples
+and products compute only the bins within their result's band, so their
+cost follows the band rather than M.  The results equal the dense
+coefficient arithmetic bit for bit: a product whose operands hold a NaN or
+an infinite coefficient, or a non-finite scalar multiple, widens its band to
+keep the NaN that a zero times it gives.  The synthesis in
+:attr:`CircleSignal.values` and the p = 2 norm still read all M
+coefficients.
+
 Caveat: a finite sampled circle is formally a unital convolution algebra
 (the discrete delta has norm one).  The models here are truncations of the
 non-unital continuum algebra and are only meaningful in the regime
@@ -40,30 +52,35 @@ class CircleSignal:
     """A complex signal on the sampled circle, stored by its coefficients.
 
     The circle has M >= 8 points (powers of two recommended);
-    ``coeffs[k % M]`` is the coefficient of ``exp(i k theta)``.  Values on
+    ``coeffs[k % M]`` is the coefficient of ``exp(i k theta)``, and every
+    coefficient with min(k, M - k) > ``band`` is an exact zero.  Values on
     the grid are derived lazily and cached.  Instances are immutable: the
-    constructor copies the caller's array, while the operations of this
-    module hand over arrays they have just allocated (:meth:`_adopt`), and
-    both end read-only.
+    constructor copies the caller's array and promises no band (M//2),
+    while the operations of this module hand over arrays they have just
+    allocated, with the band they wrote (:meth:`_adopt`), and both end
+    read-only.
     """
 
-    __slots__ = ("coeffs", "_values")
+    __slots__ = ("coeffs", "band", "_values")
 
     def __init__(self, coeffs: np.ndarray):
-        self._bind(np.array(coeffs, dtype=complex))
+        coeffs = np.array(coeffs, dtype=complex)
+        self._bind(coeffs, coeffs.size // 2)
 
     @classmethod
-    def _adopt(cls, coeffs: np.ndarray) -> "CircleSignal":
-        """Take ownership of a fresh complex array nothing else refers to."""
+    def _adopt(cls, coeffs: np.ndarray, band: int) -> "CircleSignal":
+        """Take ownership of a fresh complex array nothing else refers to,
+        zero beyond ``band``."""
         signal = cls.__new__(cls)
-        signal._bind(coeffs)
+        signal._bind(coeffs, band)
         return signal
 
-    def _bind(self, coeffs: np.ndarray) -> None:
+    def _bind(self, coeffs: np.ndarray, band: int) -> None:
         if coeffs.ndim != 1 or coeffs.shape[0] < 8:
             raise ValueError("coefficient array must be 1-D with length >= 8")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "band", band)
         object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
@@ -71,7 +88,8 @@ class CircleSignal:
 
     @classmethod
     def from_values(cls, values: Sequence[complex]) -> "CircleSignal":
-        return cls._adopt(np.fft.fft(np.asarray(values, dtype=complex), norm="forward"))
+        coeffs = np.fft.fft(np.asarray(values, dtype=complex), norm="forward")
+        return cls._adopt(coeffs, coeffs.size // 2)
 
     @classmethod
     def from_band(cls, M: int, band: dict[int, complex]) -> "CircleSignal":
@@ -80,7 +98,7 @@ class CircleSignal:
         for k, c in band.items():
             _check_band(k, M)
             coeffs[k % M] = c
-        return cls._adopt(coeffs)
+        return cls._adopt(coeffs, max(map(abs, band), default=0))
 
     @property
     def grid_size(self) -> int:
@@ -95,7 +113,7 @@ class CircleSignal:
         cached = self._values
         if cached is None:
             M = self.grid_size
-            if _is_hermitian(self.coeffs):
+            if _is_hermitian(self):
                 cached = np.fft.irfft(self.coeffs[: M // 2 + 1], M, norm="forward")
             else:
                 cached = np.fft.ifft(self.coeffs, norm="forward")
@@ -106,17 +124,21 @@ class CircleSignal:
     def coeff(self, k: int) -> complex:
         return complex(self.coeffs[k % self.grid_size])
 
-    # linear structure (pointwise on coefficients, hence on values)
+    # linear structure (pointwise on coefficients, hence on values); beyond
+    # both bands the operands are zero, and so are their sum and difference
     def __add__(self, other: "CircleSignal") -> "CircleSignal":
         _check_same_grid(self, other)
-        return CircleSignal._adopt(self.coeffs + other.coeffs)
+        return _coefficientwise(np.add, self, other, max(self.band, other.band))
 
     def __sub__(self, other: "CircleSignal") -> "CircleSignal":
         _check_same_grid(self, other)
-        return CircleSignal._adopt(self.coeffs - other.coeffs)
+        return _coefficientwise(np.subtract, self, other, max(self.band, other.band))
 
     def __mul__(self, scalar: complex) -> "CircleSignal":
-        return CircleSignal._adopt(self.coeffs * complex(scalar))
+        scalar = complex(scalar)
+        # zero times an infinite or NaN scalar is NaN in every bin
+        band = self.band if np.isfinite(scalar) else self.grid_size // 2
+        return _coefficientwise(np.multiply, self, scalar, band)
 
     __rmul__ = __mul__
 
@@ -124,15 +146,39 @@ class CircleSignal:
         return f"CircleSignal(M={self.grid_size})"
 
 
-def _is_hermitian(c: np.ndarray) -> bool:
+def _coefficientwise(
+    ufunc: np.ufunc, f: CircleSignal, other: CircleSignal | complex, band: int
+) -> CircleSignal:
+    """The signal whose coefficients are ``ufunc(f.coeffs, other)`` (a
+    signal's coefficients or a scalar) on the bins within ``band`` and zero
+    beyond it; equal to the dense result when the operation is zero beyond
+    the band.  At band M//2 the two slices cover every bin."""
+    M = f.grid_size
+    coeffs = np.zeros(M, dtype=complex)
+    for part in (slice(0, band + 1), slice(M - band, M)):
+        y = other.coeffs[part] if isinstance(other, CircleSignal) else other
+        ufunc(f.coeffs[part], y, out=coeffs[part])
+    return CircleSignal._adopt(coeffs, band)
+
+
+def _finite_beyond(f: CircleSignal, band: int) -> bool:
+    """True when every coefficient of f with min(k, M - k) > band is finite."""
+    c, M = f.coeffs, f.grid_size
+    return bool(
+        np.isfinite(c[band + 1 : f.band + 1]).all()
+        and np.isfinite(c[M - f.band : M - band]).all()
+    )
+
+
+def _is_hermitian(f: CircleSignal) -> bool:
     """True when c[0] is real and c[k] == conj(c[M - k]) for every k, so the
-    synthesized values are real; any NaN fails the comparisons."""
-    M = c.shape[0]
-    # the DC bin and the first mirror pair reject most arrays before the full pass
+    synthesized values are real; any NaN fails the comparisons.  Beyond the
+    band both sides are zero, so only the band is compared."""
+    c, M, band = f.coeffs, f.grid_size, f.band
+    # the DC bin and the first mirror pair reject most arrays before the band's pass
     if not (c[0] == c[0].conjugate() and c[1] == c[-1].conjugate()):
         return False
-    half = M // 2
-    return np.array_equal(c[1 : half + 1], np.conj(c[: M - half - 1 : -1]))
+    return np.array_equal(c[1 : band + 1], np.conj(c[: M - band - 1 : -1]))
 
 
 def _check_band(k: int, M: int) -> None:
@@ -208,10 +254,15 @@ def convolve(f: CircleSignal, g: CircleSignal) -> CircleSignal:
 
     Computed as the pointwise coefficient product, which is exact for the
     sampled signals; the convolution theorem (f*g)^ = fhat ghat holds
-    to rounding for band-limited inputs.
+    to rounding for band-limited inputs.  The product is zero beyond the
+    smaller band unless the wider operand holds an infinite or NaN
+    coefficient there, where zero times it is NaN; then it spans the wider
+    band.
     """
     _check_same_grid(f, g)
-    return CircleSignal._adopt(f.coeffs * g.coeffs)
+    narrow, wide = sorted((f, g), key=lambda x: x.band)
+    band = narrow.band if _finite_beyond(wide, narrow.band) else wide.band
+    return _coefficientwise(np.multiply, f, g, band)
 
 
 def character(M: int, k: int) -> CircleSignal:
@@ -219,7 +270,7 @@ def character(M: int, k: int) -> CircleSignal:
     _check_band(k, M)
     coeffs = np.zeros(M, dtype=complex)
     coeffs[k % M] = 1.0
-    return CircleSignal._adopt(coeffs)
+    return CircleSignal._adopt(coeffs, abs(k))
 
 
 def _whole_order(n) -> int:
@@ -243,7 +294,7 @@ def fejer_kernel(M: int, n: int) -> CircleSignal:
     ks = np.arange(1 - n, n)
     coeffs = np.zeros(M, dtype=complex)
     coeffs[ks % M] = 1.0 - np.abs(ks) / n
-    return CircleSignal._adopt(coeffs)
+    return CircleSignal._adopt(coeffs, n - 1)
 
 
 def fejer_family(M: int) -> Callable[[int], CircleSignal]:
@@ -259,17 +310,21 @@ def poisson_kernel(M: int, r: float) -> CircleSignal:
     # (2^-1074), so those coefficients are exact zeros; no more bins than
     # the M the array has, so that _bind, not an IndexError, rejects M < 8
     cut = 1 if r == 0 else math.ceil(1100 / -math.log2(r))
-    ks = np.arange(min(half + 1, cut, M))
+    band = min(half, cut - 1)
+    ks = np.arange(min(band + 1, M))
     with np.errstate(under="ignore"):
         powers = r**ks
     coeffs = np.zeros(M, dtype=complex)
     coeffs[ks] = powers
     coeffs[M - ks[1 : M - half]] = powers[1 : M - half]
-    return CircleSignal._adopt(coeffs)
+    return CircleSignal._adopt(coeffs, band)
 
 
 def default_floor(f: CircleSignal) -> float:
-    return DIVISION_FLOOR_REL * float(np.abs(f.coeffs).max())
+    c, M = f.coeffs, f.grid_size
+    # every coefficient beyond the band is zero, so the largest lies within it
+    in_band = np.concatenate((c[: f.band + 1], c[M - f.band :]))
+    return DIVISION_FLOOR_REL * float(np.abs(in_band).max())
 
 
 def band_nonvanishing(
@@ -320,7 +375,7 @@ def band_division(
     bins = ks % M
     coeffs = np.zeros(M, dtype=complex)
     coeffs[bins] = numerator(ks) / f.coeffs[bins]
-    return CircleSignal._adopt(coeffs)
+    return CircleSignal._adopt(coeffs, n - 1)
 
 
 def wiener_division(

@@ -660,6 +660,18 @@ def test_output_path_that_is_a_file_exits_two(tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == ""
 
 
+def test_unwritable_summary_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    assert cli.main(["--scenario", "tdz", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: cannot write summary" in captured.err
+    assert "Traceback" not in captured.err
+    assert "tdz: PASS" in captured.out
+    assert (out / "tdz.csv").is_file()
+    assert (out / "summary.txt").is_dir()
+
+
 # recorded with both one-sided residuals evaluated: fejer-identity rows as
 # (net_index, residual at .12e), c0-interior rows as (statement, net_index,
 # residual at .12e)

@@ -237,6 +237,27 @@ def test_aliasing_error_is_raised_in_one_function():
     assert sites == {("wiener", "_check_band")}, sites
 
 
+def test_signal_arithmetic_reaches_the_coefficients_through_one_helper():
+    """Sums, differences, scalar multiples and products read no coefficient
+    array themselves: ``_coefficientwise`` alone turns a band into the bins
+    an operation computes."""
+    operations = {
+        ("wiener", name)
+        for name in (
+            "CircleSignal.__add__",
+            "CircleSignal.__sub__",
+            "CircleSignal.__mul__",
+            "convolve",
+        )
+    }
+    callers = _sites(
+        lambda node: isinstance(node, ast.Call) and _called_name(node) == "_coefficientwise"
+    )
+    assert callers == operations, callers
+    readers = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "coeffs")
+    assert not readers & operations, readers
+
+
 def _public_members():
     """(module, class, member) of every public field, property and method of
     a public top-level class: annotated class-body names (dataclass fields)

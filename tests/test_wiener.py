@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approxinv import banach_module as bm
@@ -737,3 +737,170 @@ def test_lp_norm_of_zero_and_nan_values(M512):
     coeffs = np.zeros(M512, dtype=complex)
     coeffs[0] = np.nan
     assert np.isnan(wiener.lp_norm(wiener.CircleSignal(coeffs), 3))
+
+
+# ---------------------------------------------------------------------------
+# Band-limited arithmetic: each operation computes the bins within its
+# result's band only, yet equals the dense coefficient arithmetic
+
+
+def _beyond_band(f):
+    """The coefficients of f whose frequency lies beyond its band."""
+    M = f.grid_size
+    k = np.arange(M)
+    return f.coeffs[np.minimum(k, M - k) > f.band]
+
+
+def _signal_of_band(M, band, seed, specials, hermitian):
+    """A signal whose band is exactly ``band``: random coefficients on
+    |k| <= band, mirrored to a Hermitian spectrum if asked, with
+    ``specials`` ((frequency, coefficient) pairs, the frequency folded into
+    the band) written over them."""
+    rng = np.random.default_rng(seed)
+    ks = np.arange(-band, band + 1)
+    coeffs = dict(
+        zip(ks.tolist(), rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+    )
+    if hermitian:
+        coeffs[0] = coeffs[0].real
+        coeffs.update({-k: coeffs[k].conjugate() for k in range(1, band + 1)})
+    for k, c in specials:
+        coeffs[k % (2 * band + 1) - band] = c
+    if band < M // 2:
+        f = wiener.CircleSignal.from_band(M, coeffs)
+    else:
+        # from_band refuses |k| >= M/2; the constructor promises band M//2
+        dense = np.zeros(M, dtype=complex)
+        for k, c in coeffs.items():
+            dense[k % M] = c
+        f = wiener.CircleSignal(dense)
+    assert f.band == band
+    return f
+
+
+# a product of two 1e200 coefficients overflows to inf inside the band
+_SPECIAL_COEFFS = (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1e200, 1e200j)
+_specials = st.lists(
+    st.tuples(st.integers(-40, 40), st.sampled_from(_SPECIAL_COEFFS)), max_size=3
+)
+_scalars = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf), 1e300]),
+)
+
+
+def _assert_same_signal(result, dense):
+    assert np.array_equal(result.coeffs, dense, equal_nan=True)
+    expected = wiener.CircleSignal(dense).values
+    assert result.values.dtype == expected.dtype
+    assert np.array_equal(result.values, expected, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    M=st.sampled_from([8, 9, 16, 17, 64, 65]),
+    bands=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.tuples(_specials, _specials),
+    scalar=_scalars,
+    hermitian=st.booleans(),
+)
+# 1e200 squared at frequency 0 of both operands
+@example(
+    M=8, bands=(2, 1), seed=0, specials=([(2, 1e200)], [(1, 1e200)]), scalar=1.0,
+    hermitian=False,
+)
+# inf at frequency -12 of the wide operand, beyond the narrow band 3
+@example(
+    M=64, bands=(3, 32), seed=1, specials=([], [(20, np.inf)]), scalar=np.nan,
+    hermitian=False,
+)
+@example(
+    M=65, bands=(32, 0), seed=2, specials=([(0, np.nan)], []), scalar=-np.inf,
+    hermitian=False,
+)
+# Hermitian but for the band's last bin
+@example(
+    M=16, bands=(5, 3), seed=3, specials=([(10, 1e200j)], []), scalar=2.0,
+    hermitian=True,
+)
+def test_band_arithmetic_equals_the_dense_arithmetic(
+    M, bands, seed, specials, scalar, hermitian
+):
+    f, g = (
+        _signal_of_band(M, band % (M // 2 + 1), seed + i, extra, hermitian)
+        for i, (band, extra) in enumerate(zip(bands, specials))
+    )
+    with np.errstate(all="ignore"):
+        cases = [
+            (f + g, f.coeffs + g.coeffs),
+            (f - g, f.coeffs - g.coeffs),
+            (wiener.convolve(f, g), f.coeffs * g.coeffs),
+            (f * scalar, f.coeffs * complex(scalar)),
+            (scalar * g, g.coeffs * complex(scalar)),
+        ]
+        for result, dense in cases:
+            _assert_same_signal(result, dense)
+            assert not _beyond_band(result).any()
+
+
+def test_a_product_keeps_the_nan_of_zero_times_inf():
+    # the narrow operand is zero at frequency 50, where the wide one is inf
+    wide = wiener.CircleSignal.from_band(4096, {0: 1, 50: np.inf})
+    narrow = wiener.CircleSignal.from_band(4096, {0: 1, 3: 0.5})
+    with np.errstate(invalid="ignore"):
+        product = wiener.convolve(wide, narrow)
+        _assert_same_signal(product, wide.coeffs * narrow.coeffs)
+        assert np.isnan(wiener.l1_norm(product))
+    assert product.band == 50
+
+
+@pytest.mark.parametrize("M", [8, 9, 64, 65, 4096])
+def test_every_coefficient_beyond_the_band_is_zero(M):
+    half = M // 2
+    f = wiener.poisson_kernel(M, 0.3)
+    built = {
+        "from_band": (wiener.CircleSignal.from_band(M, {-2: 3.0, 1: 0.5j}), 2),
+        "from_band-empty": (wiener.CircleSignal.from_band(M, {}), 0),
+        "character": (wiener.character(M, -3), 3),
+        "fejer": (wiener.fejer_kernel(M, 3), 2),
+        "poisson-0": (wiener.poisson_kernel(M, 0.0), 0),
+        # 0.3^k <= 2^-1100 from k = 634 on
+        "poisson-0.3": (f, min(half, 633)),
+        "poisson-0.999": (wiener.poisson_kernel(M, 0.999), half),
+        "division": (wiener.wiener_division(f, 3), 2),
+        "band-division": (wiener.band_division(f, np.ones_like, 2), 1),
+        # these two promise nothing
+        "from_values": (wiener.CircleSignal.from_values(np.arange(M)), half),
+        "constructor": (wiener.CircleSignal(np.ones(M)), half),
+    }
+    for name, (signal, band) in built.items():
+        assert signal.band == band, name
+        assert not _beyond_band(signal).any(), name
+        floor = wiener.DIVISION_FLOOR_REL * np.abs(signal.coeffs).max()
+        assert wiener.default_floor(signal) == floor, name
+    signals = [signal for signal, _ in built.values()]
+    signals.append(wiener.CircleSignal.from_band(M, {0: 1.0, 2: np.inf}))
+    with np.errstate(all="ignore"):
+        for a in signals:
+            results = [a * scalar for scalar in (2.0, -0.5j, np.nan, np.inf)]
+            for b in signals:
+                results += [a + b, a - b, wiener.convolve(a, b)]
+            for result in results:
+                assert 0 <= result.band <= half
+                assert not _beyond_band(result).any()
+
+
+@pytest.mark.parametrize("M", range(8))
+def test_builders_reject_small_circles(M):
+    for build in (
+        lambda: wiener.CircleSignal(np.ones(M)),
+        lambda: wiener.CircleSignal.from_values(np.ones(M)),
+        lambda: wiener.CircleSignal.from_band(M, {}),
+        lambda: wiener.character(M, 0),
+        lambda: wiener.fejer_kernel(M, 1),
+        lambda: wiener.poisson_kernel(M, 0.0),
+        lambda: wiener.poisson_kernel(M, 0.999),
+    ):
+        with pytest.raises(ValueError):
+            build()
