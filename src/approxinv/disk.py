@@ -66,11 +66,6 @@ def validate_a0(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def chi1() -> np.ndarray:
-    """The generating monomial z."""
-    return np.array([0.0, 1.0], dtype=complex)
-
-
 def poly_eval(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(z, np.asarray(p, dtype=complex))
 
@@ -99,13 +94,6 @@ def product_deviation(f1: np.ndarray, f2: np.ndarray, sampling: CircleSampling) 
     return float(np.abs(poly_eval(diff, sampling.circle)).max())
 
 
-def chi1_isometry_check(p: np.ndarray, sampling: CircleSampling) -> tuple[float, float]:
-    """(sup|p * z|, sup|p|): multiplication by z preserves moduli on the
-    circle, so the two sampled sups agree to rounding."""
-    p = validate_a0(p)
-    return sup_norm_disk(poly_mul(p, chi1()), sampling), sup_norm_disk(p, sampling)
-
-
 def random_elements(rng: np.random.Generator, count: int, degree: int) -> np.ndarray:
     """``count`` elements as rows z^0..z^degree, the constant column zero and
     the other coefficients drawn uniformly from the complex disk of radius
@@ -115,11 +103,6 @@ def random_elements(rng: np.random.Generator, count: int, degree: int) -> np.nda
     out = np.zeros((count, degree + 1), dtype=complex)
     out[:, 1:] = radius * phase
     return out
-
-
-def random_a0(rng: np.random.Generator, degree: int) -> np.ndarray:
-    """One element of :func:`random_elements`."""
-    return random_elements(rng, 1, degree)[0]
 
 
 def annulus_certificate(sampling: CircleSampling, degree: int) -> float:

@@ -96,6 +96,9 @@ class ScenarioConfig:
             raise ConfigError("matrix_size must be at least 2")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        # the OS path calls reject a NUL byte with ValueError, not OSError
+        if "\0" in self.out:
+            raise ConfigError("out must not contain a NUL byte")
         # c0's centered window family keeps a 2-cell ramp on each side of
         # the center cell
         if self.grid_points < 5:
@@ -318,13 +321,6 @@ def _disk13(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     rows.add("annulus-margin", degree, disk.annulus_certificate(sampling, degree), bound)
     rows.add("product-found-minimum", degree, disk.product_deviation(zero, zero, sampling))
     rows.add("product-margin", degree, disk.product_certificate(sampling, degree), bound)
-    rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for _ in range(50):
-        p = disk.random_a0(rng, 16)
-        with_chi, plain = disk.chi1_isometry_check(p, sampling)
-        worst = _worst(worst, abs(with_chi - plain))
-    rows.add("monomial-isometry", 50, worst, 1e-12)
     return rows.rows
 
 
@@ -433,7 +429,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
     "disk13": ScenarioSpec(
         _disk13,
         ("annulus-found-minimum", "annulus-margin", "product-found-minimum",
-         "product-margin", "monomial-isometry"),
+         "product-margin"),
         "one-third separation bounds in the origin-vanishing disk algebra",
     ),
     "deconv": ScenarioSpec(

@@ -2,7 +2,8 @@
 circle involution and the values-only rank refuter that only the tests
 read, the routes through the public verifiers that the tests and the
 acceptance criteria use for module density, product certification and
-adjoint duality, and an aliased disk sampling."""
+adjoint duality, and the generating monomial and an aliased sampling of the
+disk model."""
 
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
@@ -160,6 +161,10 @@ def mirrors(cert: ApproxInvCertificate, dual: ApproxInvCertificate) -> bool:
             ):
                 return False
     return True
+
+
+#: The generating monomial z of the disk model, as coefficients z^0, z^1.
+GENERATOR = np.array([0.0, 1.0], complex)
 
 
 class PeriodFourSampling(disk.CircleSampling):

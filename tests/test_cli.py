@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -55,6 +56,62 @@ def test_registry_matches_documented_names():
     for name, spec in scenarios.REGISTRY.items():
         assert spec.statements, name
         assert spec.description, name
+
+
+def _readme_statements() -> dict[str, list[str]]:
+    """The README scenario table as {scenario: statement ids}, each
+    ``{a,b}`` brace list expanded in place."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split(
+        "### Scenarios and statement identifiers", 1
+    )[1].split("\n### ", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if not line.startswith("| `"):
+            continue
+        name, ids = line.split("|")[1:3]
+        expanded = []
+        for statement in re.findall(r"`([^`]+)`", ids):
+            stem, brace, tail = statement.partition("{")
+            choices, _, rest = tail.partition("}")
+            expanded.extend(
+                [stem + choice + rest for choice in choices.split(",")] if brace else [statement]
+            )
+        documented[name.strip(" `")] = expanded
+    return documented
+
+
+def test_registered_statements_match_emitted_and_documented(tmp_path):
+    config = replace(cli.load_config(_fast_config(tmp_path)), out=str(tmp_path / "o"))
+    documented = _readme_statements()
+    assert list(documented) == list(scenarios.REGISTRY)
+    for name, spec in scenarios.REGISTRY.items():
+        rows = cli.run_scenario(name, config)
+        emitted = tuple(dict.fromkeys(row.statement_id for row in rows))
+        assert emitted == spec.statements, name
+        assert tuple(documented[name]) == spec.statements, name
+
+
+@pytest.mark.parametrize("angles", [scenarios.ScenarioConfig.disk_angles, 1024])
+def test_disk13_found_minimum_rows_print_one(angles, tmp_path):
+    # bench/run.py derives its search gap from these two rows
+    out = tmp_path / "o"
+    cli.run_scenario("disk13", scenarios.ScenarioConfig(disk_angles=angles, out=str(out)))
+    with open(out / "disk13.csv", encoding="utf-8", newline="") as handle:
+        residuals = {row["statement_id"]: row["residual"] for row in csv.DictReader(handle)}
+    assert residuals["annulus-found-minimum"] == "1.000000000000e+00"
+    assert residuals["product-found-minimum"] == "1.000000000000e+00"
+
+
+def test_disk13_is_seed_independent(tmp_path):
+    # every disk13 row is a zero-element deviation or a certificate, so the
+    # scenario draws nothing
+    texts = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert cli.main(["--scenario", "disk13", "--seed", seed, "--out", str(out)]) == 0
+        texts.append(_strip_elapsed((out / "disk13.csv").read_text(encoding="utf-8")))
+    assert texts[0] == texts[1]
 
 
 def test_module_entry_point_runs_the_lab(tmp_path):
@@ -338,6 +395,19 @@ def test_hostile_config_values_exit_two(section, key, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_nul_byte_in_out_exits_two(tmp_path, capsys):
+    # the OS path calls raise ValueError on a NUL byte, which must not
+    # escape as a traceback
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text("[run]\nout = a\x00b\n", encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "--scenario", "tdz"]) == 2
+    assert cli.main(["--scenario", "tdz", "--out", str(tmp_path / "a\x00b")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "Traceback" not in err
+    with pytest.raises(ConfigError):
+        cli.run_scenario("tdz", scenarios.ScenarioConfig(out="a\x00b"))
+
+
 def _readme_config(tmp_path):
     """The README's ``ini`` block as {section: [keys]}, and the block itself,
     comments included, written verbatim to a config file."""
@@ -439,7 +509,6 @@ def test_aliased_sampling_fails_both_disk_margins(tmp_path, monkeypatch):
         verdicts = {row["statement_id"]: row["verdict"] for row in csv.DictReader(handle)}
     assert verdicts["annulus-margin"] == "fail"
     assert verdicts["product-margin"] == "fail"
-    assert verdicts["monomial-isometry"] == "pass"
 
 
 def _nan(*args):
@@ -454,7 +523,6 @@ NAN_PRIMITIVES = {
     "witness-monotone": ("tdz", wiener, "tdz_witness", _nan),
     "annulus-margin": ("disk13", disk, "annulus_certificate", _nan),
     "product-margin": ("disk13", disk, "product_certificate", _nan),
-    "monomial-isometry": ("disk13", disk, "chi1_isometry_check", lambda p, s: (_nan(), 1.0)),
     "perturbation-distance": (
         "c0-interior", c0, "perturb_to_noninvertible",
         lambda space, f, eps: np.full_like(f, np.nan),

@@ -3,15 +3,15 @@ import pytest
 
 from approxinv import disk
 
-from .support import PeriodFourSampling
+from .support import GENERATOR, PeriodFourSampling
 
 #: Rounding allowance of the certified optimum 1 and of its certificates.
 EXACT = 1e-12
 
 
 def test_sup_norm_monomials(sampling):
-    assert disk.sup_norm_disk(disk.chi1(), sampling) == pytest.approx(1.0, abs=1e-12)
-    assert disk.sup_norm_disk(2.0 * disk.chi1(), sampling) == pytest.approx(2.0, abs=1e-12)
+    assert disk.sup_norm_disk(GENERATOR, sampling) == pytest.approx(1.0, abs=1e-12)
+    assert disk.sup_norm_disk(2.0 * GENERATOR, sampling) == pytest.approx(2.0, abs=1e-12)
     p = np.array([0.0, 1.0, 1.0], complex)  # z + z^2 peaks at theta = 0
     assert disk.sup_norm_disk(p, sampling) == pytest.approx(2.0, abs=1e-12)
 
@@ -33,14 +33,14 @@ def test_schwarz_trivia(sampling):
     assert _schwarz_holds(p, 0.0, sampling)
     # the generator satisfies the bound with equality at every point
     z = 0.7 + 0.1j
-    assert abs(disk.poly_eval(disk.chi1(), z)) == pytest.approx(
-        abs(z) * disk.sup_norm_disk(disk.chi1(), sampling), abs=1e-12
+    assert abs(disk.poly_eval(GENERATOR, z)) == pytest.approx(
+        abs(z) * disk.sup_norm_disk(GENERATOR, sampling), abs=1e-12
     )
 
 
 def test_schwarz_seeded(sampling, rng):
     for _ in range(500):
-        p = disk.random_a0(rng, int(rng.integers(1, 17)))
+        p = disk.random_elements(rng, 1, int(rng.integers(1, 17)))[0]
         z = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         assert _schwarz_holds(p, complex(z), sampling)
 
@@ -48,33 +48,37 @@ def test_schwarz_seeded(sampling, rng):
 def test_annulus_deviation_values(sampling):
     zero = np.array([0.0], complex)
     assert disk.annulus_deviation(zero, sampling) == pytest.approx(1.0, abs=1e-12)
-    assert disk.annulus_deviation(disk.chi1(), sampling) == pytest.approx(2.0, abs=1e-12)
+    assert disk.annulus_deviation(GENERATOR, sampling) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_product_deviation_values(sampling):
-    chi = disk.chi1()
-    assert disk.product_deviation(chi, chi, sampling) == pytest.approx(2.0, abs=1e-12)
+    assert disk.product_deviation(GENERATOR, GENERATOR, sampling) == pytest.approx(2.0, abs=1e-12)
     zero = np.array([0.0], complex)
-    assert disk.product_deviation(chi, zero, sampling) == pytest.approx(1.0, abs=1e-12)
+    assert disk.product_deviation(GENERATOR, zero, sampling) == pytest.approx(1.0, abs=1e-12)
     assert disk.product_deviation(zero, zero, sampling) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi1_multiplication_is_isometric(sampling, rng):
-    with_chi, plain = disk.chi1_isometry_check(disk.chi1(), sampling)
+    # multiplication by z preserves moduli on the circle, so the two sampled
+    # sups agree to rounding
+    def sups(p):
+        with_chi = disk.sup_norm_disk(disk.poly_mul(p, GENERATOR), sampling)
+        return with_chi, disk.sup_norm_disk(p, sampling)
+
+    with_chi, plain = sups(GENERATOR)
     assert with_chi == pytest.approx(1.0, abs=1e-12) and plain == pytest.approx(1.0, abs=1e-12)
     cubic = np.array([0.0, 0.0, 3.0], complex)
-    with_chi, plain = disk.chi1_isometry_check(cubic, sampling)
+    with_chi, plain = sups(cubic)
     assert with_chi == pytest.approx(3.0, abs=1e-12) and plain == pytest.approx(3.0, abs=1e-12)
     for _ in range(200):
-        p = disk.random_a0(rng, 16)
-        with_chi, plain = disk.chi1_isometry_check(p, sampling)
+        with_chi, plain = sups(disk.random_elements(rng, 1, 16)[0])
         assert abs(with_chi - plain) <= 1e-12
 
 
 def test_coefficient_product_matches_pointwise(sampling, rng):
     for _ in range(50):
-        f1 = disk.random_a0(rng, 8)
-        f2 = disk.random_a0(rng, 8)
+        f1 = disk.random_elements(rng, 1, 8)[0]
+        f2 = disk.random_elements(rng, 1, 8)[0]
         prod = disk.poly_mul(f1, f2)
         direct = disk.poly_eval(f1, sampling.circle) * disk.poly_eval(f2, sampling.circle)
         assert np.abs(disk.poly_eval(prod, sampling.circle) - direct).max() <= 1e-10
@@ -84,7 +88,7 @@ def test_sampled_sup_monotone_under_refinement(rng):
     coarse = disk.CircleSampling(1024)
     fine = disk.CircleSampling(4096)  # nested: every coarse angle is a fine angle
     for _ in range(50):
-        p = disk.random_a0(rng, 12)
+        p = disk.random_elements(rng, 1, 12)[0]
         assert disk.sup_norm_disk(p, fine) >= disk.sup_norm_disk(p, coarse) - 1e-15
         assert disk.annulus_deviation(p, fine) >= disk.annulus_deviation(p, coarse) - 1e-15
 
@@ -134,20 +138,19 @@ def test_certificates_see_a_constant_term(sampling):
     assert disk.annulus_deviation(one, sampling) <= EXACT
     assert disk.annulus_deviation(one, sampling) < 1.0 - disk.annulus_certificate(sampling, 8)
     with pytest.raises(ValueError):
-        disk.product_deviation(one, disk.chi1(), sampling)
-    product = disk.poly_mul(one, disk.chi1())
+        disk.product_deviation(one, GENERATOR, sampling)
+    product = disk.poly_mul(one, GENERATOR)
     product[1] -= 1.0
     assert np.abs(disk.poly_eval(product, sampling.circle)).max() <= EXACT
     assert disk.product_certificate(sampling, 8) <= EXACT
 
 
 def test_candidate_nets_stay_away_from_generator(sampling, rng):
-    # every degree-capped candidate net member keeps sup|chi1 g - chi1| at
-    # least one, so no approximate identity can form in this model
-    chi = disk.chi1()
+    # every degree-capped candidate net member keeps sup|z g - z| at least
+    # one, so no approximate identity can form in this model
     certificate = disk.product_certificate(sampling, 8)
     for g in disk.random_elements(rng, 200, 8):
-        deviation = disk.product_deviation(chi, g, sampling)
+        deviation = disk.product_deviation(GENERATOR, g, sampling)
         assert deviation >= 1.0 - EXACT and deviation >= 1.0 - certificate
 
 
@@ -173,6 +176,6 @@ def test_boundary_screen_equals_annulus_max(angles, rng):
     rims = sampling.annulus.reshape(len(disk.RADII), angles)[[0, -1]].ravel()
     assert rims.shape == (2 * angles,)
     for _ in range(500):
-        p = disk.random_a0(rng, 8)
+        p = disk.random_elements(rng, 1, 8)[0]
         rim = float(np.abs(disk.poly_eval(p, rims) - 1.0).max())
         assert rim == disk.annulus_deviation(p, sampling)
