@@ -38,7 +38,7 @@ def add_noise(signal: CircleSignal, sigma: float, seed: int) -> CircleSignal:
     noisy.imag = rng.standard_normal(M)
     noisy *= sigma / np.sqrt(2.0)
     noisy += signal.values
-    return CircleSignal.from_values(noisy)
+    return CircleSignal._from_owned_values(noisy)
 
 
 def deconvolve(

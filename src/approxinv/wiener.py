@@ -4,23 +4,28 @@ Signals live on the M-point circle grid theta_m = 2 pi m / M with Haar
 measure normalized to total mass one, so the algebra norm is
 ``mean(|values|)`` and the unit-norm kernels of classical Fourier analysis
 keep their textbook constants.  Each :class:`CircleSignal` is stored by its
-Fourier coefficient array (FFT index order); convolution is a pointwise
-coefficient product and grid values are synthesized on demand.  This makes
-the convolution theorem and the spectral division below exact by
-construction, even when divided coefficients span hundreds of orders of
-magnitude.
+Fourier coefficients; convolution is a pointwise coefficient product and
+grid values are synthesized on demand.  This makes the convolution theorem
+and the spectral division below exact by construction, even when divided
+coefficients span hundreds of orders of magnitude.
 
 Each signal also carries a band B: every coefficient of a frequency k with
-min(k, M - k) > B is an exact zero.  The builders set the band they write
-(M//2, which promises nothing, for the public constructor and
+min(k, M - k) > B is an exact zero, and only the 2B + 1 coefficients within
+the band are stored.  The builders set the band they write (M//2, which
+promises nothing, for the public constructor and
 :meth:`CircleSignal.from_values`), and sums, differences, scalar multiples
-and products compute only the bins within their result's band, so their
-cost follows the band rather than M.  The results equal the dense
-coefficient arithmetic bit for bit: a product whose operands hold a NaN or
-an infinite coefficient, or a non-finite scalar multiple, widens its band to
-keep the NaN that a zero times it gives.  The synthesis in
-:attr:`CircleSignal.values` and the p = 2 norm still read all M
-coefficients.
+and products compute only the bins within their result's band, so both
+their storage and their cost follow the band rather than M.  The results
+equal the dense coefficient arithmetic bit for bit: a product whose operands
+hold a NaN or an infinite coefficient, or a non-finite scalar multiple,
+widens its band to keep the NaN that a zero times it gives.  Only the
+complex synthesis in :attr:`CircleSignal.values` (one buffer, transformed
+in place), the p = 2 norm and the two builders that promise no band hold
+all M coefficient bins.  The p = 2 norm sums its squares over the dense
+array because the sum's blocking, and with it its rounding, depends on
+each term's position: over the stored bins alone the last bit differs.
+The real synthesis reads the band's half spectrum, which the inverse FFT
+zero-pads itself.
 
 Caveat: a finite sampled circle is formally a unital convolution algebra
 (the discrete delta has norm one).  The models here are truncations of the
@@ -49,37 +54,43 @@ _STANDARD_SEED = 20260809
 
 
 class CircleSignal:
-    """A complex signal on the sampled circle, stored by its coefficients.
+    """A complex signal on the sampled circle, stored by its in-band
+    coefficients.
 
-    The circle has M >= 8 points (powers of two recommended);
-    ``coeffs[k % M]`` is the coefficient of ``exp(i k theta)``, and every
-    coefficient with min(k, M - k) > ``band`` is an exact zero.  Values on
-    the grid are derived lazily and cached.  Instances are immutable: the
-    constructor copies the caller's array and promises no band (M//2),
-    while the operations of this module hand over arrays they have just
-    allocated, with the band they wrote (:meth:`_adopt`), and both end
-    read-only.
+    The circle has M >= 8 points (powers of two recommended), and every
+    coefficient of a frequency k with min(k, M - k) > ``band`` is an exact
+    zero.  Only the band is stored: the coefficients of the frequencies
+    0..B, then -B..-1, which is the FFT-order array with its zero middle
+    removed, or all M of them once 2B + 1 >= M (B is then M//2).
+    :attr:`coeffs` materializes the dense array, ``coeffs[k % M]`` the
+    coefficient of ``exp(i k theta)``.  Values on the grid are derived
+    lazily and cached.  Instances are immutable: the constructor copies the
+    caller's array and promises no band (M//2), while the operations of
+    this module hand over arrays they have just allocated, with the band
+    they wrote (:meth:`_adopt`), and both end read-only.
     """
 
-    __slots__ = ("coeffs", "band", "_values")
+    __slots__ = ("_packed", "grid_size", "band", "_values")
 
     def __init__(self, coeffs: np.ndarray):
         coeffs = np.array(coeffs, dtype=complex)
-        self._bind(coeffs, coeffs.size // 2)
+        self._bind(coeffs, coeffs.size, coeffs.size // 2)
 
     @classmethod
-    def _adopt(cls, coeffs: np.ndarray, band: int) -> "CircleSignal":
-        """Take ownership of a fresh complex array nothing else refers to,
-        zero beyond ``band``."""
+    def _adopt(cls, packed: np.ndarray, M: int, band: int) -> "CircleSignal":
+        """Take ownership of a fresh complex array nothing else refers to:
+        the packed coefficients of a signal on M points, zero beyond
+        ``band``."""
         signal = cls.__new__(cls)
-        signal._bind(coeffs, band)
+        signal._bind(packed, M, band)
         return signal
 
-    def _bind(self, coeffs: np.ndarray, band: int) -> None:
-        if coeffs.ndim != 1 or coeffs.shape[0] < 8:
+    def _bind(self, packed: np.ndarray, M: int, band: int) -> None:
+        if packed.ndim != 1 or M < 8:
             raise ValueError("coefficient array must be 1-D with length >= 8")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        packed.setflags(write=False)
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "grid_size", M)
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "_values", None)
 
@@ -88,41 +99,64 @@ class CircleSignal:
 
     @classmethod
     def from_values(cls, values: Sequence[complex]) -> "CircleSignal":
-        coeffs = np.fft.fft(np.asarray(values, dtype=complex), norm="forward")
-        return cls._adopt(coeffs, coeffs.size // 2)
+        return cls._from_owned_values(np.array(values, dtype=complex))
+
+    @classmethod
+    def _from_owned_values(cls, values: np.ndarray) -> "CircleSignal":
+        """Take ownership of a fresh complex value array nothing else refers
+        to and transform it in place into the coefficients."""
+        np.fft.fft(values, norm="forward", out=values)
+        return cls._adopt(values, values.size, values.size // 2)
 
     @classmethod
     def from_band(cls, M: int, band: dict[int, complex]) -> "CircleSignal":
         """Build a trig polynomial on M points from {frequency: coefficient}."""
-        coeffs = np.zeros(M, dtype=complex)
-        for k, c in band.items():
+        for k in band:
             _check_band(k, M)
-            coeffs[k % M] = c
-        return cls._adopt(coeffs, max(map(abs, band), default=0))
+        width = max(map(abs, band), default=0)
+        packed = np.zeros(2 * width + 1, dtype=complex)
+        for k, c in band.items():
+            packed[k] = c
+        return cls._adopt(packed, M, width)
 
     @property
-    def grid_size(self) -> int:
-        return self.coeffs.shape[0]
+    def coeffs(self) -> np.ndarray:
+        """All M coefficients in FFT index order, materialized on each read."""
+        dense = self._dense()
+        dense.setflags(write=False)
+        return dense
+
+    def _dense(self) -> np.ndarray:
+        """A fresh, writable array of all M coefficients."""
+        dense = _packed_at(self, self.grid_size // 2)
+        return dense.copy() if dense is self._packed else dense
 
     @property
     def values(self) -> np.ndarray:
         """Grid values: real, from the half spectrum, when the coefficients
-        are bitwise Hermitian; complex otherwise.  The forward-normalized
-        inverse transform is the plain sum of the coefficients' characters,
-        with no 1/M scaling to undo."""
+        are bitwise Hermitian; complex otherwise, transformed in place in
+        the one dense buffer.  The forward-normalized inverse transform is
+        the plain sum of the coefficients' characters, with no 1/M scaling
+        to undo."""
         cached = self._values
         if cached is None:
-            M = self.grid_size
             if _is_hermitian(self):
-                cached = np.fft.irfft(self.coeffs[: M // 2 + 1], M, norm="forward")
+                # irfft zero-pads the band's half spectrum to M//2 + 1 bins
+                half = self._packed[: self.band + 1]
+                cached = np.fft.irfft(half, self.grid_size, norm="forward")
             else:
-                cached = np.fft.ifft(self.coeffs, norm="forward")
+                cached = self._dense()
+                np.fft.ifft(cached, norm="forward", out=cached)
             cached.setflags(write=False)
             object.__setattr__(self, "_values", cached)
         return cached
 
     def coeff(self, k: int) -> complex:
-        return complex(self.coeffs[k % self.grid_size])
+        M = self.grid_size
+        k %= M
+        if k > M // 2:
+            k -= M
+        return complex(self._packed[k]) if abs(k) <= self.band else 0j
 
     # linear structure (pointwise on coefficients, hence on values); beyond
     # both bands the operands are zero, and so are their sum and difference
@@ -146,39 +180,63 @@ class CircleSignal:
         return f"CircleSignal(M={self.grid_size})"
 
 
+def _packed_at(f: CircleSignal, band: int) -> np.ndarray:
+    """f's coefficients as a signal of band ``band`` stores them: f's own
+    array at its own band, else a fresh array, cut to the narrower band or
+    padded with zeros to the wider one."""
+    c, own = f._packed, f.band
+    if band == own:
+        return c
+    if band < own:
+        return np.concatenate((c[: band + 1], c[c.size - band :]))
+    out = np.zeros(min(2 * band + 1, f.grid_size), dtype=complex)
+    out[: own + 1] = c[: own + 1]
+    out[out.size - own :] = c[own + 1 :]
+    return out
+
+
+def _frequencies(band: int) -> np.ndarray:
+    """The signed frequencies 0..band, then -band..-1: the packed order of
+    a band below M/2."""
+    return np.concatenate((np.arange(band + 1), np.arange(-band, 0)))
+
+
 def _coefficientwise(
     ufunc: np.ufunc, f: CircleSignal, other: CircleSignal | complex, band: int
 ) -> CircleSignal:
     """The signal whose coefficients are ``ufunc(f.coeffs, other)`` (a
     signal's coefficients or a scalar) on the bins within ``band`` and zero
     beyond it; equal to the dense result when the operation is zero beyond
-    the band.  At band M//2 the two slices cover every bin."""
-    M = f.grid_size
-    coeffs = np.zeros(M, dtype=complex)
-    for part in (slice(0, band + 1), slice(M - band, M)):
-        y = other.coeffs[part] if isinstance(other, CircleSignal) else other
-        ufunc(f.coeffs[part], y, out=coeffs[part])
-    return CircleSignal._adopt(coeffs, band)
+    the band.  Each operand enters cut or zero-padded to that band."""
+    x = _packed_at(f, band)
+    y = _packed_at(other, band) if isinstance(other, CircleSignal) else other
+    out = None
+    if ufunc is not np.multiply:
+        # a sum or difference writes into the padded copy of its narrower
+        # operand (stored arrays are read-only, copies writable); numpy's
+        # in-place complex product rounds differently, so products allocate
+        out = next((a for a in (x, y) if a.flags.writeable), None)
+    return CircleSignal._adopt(ufunc(x, y, out=out), f.grid_size, band)
 
 
 def _finite_beyond(f: CircleSignal, band: int) -> bool:
     """True when every coefficient of f with min(k, M - k) > band is finite."""
-    c, M = f.coeffs, f.grid_size
+    c, own = f._packed, f.band
     return bool(
-        np.isfinite(c[band + 1 : f.band + 1]).all()
-        and np.isfinite(c[M - f.band : M - band]).all()
+        np.isfinite(c[band + 1 : own + 1]).all()
+        and np.isfinite(c[c.size - own : c.size - band]).all()
     )
 
 
 def _is_hermitian(f: CircleSignal) -> bool:
-    """True when c[0] is real and c[k] == conj(c[M - k]) for every k, so the
+    """True when c[0] is real and c[k] == conj(c[-k]) for every k, so the
     synthesized values are real; any NaN fails the comparisons.  Beyond the
     band both sides are zero, so only the band is compared."""
-    c, M, band = f.coeffs, f.grid_size, f.band
+    c, band = f._packed, f.band
     # the DC bin and the first mirror pair reject most arrays before the band's pass
-    if not (c[0] == c[0].conjugate() and c[1] == c[-1].conjugate()):
+    if not (c[0] == c[0].conjugate() and (band == 0 or c[1] == c[-1].conjugate())):
         return False
-    return np.array_equal(c[1 : band + 1], np.conj(c[: M - band - 1 : -1]))
+    return np.array_equal(c[1 : band + 1], np.conj(c[: c.size - band - 1 : -1]))
 
 
 def _check_band(k: int, M: int) -> None:
@@ -227,12 +285,15 @@ def lp_norm(f: CircleSignal, p: float) -> float:
     if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
-        total = np.vdot(f.coeffs, f.coeffs).real
+        # over all M bins: the sum's blocking, and so its rounding, follows
+        # each term's dense position
+        coeffs = f.coeffs
+        total = np.vdot(coeffs, coeffs).real
         # squares below 2^-1022 lose bits, but above 2^-900 those bits sit far
         # below the sum's own rounding
         if 2.0**-900 < total < np.inf:
             return float(np.sqrt(total))
-        mags = np.abs(f.coeffs)
+        mags = np.abs(coeffs)
         sup = float(mags.max())
         if not 0.0 < sup < np.inf:  # zero, infinite or NaN coefficients
             return sup
@@ -268,9 +329,9 @@ def convolve(f: CircleSignal, g: CircleSignal) -> CircleSignal:
 def character(M: int, k: int) -> CircleSignal:
     """The unit-norm character exp(i k theta) on M points."""
     _check_band(k, M)
-    coeffs = np.zeros(M, dtype=complex)
-    coeffs[k % M] = 1.0
-    return CircleSignal._adopt(coeffs, abs(k))
+    packed = np.zeros(2 * abs(k) + 1, dtype=complex)
+    packed[k] = 1.0
+    return CircleSignal._adopt(packed, M, abs(k))
 
 
 def _whole_order(n) -> int:
@@ -291,10 +352,8 @@ def fejer_kernel(M: int, n: int) -> CircleSignal:
     if n < 1:
         raise ValueError("kernel order must be >= 1")
     _check_band(n, M)
-    ks = np.arange(1 - n, n)
-    coeffs = np.zeros(M, dtype=complex)
-    coeffs[ks % M] = 1.0 - np.abs(ks) / n
-    return CircleSignal._adopt(coeffs, n - 1)
+    packed = 1.0 - np.abs(_frequencies(n - 1)) / n
+    return CircleSignal._adopt(packed.astype(complex), M, n - 1)
 
 
 def fejer_family(M: int) -> Callable[[int], CircleSignal]:
@@ -311,20 +370,20 @@ def poisson_kernel(M: int, r: float) -> CircleSignal:
     # the M the array has, so that _bind, not an IndexError, rejects M < 8
     cut = 1 if r == 0 else math.ceil(1100 / -math.log2(r))
     band = min(half, cut - 1)
-    ks = np.arange(min(band + 1, M))
+    size = min(2 * band + 1, M)
     with np.errstate(under="ignore"):
-        powers = r**ks
-    coeffs = np.zeros(M, dtype=complex)
-    coeffs[ks] = powers
-    coeffs[M - ks[1 : M - half]] = powers[1 : M - half]
-    return CircleSignal._adopt(coeffs, band)
+        powers = r ** np.arange(min(band + 1, size))
+    packed = np.empty(size, dtype=complex)
+    packed[: powers.size] = powers
+    # the negative frequencies mirror the positive ones; a band of M//2 on
+    # an even M holds the Nyquist bin once
+    packed[powers.size :] = powers[size - band - 1 : 0 : -1]
+    return CircleSignal._adopt(packed, M, band)
 
 
 def default_floor(f: CircleSignal) -> float:
-    c, M = f.coeffs, f.grid_size
-    # every coefficient beyond the band is zero, so the largest lies within it
-    in_band = np.concatenate((c[: f.band + 1], c[M - f.band :]))
-    return DIVISION_FLOOR_REL * float(np.abs(in_band).max())
+    # every coefficient beyond the band is zero, so the largest is stored
+    return DIVISION_FLOOR_REL * float(np.abs(f._packed).max())
 
 
 def band_nonvanishing(
@@ -345,7 +404,7 @@ def band_nonvanishing(
         floor = default_floor(f)
     ks = np.arange(1, n)
     order = np.concatenate(([0], np.column_stack((ks, -ks)).ravel()))
-    bad = np.flatnonzero(np.abs(f.coeffs[order % f.grid_size]) <= floor)
+    bad = np.flatnonzero(np.abs(_packed_at(f, n - 1)[order]) <= floor)
     return int(order[bad[0]]) if bad.size else None
 
 
@@ -370,12 +429,8 @@ def band_division(
     bad = band_nonvanishing(f, n, floor)
     if bad is not None:
         raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
-    M = f.grid_size
-    ks = np.arange(1 - n, n)
-    bins = ks % M
-    coeffs = np.zeros(M, dtype=complex)
-    coeffs[bins] = numerator(ks) / f.coeffs[bins]
-    return CircleSignal._adopt(coeffs, n - 1)
+    packed = numerator(_frequencies(n - 1)) / _packed_at(f, n - 1)
+    return CircleSignal._adopt(packed, f.grid_size, n - 1)
 
 
 def wiener_division(

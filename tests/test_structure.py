@@ -258,6 +258,23 @@ def test_signal_arithmetic_reaches_the_coefficients_through_one_helper():
     assert not readers & operations, readers
 
 
+def test_only_complex_synthesis_and_the_p2_norm_read_the_dense_coefficients():
+    """A signal stores its band alone; the ``coeffs`` property builds the
+    M-bin array (through ``_dense``) for two readers only, complex
+    synthesis and the p = 2 norm, so no lab path materializes M bins by
+    accident."""
+    readers = _sites(
+        lambda node: (
+            isinstance(node, ast.Attribute)
+            and node.attr == "coeffs"
+            and isinstance(node.ctx, ast.Load)
+        )
+        or (isinstance(node, ast.Call) and _called_name(node) == "_dense")
+    )
+    readers.discard(("wiener", "CircleSignal.coeffs"))
+    assert readers == {("wiener", "CircleSignal.values"), ("wiener", "lp_norm")}, readers
+
+
 def _public_members():
     """(module, class, member) of every public field, property and method of
     a public top-level class: annotated class-body names (dataclass fields)

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -593,7 +595,9 @@ def test_whole_float_orders_are_accepted(M512):
 
 class _SynthesisLog:
     """Wraps the inverse FFTs of ``np.fft`` and records each call's route
-    ("complex" or "real") and input bytes."""
+    ("complex" or "real") and input bytes, the input zero-padded to the
+    length the transform reads (n for ``ifft``, n // 2 + 1 for ``irfft``),
+    so a band's half spectrum logs as the dense one."""
 
     def __init__(self, monkeypatch):
         self.calls = []
@@ -602,9 +606,16 @@ class _SynthesisLog:
             monkeypatch.setattr(np.fft, name, self._wrap(original, route))
 
     def _wrap(self, original, route):
-        def wrapper(a, *args, **kwargs):
-            self.calls.append((route, np.asarray(a).tobytes()))
-            return original(a, *args, **kwargs)
+        def wrapper(a, n=None, *args, **kwargs):
+            a = np.asarray(a)
+            if n is None:
+                size = a.shape[-1]
+            else:
+                size = n if route == "complex" else n // 2 + 1
+            padded = np.zeros(size, dtype=a.dtype)
+            padded[: a.shape[-1]] = a[:size]
+            self.calls.append((route, padded.tobytes()))
+            return original(a, n, *args, **kwargs)
 
         return wrapper
 
@@ -904,3 +915,142 @@ def test_builders_reject_small_circles(M):
     ):
         with pytest.raises(ValueError):
             build()
+
+
+# ---------------------------------------------------------------------------
+# Packed storage: a signal stores its band only, yet reads as the same
+# signal stored with all M bins
+
+
+def _bits(x):
+    """x as (dtype, shape, bytes), so NaN payloads and signed zeros count."""
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+def _division(f, n):
+    """The dense coefficients of f's order-n band division, or where and
+    how it was refused."""
+    try:
+        return _bits(wiener.band_division(f, lambda ks: 1.0 - np.abs(ks) / n, n).coeffs)
+    except DivisionFloorError as err:
+        return err.frequency, _bits(err.magnitude), _bits(err.floor)
+
+
+def _readings(f):
+    """Every reading of f that its storage could change."""
+    M = f.grid_size
+    readings = {
+        "values": _bits(f.values),
+        "coeff": [_bits(f.coeff(k)) for k in range(-M, M)],
+        "default_floor": _bits(wiener.default_floor(f)),
+    }
+    for p in (1, 2, 3, np.inf):
+        readings[f"lp_norm-{p}"] = _bits(wiener.lp_norm(f, p))
+    for n in sorted({1, 2, M // 2 - 1}):
+        readings[f"band_nonvanishing-{n}"] = wiener.band_nonvanishing(f, n)
+        readings[f"band_division-{n}"] = _division(f, n)
+    return readings
+
+
+def _assert_reads_as_dense(f):
+    dense = wiener.CircleSignal(f.coeffs)
+    assert dense.band == f.grid_size // 2
+    with np.errstate(all="ignore"):
+        assert _readings(f) == _readings(dense)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    M=st.sampled_from([8, 9, 16, 17, 64, 65]),
+    which=st.sampled_from(["zero", "one", "below-half", "half"]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=_specials,
+    hermitian=st.booleans(),
+)
+# a NaN at frequency 0 of band 0, and 1e200 at the band's last bin
+@example(M=8, which="zero", seed=0, specials=[(0, np.nan)], hermitian=False)
+@example(M=9, which="below-half", seed=1, specials=[(3, 1e200)], hermitian=True)
+def test_packed_signals_read_as_their_dense_copies(M, which, seed, specials, hermitian):
+    band = {"zero": 0, "one": 1, "below-half": M // 2 - 1, "half": M // 2}[which]
+    f = _signal_of_band(M, band, seed, specials, hermitian)
+    with np.errstate(all="ignore"):
+        signals = [
+            f,
+            wiener.convolve(f, wiener.fejer_kernel(M, 2)),
+            f - wiener.character(M, 1),
+            f * 0.5j,
+        ]
+    for signal in signals:
+        _assert_reads_as_dense(signal)
+
+
+@pytest.mark.parametrize("M", [8, 9, 64, 65, 4096])
+def test_built_signals_read_as_their_dense_copies(M):
+    f = wiener.poisson_kernel(M, 0.3)
+    for signal in (
+        wiener.fejer_kernel(M, 1),
+        wiener.fejer_kernel(M, M // 2 - 1),
+        wiener.poisson_kernel(M, 0.0),
+        f,
+        wiener.poisson_kernel(M, 0.999),
+        wiener.character(M, 1 - M // 2),
+        wiener.CircleSignal.from_band(M, {}),
+        wiener.CircleSignal.from_band(M, {-2: 3.0, 1: 0.5j}),
+        wiener.wiener_division(f, 2),
+    ):
+        _assert_reads_as_dense(signal)
+
+
+LARGE_M = 2**18
+
+
+def _allocation_peak(call):
+    """The most bytes ``call()`` holds at once beyond what was live before
+    (tracemalloc sees numpy's array buffers)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_band_limited_work_allocates_no_grid_sized_array():
+    # one M = 2^18 coefficient array is 4 MiB; the widest band here holds
+    # 2 * 1099 + 1 bins (35 KB)
+    M = LARGE_M
+    poisson = wiener.poisson_kernel(M, 0.5)
+    builders = {
+        "fejer_kernel": lambda: wiener.fejer_kernel(M, 128),
+        "poisson_kernel": lambda: wiener.poisson_kernel(M, 0.5),
+        "character": lambda: wiener.character(M, -7),
+        "from_band": lambda: wiener.CircleSignal.from_band(M, {-3: 1.0, 5: 2j}),
+        "band_division": lambda: wiener.band_division(
+            poisson, lambda ks: 1.0 - np.abs(ks) / 32, 32
+        ),
+    }
+    calls = dict(builders)
+    signals = {name: build() for name, build in builders.items()}
+    for (a, f), (b, g) in itertools.product(signals.items(), repeat=2):
+        calls[f"{a} + {b}"] = lambda f=f, g=g: f + g
+        calls[f"{a} - {b}"] = lambda f=f, g=g: f - g
+        calls[f"convolve({a}, {b})"] = lambda f=f, g=g: wiener.convolve(f, g)
+    for name, f in signals.items():
+        calls[f"-0.5j * {name}"] = lambda f=f: -0.5j * f
+    peaks = {name: _allocation_peak(call) for name, call in calls.items()}
+    assert {name: peak for name, peak in peaks.items() if peak >= 64 * 1024} == {}
+
+
+def test_l1_norm_of_a_complex_residual_holds_one_dense_buffer():
+    M = LARGE_M
+    x = wiener.CircleSignal.from_band(M, {-2: 1.0, 0: 0.5, 5: 0.25j})
+    residual = wiener.convolve(x, wiener.fejer_kernel(M, 16)) - x
+    x.values  # numpy caches each transform size's plan on first use
+    peak = _allocation_peak(lambda: wiener.l1_norm(residual))
+    # the complex values, synthesized in place, and their float magnitudes
+    assert residual.values.dtype == np.complex128
+    assert peak <= M * 16 + M * 8 + 4096
