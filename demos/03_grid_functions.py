@@ -17,8 +17,8 @@ test_set = c0.seeded_elements(space, 3, seed=5, zero_fraction=0.0)
 
 print("plateau members: 1 on the window, linear ramp, 0 outside")
 for n in (1, 4, 12):
-    a, b = family.window(n)
     e = family.element(n)
+    a, b = np.flatnonzero(e == 1.0)[[0, -1]]
     print(f"  n={n:3d}  window indices [{a}, {b}], sup = {c0.sup_norm(e):.1f}")
 
 f = test_set[0]

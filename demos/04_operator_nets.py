@@ -21,9 +21,11 @@ print(f"reconstruction error: {np.abs(system.reconstruct() - t).max():.2e}")
 
 net = operators.right_inverse_net(system)
 print("\nprojection identity T U_m = P_m")
+u = system.outputs
 for m in (1, 4, 8):
-    proj = operators.output_projection(system, m)
-    print(f"  m={m}:  ||T U_m - P_m||op = {operators.op_norm(t @ net(m) - proj):.2e}")
+    proj = u[:, :m] @ u[:, :m].conj().T
+    resid = operators.schatten_norm(t @ net(m) - proj, np.inf)
+    print(f"  m={m}:  ||T U_m - P_m||op = {resid:.2e}")
 
 c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 print("\nideal-norm residuals ||T U_m C - C|| (p = 2)")
@@ -46,11 +48,11 @@ for label, op in (
 print("\nideal norms respect the contracts")
 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-one = operators.rank_one(f, g)
+one = np.outer(f, g.conj())  # the rank-one operator h -> <h, g> f
 print(f"  rank-one ideal norms (all p): {operators.schatten_norm(one, 1.0):.6f}")
 print(f"  product of vector norms:     {np.linalg.norm(f) * np.linalg.norm(g):.6f}")
 for p in (1.0, 1.5, 2.0):
     print(
-        f"  p={p}: op norm {operators.op_norm(t):.4f} <= ideal norm"
+        f"  p={p}: op norm {operators.schatten_norm(t, np.inf):.4f} <= ideal norm"
         f" {operators.schatten_norm(t, p):.4f}"
     )

@@ -106,25 +106,20 @@ class WindowFamily:
             raise ValueError("grid too small for the requested ramp")
         cap = space.center - ramp
         step = max(1, cap // WINDOW_STEPS)
-        self._windows = tuple(
-            (space.center - half, space.center + half)
+        self._plateaus = tuple(
+            plateau(space, space.center - half, space.center + half, ramp)
             for half in (*range(step, cap, step), cap)
         )
-        self._plateaus = tuple(plateau(space, a, b, ramp) for a, b in self._windows)
         for e in self._plateaus:
             e.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self._windows)
+        return len(self._plateaus)
 
     def _position(self, n: int) -> int:
         if n < 1:
             raise ValueError("net index must be >= 1")
         return min(n, len(self)) - 1
-
-    def window(self, n: int) -> tuple[int, int]:
-        """The closed index window ``(a, b)`` of member n."""
-        return self._windows[self._position(n)]
 
     def element(self, n: int) -> np.ndarray:
         return self._plateaus[self._position(n)]

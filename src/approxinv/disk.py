@@ -74,12 +74,6 @@ def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.convolve(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
 
 
-def sup_norm_disk(p: np.ndarray, sampling: CircleSampling) -> float:
-    """Sampled sup of |p| over the unit circle (= over the disk, by the
-    maximum principle); a lower bound of the true sup."""
-    return float(np.abs(poly_eval(p, sampling.circle)).max())
-
-
 def annulus_deviation(p: np.ndarray, sampling: CircleSampling) -> float:
     """Sampled sup over the annulus of |p(z) - 1|."""
     return float(np.abs(poly_eval(p, sampling.annulus) - 1.0).max())

@@ -12,14 +12,15 @@ Every singular system comes from LAPACK (``numpy.linalg.svd``): the full
 decomposition where vectors are needed, the values-only routine for rank
 tests and the Schatten norms of exponent p != 2.  Norms that need no
 decomposition take none: the Schatten-2 norm is the Frobenius norm, and
-:func:`projection_residuals` reads every member's residual off one Gram
-matrix.  A backward-stable SVD is enough here.  The extra accuracy of
-one-sided Jacobi (Demmel & Veselic, "Jacobi's method is more accurate than
-QR", SIAM J. Matrix Anal. Appl., 1992) is *relative* accuracy on the tiny
-singular values of graded matrices, while every rank decision in this module
-thresholds at ``RANK_THRESHOLD_REL * sigma_max = 1e-10 * sigma_max``, far
-above LAPACK's ``eps * sigma_max`` absolute error.  The test suite still
-cross-checks the LAPACK route against an independent Jacobi sweep.
+:func:`projection_residuals` reads every member's Schatten-2 residual off
+the column norms of one residual matrix.  A backward-stable SVD is enough
+here.  The extra accuracy of one-sided Jacobi (Demmel & Veselic, "Jacobi's
+method is more accurate than QR", SIAM J. Matrix Anal. Appl., 1992) is
+*relative* accuracy on the tiny singular values of graded matrices, while
+every rank decision in this module thresholds at ``RANK_THRESHOLD_REL *
+sigma_max = 1e-10 * sigma_max``, far above LAPACK's ``eps * sigma_max``
+absolute error.  The test suite still cross-checks the LAPACK route against
+an independent Jacobi sweep.
 
 At finite truncation "dense range" collapses to "surjective", which
 :func:`right_inverse_net` reads off the smallest singular value.  The
@@ -114,7 +115,7 @@ def schatten_norm(a: np.ndarray, p: float = 2.0) -> float:
     """(sum lambda_k^p)^(1/p); p = inf gives the largest singular value.
     For p = 2 that sum is the squared Frobenius norm, so no decomposition
     is taken."""
-    if p < 1:
+    if not p >= 1:  # also refuses NaN
         raise ValueError("exponent must satisfy p >= 1")
     a = _as_operator(a)
     if p == 2:
@@ -123,15 +124,6 @@ def schatten_norm(a: np.ndarray, p: float = 2.0) -> float:
     if np.isinf(p):
         return float(lam[0]) if lam.size else 0.0
     return float(np.sum(lam**p) ** (1.0 / p))
-
-
-def op_norm(a: np.ndarray) -> float:
-    return schatten_norm(a, np.inf)
-
-
-def rank_one(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The operator h -> <h, g> f."""
-    return np.outer(np.asarray(f, complex), np.conj(np.asarray(g, complex)))
 
 
 def _rank_threshold(values: np.ndarray) -> float:
@@ -168,37 +160,28 @@ def right_inverse_net(system: SingularSystem) -> Callable[[int], np.ndarray]:
 def projection_residuals(
     t: np.ndarray, system: SingularSystem, net: Callable[[int], np.ndarray]
 ) -> np.ndarray:
-    """``||t . net(m) - P_m||`` (operator norm) for m = 1..n, where ``system``
-    is the singular system of ``t``, ``net`` its :func:`right_inverse_net`
-    and P_m the projection of :func:`output_projection`.
+    """``||t . net(m) - P_m||`` (Schatten-2 norm) for m = 1..n, where
+    ``system`` is the singular system of ``t``, ``net`` its
+    :func:`right_inverse_net` and P_m the orthogonal projection onto the
+    first m output vectors.
 
     Only the net's full member is read.  With U the output vectors,
     ``R = t . net(n) . U - U`` has the columns r_k = t v_k / lambda_k - u_k,
     and member m inverts on the first m directions, so
-    ``t . net(m) - P_m = R_m U_m^H`` and its norm is ``||R_m||``, the root of
-    the largest eigenvalue of the leading m-by-m block of G = R^H R: one
-    Hermitian eigenvalue problem per member in place of an SVD.  By Cauchy
-    interlacing (Golub & Van Loan, *Matrix Computations*, 8.1) the
-    residuals are nondecreasing in m.  A non-finite R, or one whose Gram
-    matrix overflows, gives NaN for every m, which the worst-case rows
-    report as a failure.
+    ``t . net(m) - P_m = R_m U_m^H``.  U_m has orthonormal columns, so its
+    Schatten-2 norm is ``||R_m||_F``, the root of the cumulative sum of R's
+    squared column norms: nondecreasing in m by construction, and never
+    below the operator norm (Golub & Van Loan, *Matrix Computations*, 2.3).
+    A non-finite R, or one whose squares overflow, gives NaN for every m,
+    which the worst-case rows report as a failure.
     """
-    n = system.dim
     u = system.outputs
-    r = t @ net(n) @ u - u
-    gram = r.conj().T @ r
-    if not np.all(np.isfinite(gram)):
-        return np.full(n, np.nan)
-    largest = [np.linalg.eigvalsh(gram[:m, :m])[-1] for m in range(1, n + 1)]
-    return np.sqrt(np.maximum(largest, 0.0))
-
-
-def output_projection(system: SingularSystem, m: int) -> np.ndarray:
-    """Orthogonal projection onto the span of the first m output singular
-    vectors of ``system``."""
-    m = min(m, system.dim)
-    u = system.outputs[:, :m]
-    return u @ u.conj().T
+    r = t @ net(system.dim) @ u - u
+    with np.errstate(over="ignore"):
+        squares = np.cumsum(np.sum(r.real**2 + r.imag**2, axis=0))
+    if not np.isfinite(squares[-1]):
+        return np.full(system.dim, np.nan)
+    return np.sqrt(squares)
 
 
 def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:

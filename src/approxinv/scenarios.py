@@ -376,16 +376,14 @@ def _tdz(config: ScenarioConfig, seed: int) -> list[ReportRow]:
 
 
 def _full_rank_operator(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded dense operator kept safely away from rank deficiency: the
-    first of 16 draws whose smallest singular value exceeds 1e-2 sigma_max,
-    else the last draw with every singular value below that floor lifted to
-    it.  The draws are capped because the acceptance rate falls fast with n
-    (about 2% at n = 96)."""
-    for _ in range(16):
-        t = operators._sample_operator(n, rng)
-        lam = operators.singular_values(t)
-        if lam[-1] > 1e-2 * lam[0]:
-            return t
+    """Seeded dense operator kept safely away from rank deficiency: one
+    draw, returned as drawn when its smallest singular value exceeds
+    1e-2 sigma_max, else with every singular value below that floor lifted
+    to it."""
+    t = operators._sample_operator(n, rng)
+    lam = operators.singular_values(t)
+    if lam[-1] > 1e-2 * lam[0]:
+        return t
     system = operators.svd(t)
     lifted = np.maximum(system.values, 1e-2 * system.values[0])
     return replace(system, values=lifted).reconstruct()

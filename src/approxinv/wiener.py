@@ -12,8 +12,8 @@ coefficients span hundreds of orders of magnitude.
 Each signal also carries a band B: every coefficient of a frequency k with
 min(k, M - k) > B is an exact zero, and only the 2B + 1 coefficients within
 the band are stored.  The builders set the band they write (M//2, which
-promises nothing, for the public constructor and
-:meth:`CircleSignal.from_values`), and sums, differences, scalar multiples
+promises nothing, for the public constructor and for signals analysed
+from grid values), and sums, differences, scalar multiples
 and products compute only the bins within their result's band, so both
 their storage and their cost follow the band rather than M.  The results
 equal the dense coefficient arithmetic bit for bit: a product whose operands
@@ -36,7 +36,7 @@ non-unital continuum algebra and are only meaningful in the regime
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class CircleSignal:
 
     def __setattr__(self, name, value):
         raise AttributeError("CircleSignal is immutable")
-
-    @classmethod
-    def from_values(cls, values: Sequence[complex]) -> "CircleSignal":
-        return cls._from_owned_values(np.array(values, dtype=complex))
 
     @classmethod
     def _from_owned_values(cls, values: np.ndarray) -> "CircleSignal":

@@ -2,8 +2,8 @@
 circle involution and the values-only rank refuter that only the tests
 read, the routes through the public verifiers that the tests and the
 acceptance criteria use for module density, product certification and
-adjoint duality, and the generating monomial and an aliased sampling of the
-disk model."""
+adjoint duality, and the generating monomial, the sampled sup norm and an
+aliased sampling of the disk model."""
 
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
@@ -165,6 +165,12 @@ def mirrors(cert: ApproxInvCertificate, dual: ApproxInvCertificate) -> bool:
 
 #: The generating monomial z of the disk model, as coefficients z^0, z^1.
 GENERATOR = np.array([0.0, 1.0], complex)
+
+
+def disk_sup_norm(p: np.ndarray, sampling: disk.CircleSampling) -> float:
+    """Sampled sup of |p| over the unit circle (= over the disk, by the
+    maximum principle); a lower bound of the true sup."""
+    return float(np.abs(disk.poly_eval(p, sampling.circle)).max())
 
 
 class PeriodFourSampling(disk.CircleSampling):

@@ -166,6 +166,6 @@ def test_noise_equals_the_two_draw_sum_bitwise(M, rng):
         noise = (draws.standard_normal(M) + 1j * draws.standard_normal(M)) * (
             sigma / np.sqrt(2.0)
         )
-        expected = wiener.CircleSignal.from_values(signal.values + noise).coeffs
+        expected = wiener.CircleSignal._from_owned_values(signal.values + noise).coeffs
         got = bm.add_noise(signal, sigma, seed).coeffs
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))

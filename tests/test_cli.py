@@ -629,6 +629,24 @@ def test_wrong_net_direction_fails_the_projection_rows(weight, tmp_path, monkeyp
             assert float(row["residual"]) >= 0.5 * abs(weight - 1.0)
 
 
+def test_a_finite_wrong_net_fails_every_um_net_residual_row(tmp_path, monkeypatch):
+    # a net that drops the last singular direction stays finite, yet its
+    # full member inverts t on only n - 1 directions
+    n = scenarios.ScenarioConfig().matrix_size
+    monkeypatch.setattr(operators, "right_inverse_net", _weighted_net(0.0, n - 1))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "um-net", "--out", str(out)]) == 1
+    with open(out / "um-net.csv", encoding="utf-8", newline="") as handle:
+        rows = {
+            (row["statement_id"], int(row["net_index"])): row
+            for row in csv.DictReader(handle)
+        }
+    for statement in ("projection-identity", "net-final-residual"):
+        row = rows[(statement, n)]
+        assert row["verdict"] == "fail"
+        assert 0.0 < float(row["residual"]) < np.inf
+
+
 def _c0_rows(out):
     with open(out / "c0-interior.csv", encoding="utf-8", newline="") as handle:
         return {row["statement_id"]: row for row in csv.DictReader(handle)}

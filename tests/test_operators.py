@@ -93,11 +93,11 @@ def test_approximation_number_is_infimum(rng):
     for k in (2, 3, 4):
         lam_k = system.values[k - 1]
         trunc = truncated(system, k - 1)
-        assert operators.op_norm(a - trunc) == pytest.approx(lam_k, abs=1e-9)
+        assert operators.schatten_norm(a - trunc, np.inf) == pytest.approx(lam_k, abs=1e-9)
         for _ in range(100):
             left = rng.standard_normal((4, k - 1)) + 1j * rng.standard_normal((4, k - 1))
             right = rng.standard_normal((k - 1, 4)) + 1j * rng.standard_normal((k - 1, 4))
-            assert operators.op_norm(a - left @ right) >= lam_k - 1e-9
+            assert operators.schatten_norm(a - left @ right, np.inf) >= lam_k - 1e-9
 
 
 def test_schatten_rank_one_normalization(rng):
@@ -105,7 +105,7 @@ def test_schatten_rank_one_normalization(rng):
         f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         product = np.linalg.norm(f) * np.linalg.norm(g)
-        op = operators.rank_one(f, g)
+        op = np.outer(f, g.conj())  # h -> <h, g> f
         assert op @ g == pytest.approx(np.vdot(g, g) * f, abs=1e-9)
         for p in (1.0, 1.5, 2.0, np.inf):
             assert operators.schatten_norm(op, p) == pytest.approx(
@@ -124,7 +124,7 @@ def test_op_norm_below_schatten(rng):
     for _ in range(200):
         a = _random_operator(int(rng.integers(2, 9)), rng)
         for p in (1.0, 1.5, 2.0, np.inf):
-            assert operators.op_norm(a) <= operators.schatten_norm(a, p) + 1e-9
+            assert operators.schatten_norm(a, np.inf) <= operators.schatten_norm(a, p) + 1e-9
 
 
 def test_schatten_two_matches_frobenius(rng):
@@ -143,6 +143,13 @@ def test_schatten_norm_rejects_stacks_and_non_finite_entries(p):
         operators.schatten_norm(np.zeros((2, 3, 3), complex), p)
     with pytest.raises(ValueError):
         operators.schatten_norm(np.diag([1.0, np.nan]), p)
+
+
+@pytest.mark.parametrize("p", [0.5, np.nan])
+def test_schatten_norm_rejects_exponents_below_one(p):
+    # a NaN exponent fails every comparison, so it must fail ``p >= 1``
+    with pytest.raises(ValueError, match="p >= 1"):
+        operators.schatten_norm(np.eye(2, dtype=complex), p)
 
 
 def test_schatten_agrees_with_jacobi_values(rng):
@@ -195,7 +202,7 @@ def test_strong_convergence_matches_ideal_verdict(rng):
             for s in (final, final.conj().T)
             for v in vectors
         )
-        assert operators.op_norm(final) == pytest.approx(1.0, abs=1e-9)
+        assert operators.schatten_norm(final, np.inf) == pytest.approx(1.0, abs=1e-9)
         ideal = check_approximate_identity(
             model,
             family,
@@ -216,8 +223,9 @@ def test_right_inverse_net_diagonal():
 def test_right_inverse_net_identity():
     system = operators.svd(np.eye(4, dtype=complex))
     net = operators.right_inverse_net(system)
+    u = system.outputs
     for m in (1, 2, 4):
-        proj = operators.output_projection(system, m)
+        proj = u[:, :m] @ u[:, :m].conj().T
         assert np.allclose(net(m), proj, atol=1e-9)
 
 
@@ -227,8 +235,9 @@ def test_right_inverse_net_seeded(rng):
         t = _full_rank(n, rng)
         system = operators.svd(t)
         net = operators.right_inverse_net(system)
+        u = system.outputs
         for m in (1, 5, 16):
-            proj = operators.output_projection(system, m)
+            proj = u[:, :m] @ u[:, :m].conj().T
             assert np.abs(t @ net(m) - proj).max() <= 1e-9
         for _ in range(5):
             c = _random_operator(n, rng)
@@ -256,7 +265,8 @@ def _perturbed_net(system, rng):
     structure."""
     n = system.dim
     full = operators.right_inverse_net(system)(n) + 1e-3 * _random_operator(n, rng)
-    return lambda m: full @ operators.output_projection(system, m)
+    u = system.outputs
+    return lambda m: full @ u[:, :m] @ u[:, :m].conj().T
 
 
 @pytest.mark.parametrize("n", [2, 8, 24, 40])
@@ -265,17 +275,19 @@ def test_projection_residuals_match_the_definition(n, rng):
         t = _full_rank(n, rng)
         system = operators.svd(t)
         exact = operators.right_inverse_net(system)
+        u = system.outputs
         # the true net sits at rounding level, the perturbed one well above
         for net, tol in ((exact, 1e-13), (_perturbed_net(system, rng), 0.0)):
             residuals = operators.projection_residuals(t, system, net)
-            direct = np.array([
-                operators.op_norm(t @ net(m) - operators.output_projection(system, m))
-                for m in range(1, n + 1)
-            ])
+            gaps = [t @ net(m) - u[:, :m] @ u[:, :m].conj().T for m in range(1, n + 1)]
+            direct = np.array([np.linalg.norm(gap) for gap in gaps])
             assert residuals.shape == (n,)
             assert np.abs(residuals - direct).max() <= tol + 1e-10 * direct.max()
-            # Cauchy interlacing on the leading blocks of one Gram matrix
+            # a cumulative sum of squared column norms
             assert np.all(np.diff(residuals) >= 0.0)
+            # the Schatten-2 norm bounds the operator norm
+            largest = np.array([operators.schatten_norm(gap, np.inf) for gap in gaps])
+            assert np.all(largest <= residuals + tol + 1e-10 * residuals)
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e300])
@@ -303,7 +315,7 @@ def test_matrix_model_names_and_norms(rng):
     a = _random_operator(8, rng)
     op = operators.matrix_model(8)
     assert op.name == "matrices-8-op"
-    assert op.norm(a) == operators.op_norm(a)
+    assert op.norm(a) == operators.schatten_norm(a, np.inf)
     for p in (1.0, 2.0):
         model = operators.matrix_model(8, p)
         assert model.name == f"matrices-8-schatten-{p}"
@@ -349,21 +361,25 @@ def test_certify_operator_decides_rank_once(rng, monkeypatch):
         assert sum(np.array_equal(a, op) for a in calls) == count
 
 
-def test_full_rank_operator_lifts_after_capped_redraws(monkeypatch):
+def test_full_rank_operator_takes_one_draw(monkeypatch):
     calls = []
 
     def rank_deficient(n, rng):
         calls.append(1)
-        if len(calls) > 64:
-            raise RuntimeError("redraws are not capped")
         t = _random_operator(n, rng)
         t[:, 0] = 0.0
         return t
 
+    # a draw that fails the screen is lifted to the floor, not redrawn
     monkeypatch.setattr(operators, "_sample_operator", rank_deficient)
     t = scenarios._full_rank_operator(8, np.random.default_rng(0))
+    assert len(calls) == 1
     lam = operators.singular_values(t)
     assert lam[-1] >= 1e-2 * lam[0] * (1.0 - 1e-12)
+    # a draw that passes comes back as drawn
+    unit = np.eye(8, dtype=complex)
+    monkeypatch.setattr(operators, "_sample_operator", lambda n, rng: unit)
+    assert scenarios._full_rank_operator(8, np.random.default_rng(0)) is unit
 
 
 def test_rank_refuter():
@@ -525,7 +541,7 @@ def test_annihilating_operator_factors_through_complement(rng):
     n = 8
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     a /= np.linalg.norm(a)
-    p_a = operators.rank_one(a, a)
+    p_a = np.outer(a, a.conj())
     t = _random_operator(n, rng) @ (np.eye(n) - p_a)
     assert np.linalg.norm(t @ a) <= 1e-12
     assert np.abs(t @ (np.eye(n) - p_a) - t).max() <= 1e-10
