@@ -275,5 +275,5 @@ def certify(
         )
     except SingularDivisionError as err:
         return ApproxInvCertificate(
-            f, None, None, "inconclusive", f"division refused: {err}"
+            None, None, "inconclusive", f"division refused: {err}"
         )

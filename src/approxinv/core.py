@@ -79,7 +79,6 @@ class ApproxInvCertificate:
     stagnating residuals alone yield ``inconclusive``.
     """
 
-    element: Element
     left_trace: Optional[tuple[TraceEntry, ...]]
     right_trace: Optional[tuple[TraceEntry, ...]]
     verdict: Verdict
@@ -171,14 +170,14 @@ def check_approx_invertible(
     if refuter is not None:
         reason = refuter(x)
         if reason is not None:
-            return ApproxInvCertificate(x, None, None, "refuted", reason)
+            return ApproxInvCertificate(None, None, "refuted", reason)
 
     if _checked_norm(model, x) == 0.0:
         raise ValueError("zero element cannot be approximately invertible")
 
     if net is None:
         return ApproxInvCertificate(
-            x, None, None, "inconclusive", "no inverse net supplied"
+            None, None, "inconclusive", "no inverse net supplied"
         )
 
     right = check_approximate_identity(
@@ -202,4 +201,4 @@ def check_approx_invertible(
     else:
         verdict = "inconclusive"
     sup_member = max(e.member_norm for t in (right, left) for e in t)
-    return ApproxInvCertificate(x, left, right, verdict, None, sup_member)
+    return ApproxInvCertificate(left, right, verdict, None, sup_member)

@@ -157,30 +157,27 @@ def right_inverse_net(system: SingularSystem) -> Callable[[int], np.ndarray]:
     return member
 
 
-def projection_residuals(
-    t: np.ndarray, system: SingularSystem, net: Callable[[int], np.ndarray]
-) -> np.ndarray:
+def projection_residuals(full: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     """``||t . net(m) - P_m||`` (Schatten-2 norm) for m = 1..n, where
-    ``system`` is the singular system of ``t``, ``net`` its
-    :func:`right_inverse_net` and P_m the orthogonal projection onto the
-    first m output vectors.
+    ``net`` is the :func:`right_inverse_net` of an operator t, ``full`` is
+    the product ``t . net(n)`` with its full member, ``outputs`` are t's
+    output vectors and P_m is the orthogonal projection onto the first m.
 
-    Only the net's full member is read.  With U the output vectors,
-    ``R = t . net(n) . U - U`` has the columns r_k = t v_k / lambda_k - u_k,
-    and member m inverts on the first m directions, so
-    ``t . net(m) - P_m = R_m U_m^H``.  U_m has orthonormal columns, so its
-    Schatten-2 norm is ``||R_m||_F``, the root of the cumulative sum of R's
-    squared column norms: nondecreasing in m by construction, and never
-    below the operator norm (Golub & Van Loan, *Matrix Computations*, 2.3).
-    A non-finite R, or one whose squares overflow, gives NaN for every m,
-    which the worst-case rows report as a failure.
+    With U the output vectors, ``R = full . U - U`` has the columns
+    r_k = t v_k / lambda_k - u_k, and member m inverts on the first m
+    directions, so ``t . net(m) - P_m = R_m U_m^H``.  U_m has orthonormal
+    columns, so its Schatten-2 norm is ``||R_m||_F``, the root of the
+    cumulative sum of R's squared column norms: nondecreasing in m by
+    construction, and never below the operator norm (Golub & Van Loan,
+    *Matrix Computations*, 2.3).  A non-finite R, or one whose squares
+    overflow, gives NaN for every m, which the worst-case rows report as a
+    failure.
     """
-    u = system.outputs
-    r = t @ net(system.dim) @ u - u
+    r = full @ outputs - outputs
     with np.errstate(over="ignore"):
         squares = np.cumsum(np.sum(r.real**2 + r.imag**2, axis=0))
     if not np.isfinite(squares[-1]):
-        return np.full(system.dim, np.nan)
+        return np.full(squares.size, np.nan)
     return np.sqrt(squares)
 
 

@@ -225,14 +225,12 @@ def _um_net(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     worst_proj = np.zeros(n)
     worst_final = 0.0
     for _ in range(config.matrix_count):
-        t = _full_rank_operator(n, rng)
-        system = operators.svd(t)
-        net = operators.right_inverse_net(system)
+        t, system = _full_rank_operator(n, rng)
+        full = t @ operators.right_inverse_net(system)(n)
         # np.maximum, unlike the built-in max, keeps a NaN residual
         worst_proj = np.maximum(
-            worst_proj, operators.projection_residuals(t, system, net)
+            worst_proj, operators.projection_residuals(full, system.outputs)
         )
-        full = t @ net(n)
         for _ in range(4):
             c = operators._sample_operator(n, rng)
             worst_final = _worst(
@@ -242,7 +240,8 @@ def _um_net(config: ScenarioConfig, seed: int) -> list[ReportRow]:
         rows.add("projection-identity", m, float(worst_proj[m - 1]), config.exact_tol)
     rows.add("net-final-residual", n, worst_final, config.exact_tol)
 
-    deficient = _full_rank_operator(n, rng)
+    # a raw draw: its zeroed column refutes it whatever its conditioning
+    deficient = operators._sample_operator(n, rng)
     deficient[:, 0] = 0.0
     certificate = operators.certify_operator(deficient, [np.eye(n, dtype=complex)])
     rows.add(
@@ -375,18 +374,22 @@ def _tdz(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     return rows.rows
 
 
-def _full_rank_operator(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded dense operator kept safely away from rank deficiency: one
-    draw, returned as drawn when its smallest singular value exceeds
-    1e-2 sigma_max, else with every singular value below that floor lifted
-    to it."""
+def _full_rank_operator(
+    n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, operators.SingularSystem]:
+    """Seeded dense operator kept safely away from rank deficiency, with
+    LAPACK's singular system of it: one draw, returned as drawn when its
+    smallest singular value exceeds 1e-2 sigma_max, else with every
+    singular value below that floor lifted to it and the lifted operator
+    decomposed again, so the system is always that of the operator
+    returned."""
     t = operators._sample_operator(n, rng)
-    lam = operators.singular_values(t)
-    if lam[-1] > 1e-2 * lam[0]:
-        return t
     system = operators.svd(t)
-    lifted = np.maximum(system.values, 1e-2 * system.values[0])
-    return replace(system, values=lifted).reconstruct()
+    values = system.values
+    if values[-1] > 1e-2 * values[0]:
+        return t, system
+    t = replace(system, values=np.maximum(values, 1e-2 * values[0])).reconstruct()
+    return t, operators.svd(t)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,10 @@ equal the dense coefficient arithmetic bit for bit: a product whose operands
 hold a NaN or an infinite coefficient, or a non-finite scalar multiple,
 widens its band to keep the NaN that a zero times it gives.  Only the
 complex synthesis in :attr:`CircleSignal.values` (one buffer, transformed
-in place), the p = 2 norm and the two builders that promise no band hold
-all M coefficient bins.  The p = 2 norm sums its squares over the dense
-array because the sum's blocking, and with it its rounding, depends on
-each term's position: over the stored bins alone the last bit differs.
-The real synthesis reads the band's half spectrum, which the inverse FFT
-zero-pads itself.
+in place) pads a signal to all M coefficient bins; the two builders that
+promise no band store the M bins they are given.  The p = 2 norm sums the
+squares of the stored band, and the real synthesis reads the band's half
+spectrum, which the inverse FFT zero-pads itself.
 
 Caveat: a finite sampled circle is formally a unital convolution algebra
 (the discrete delta has norm one).  The models here are truncations of the
@@ -62,12 +60,12 @@ class CircleSignal:
     zero.  Only the band is stored: the coefficients of the frequencies
     0..B, then -B..-1, which is the FFT-order array with its zero middle
     removed, or all M of them once 2B + 1 >= M (B is then M//2).
-    :attr:`coeffs` materializes the dense array, ``coeffs[k % M]`` the
-    coefficient of ``exp(i k theta)``.  Values on the grid are derived
-    lazily and cached.  Instances are immutable: the constructor copies the
-    caller's array and promises no band (M//2), while the operations of
-    this module hand over arrays they have just allocated, with the band
-    they wrote (:meth:`_adopt`), and both end read-only.
+    :meth:`coeff` reads the coefficient of ``exp(i k theta)``.  Values on
+    the grid are derived lazily and cached.  Instances are immutable: the
+    constructor copies the caller's array and promises no band (M//2),
+    while the operations of this module hand over arrays they have just
+    allocated, with the band they wrote (:meth:`_adopt`), and both end
+    read-only.
     """
 
     __slots__ = ("_packed", "grid_size", "band", "_values")
@@ -116,18 +114,6 @@ class CircleSignal:
         return cls._adopt(packed, M, width)
 
     @property
-    def coeffs(self) -> np.ndarray:
-        """All M coefficients in FFT index order, materialized on each read."""
-        dense = self._dense()
-        dense.setflags(write=False)
-        return dense
-
-    def _dense(self) -> np.ndarray:
-        """A fresh, writable array of all M coefficients."""
-        dense = _packed_at(self, self.grid_size // 2)
-        return dense.copy() if dense is self._packed else dense
-
-    @property
     def values(self) -> np.ndarray:
         """Grid values: real, from the half spectrum, when the coefficients
         are bitwise Hermitian; complex otherwise, transformed in place in
@@ -141,7 +127,9 @@ class CircleSignal:
                 half = self._packed[: self.band + 1]
                 cached = np.fft.irfft(half, self.grid_size, norm="forward")
             else:
-                cached = self._dense()
+                cached = _packed_at(self, self.grid_size // 2)
+                if cached is self._packed:  # stored with all M bins
+                    cached = cached.copy()
                 np.fft.ifft(cached, norm="forward", out=cached)
             cached.setflags(write=False)
             object.__setattr__(self, "_values", cached)
@@ -200,10 +188,11 @@ def _frequencies(band: int) -> np.ndarray:
 def _coefficientwise(
     ufunc: np.ufunc, f: CircleSignal, other: CircleSignal | complex, band: int
 ) -> CircleSignal:
-    """The signal whose coefficients are ``ufunc(f.coeffs, other)`` (a
-    signal's coefficients or a scalar) on the bins within ``band`` and zero
-    beyond it; equal to the dense result when the operation is zero beyond
-    the band.  Each operand enters cut or zero-padded to that band."""
+    """The signal whose coefficients are ``ufunc`` of f's and ``other``'s
+    (a signal's coefficients or a scalar) on the bins within ``band`` and
+    zero beyond it; equal to the dense result when the operation is zero
+    beyond the band.  Each operand enters cut or zero-padded to that band,
+    and a sum or difference reuses the padded copy as its output."""
     x = _packed_at(f, band)
     y = _packed_at(other, band) if isinstance(other, CircleSignal) else other
     out = None
@@ -271,19 +260,18 @@ def l1_norm(f: CircleSignal) -> float:
 def lp_norm(f: CircleSignal, p: float) -> float:
     """Normalized p-norm of the grid values; p = inf gives the sup.
 
-    p = 2 reads the coefficients: under unit Haar mass Parseval gives
-    mean |values|^2 = sum |fhat(k)|^2, so nothing is synthesized; a sum that
-    overflows or nears underflow is taken again on the coefficients scaled
-    by a power of two.  Other finite p > 1 evaluate
+    p = 2 reads the stored band: under unit Haar mass Parseval gives
+    mean |values|^2 = sum |fhat(k)|^2, and every coefficient beyond the
+    band is zero, so nothing is synthesized or padded; a sum that overflows
+    or nears underflow is taken again on the coefficients scaled by a power
+    of two.  Other finite p > 1 evaluate
     ``m * mean((|values| / m)^p)^(1/p)`` with m the sup, so |values|^p can
     neither underflow nor overflow to a wrong norm at large p.
     """
     if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
-        # over all M bins: the sum's blocking, and so its rounding, follows
-        # each term's dense position
-        coeffs = f.coeffs
+        coeffs = f._packed
         total = np.vdot(coeffs, coeffs).real
         # squares below 2^-1022 lose bits, but above 2^-900 those bits sit far
         # below the sum's own rounding

@@ -30,9 +30,15 @@ class ModelCase(NamedTuple):
     unit: Optional[Any] = None
 
 
+def dense(f: wiener.CircleSignal) -> np.ndarray:
+    """All M coefficients of f in FFT index order: its stored array when it
+    stores them all (read-only), else a zero-padded copy."""
+    return wiener._packed_at(f, f.grid_size // 2)
+
+
 def involution(f: wiener.CircleSignal) -> wiener.CircleSignal:
     """The group-algebra involution conj(f(-theta)) of a circle signal."""
-    return wiener.CircleSignal(np.conj(f.coeffs))
+    return wiener.CircleSignal(np.conj(dense(f)))
 
 
 def standard_models() -> list[ModelCase]:
@@ -70,7 +76,7 @@ def density_residual(f, target, n, floor=None) -> float:
     division-floor errors of ``wiener.band_division``.
     """
     M = f.grid_size
-    y = wiener.band_division(f, lambda ks: target.coeffs[ks % M], n, floor)
+    y = wiener.band_division(f, lambda ks: dense(target)[ks % M], n, floor)
     reached = wiener.convolve(f, y)
     return wiener.lp_norm(target - reached, 2.0)
 

@@ -6,7 +6,7 @@ from approxinv import wiener
 from approxinv.errors import AliasingError, DivisionFloorError
 
 from .oracles import kernel_tail_p2
-from .support import density_residual
+from .support import dense, density_residual
 
 
 def _band(M, rng, degree=32, decay=0.5):
@@ -75,7 +75,7 @@ def test_density_residual_is_spectral_tail(M4096):
     n = 64
     residual = density_residual(f, z, n, floor=0.5**70)
     ks = np.fft.fftfreq(M4096, 1.0 / M4096).astype(int)
-    tail = z.coeffs.copy()
+    tail = dense(z).copy()
     tail[np.abs(ks) < n] = 0.0
     oracle = float(np.sqrt(np.sum(np.abs(tail) ** 2)))
     assert residual == pytest.approx(oracle, rel=1e-9)
@@ -166,6 +166,6 @@ def test_noise_equals_the_two_draw_sum_bitwise(M, rng):
         noise = (draws.standard_normal(M) + 1j * draws.standard_normal(M)) * (
             sigma / np.sqrt(2.0)
         )
-        expected = wiener.CircleSignal._from_owned_values(signal.values + noise).coeffs
-        got = bm.add_noise(signal, sigma, seed).coeffs
+        expected = dense(wiener.CircleSignal._from_owned_values(signal.values + noise))
+        got = dense(bm.add_noise(signal, sigma, seed))
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))

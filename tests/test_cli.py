@@ -529,7 +529,7 @@ NAN_PRIMITIVES = {
     ),
     "projection-identity": (
         "um-net", operators, "projection_residuals",
-        lambda t, system, net: np.full(len(t), np.nan),
+        lambda full, outputs: np.full(len(full), np.nan),
     ),
     "net-final-residual": ("um-net", operators, "schatten_norm", _nan),
 }

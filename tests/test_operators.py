@@ -245,8 +245,9 @@ def test_right_inverse_net_seeded(rng):
 
 
 def test_net_members_truncate_to_the_leading_directions(rng):
-    # projection_residuals reads only the full member, so the truncation of
-    # the others is pinned here: U_m = V_m diag(1/lambda_1..m) U_m^H, rank m
+    # projection_residuals reads only the product with the full member, so
+    # the truncation of the others is pinned here:
+    # U_m = V_m diag(1/lambda_1..m) U_m^H, rank m
     n = 12
     system = operators.svd(_full_rank(n, rng))
     net = operators.right_inverse_net(system)
@@ -278,7 +279,7 @@ def test_projection_residuals_match_the_definition(n, rng):
         u = system.outputs
         # the true net sits at rounding level, the perturbed one well above
         for net, tol in ((exact, 1e-13), (_perturbed_net(system, rng), 0.0)):
-            residuals = operators.projection_residuals(t, system, net)
+            residuals = operators.projection_residuals(t @ net(n), u)
             gaps = [t @ net(m) - u[:, :m] @ u[:, :m].conj().T for m in range(1, n + 1)]
             direct = np.array([np.linalg.norm(gap) for gap in gaps])
             assert residuals.shape == (n,)
@@ -292,14 +293,14 @@ def test_projection_residuals_match_the_definition(n, rng):
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e300])
 def test_projection_residuals_are_nan_for_a_non_finite_residual(entry, rng):
-    # eigvalsh raises on NaN input; the row must print nan and fail instead,
-    # and a NaN clipped at 0.0 would pass it (1e300 overflows the Gram matrix)
+    # the row must print nan and fail, and a NaN clipped at 0.0 would pass
+    # it (1e300 overflows the squared column norms)
     n = 6
     t = _full_rank(n, rng)
     system = operators.svd(t)
     member = np.full((n, n), entry, dtype=complex)
     with np.errstate(all="ignore"):
-        residuals = operators.projection_residuals(t, system, lambda m: member)
+        residuals = operators.projection_residuals(t @ member, system.outputs)
     assert residuals.shape == (n,)
     assert np.all(np.isnan(residuals))
 
@@ -370,16 +371,56 @@ def test_full_rank_operator_takes_one_draw(monkeypatch):
         t[:, 0] = 0.0
         return t
 
+    def assert_decomposes(t, system):
+        # the system handed back is LAPACK's decomposition of t, bit for bit
+        expected = operators.svd(t)
+        for field in ("values", "outputs", "inputs"):
+            assert np.array_equal(getattr(system, field), getattr(expected, field))
+
     # a draw that fails the screen is lifted to the floor, not redrawn
     monkeypatch.setattr(operators, "_sample_operator", rank_deficient)
-    t = scenarios._full_rank_operator(8, np.random.default_rng(0))
+    t, system = scenarios._full_rank_operator(8, np.random.default_rng(0))
     assert len(calls) == 1
     lam = operators.singular_values(t)
     assert lam[-1] >= 1e-2 * lam[0] * (1.0 - 1e-12)
+    assert_decomposes(t, system)
     # a draw that passes comes back as drawn
     unit = np.eye(8, dtype=complex)
     monkeypatch.setattr(operators, "_sample_operator", lambda n, rng: unit)
-    assert scenarios._full_rank_operator(8, np.random.default_rng(0)) is unit
+    t, system = scenarios._full_rank_operator(8, np.random.default_rng(0))
+    assert t is unit
+    assert_decomposes(t, system)
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_um_net_decomposes_each_operator_once_per_draw(lifted, monkeypatch):
+    # one full SVD per draw, a second one per lifted draw, and one for
+    # certify_operator's rank-refuted operator; no values-only SVD at all
+    counts = {"svd": 0, "singular_values": 0}
+    for name in counts:
+        original = getattr(operators, name)
+
+        def counting(a, name=name, original=original):
+            counts[name] += 1
+            return original(a)
+
+        monkeypatch.setattr(operators, name, counting)
+    sample = operators._sample_operator
+
+    def draw(n, rng):
+        # well conditioned: the identity plus a small perturbation; or with
+        # a zero column, so that the screen fails and the draw is lifted
+        t = np.eye(n, dtype=complex) + 0.1 * sample(n, rng)
+        if lifted:
+            t[:, 1] = 0.0
+        return t
+
+    monkeypatch.setattr(operators, "_sample_operator", draw)
+    config = scenarios.ScenarioConfig(matrix_size=8, matrix_count=3)
+    rows = scenarios.REGISTRY["um-net"].run(config, 1)
+    assert all(row.verdict == "pass" for row in rows)
+    per_draw = 2 if lifted else 1
+    assert counts == {"svd": per_draw * config.matrix_count + 1, "singular_values": 0}
 
 
 def test_rank_refuter():

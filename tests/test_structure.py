@@ -254,25 +254,44 @@ def test_signal_arithmetic_reaches_the_coefficients_through_one_helper():
         lambda node: isinstance(node, ast.Call) and _called_name(node) == "_coefficientwise"
     )
     assert callers == operations, callers
-    readers = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "coeffs")
+    readers = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_packed")
     assert not readers & operations, readers
 
 
-def test_only_complex_synthesis_and_the_p2_norm_read_the_dense_coefficients():
-    """A signal stores its band alone; the ``coeffs`` property builds the
-    M-bin array (through ``_dense``) for two readers only, complex
-    synthesis and the p = 2 norm, so no lab path materializes M bins by
-    accident."""
-    readers = _sites(
-        lambda node: (
-            isinstance(node, ast.Attribute)
-            and node.attr == "coeffs"
-            and isinstance(node.ctx, ast.Load)
+def _pads_to_every_bin(node: ast.AST) -> bool:
+    """A ``_packed_at`` call whose band reads ``grid_size`` (the band M//2
+    of all M bins), or any read of a dense ``coeffs`` or ``_dense``."""
+    if isinstance(node, ast.Call) and _called_name(node) == "_packed_at":
+        return any(
+            isinstance(inner, ast.Attribute) and inner.attr == "grid_size"
+            for inner in ast.walk(node.args[1])
         )
-        or (isinstance(node, ast.Call) and _called_name(node) == "_dense")
-    )
-    readers.discard(("wiener", "CircleSignal.coeffs"))
-    assert readers == {("wiener", "CircleSignal.values"), ("wiener", "lp_norm")}, readers
+    return isinstance(node, ast.Attribute) and node.attr in {"coeffs", "_dense"}
+
+
+def test_only_complex_synthesis_pads_a_signal_to_all_bins():
+    """A signal stores its band alone, and every operation pads its
+    operands to its result's band only; complex synthesis alone pads a
+    signal to all M bins for their own sake, so no lab path, the p = 2
+    norm included, materializes M bins by accident."""
+    sites = _sites(_pads_to_every_bin)
+    assert sites == {("wiener", "CircleSignal.values")}, sites
+
+
+def test_scenarios_decompose_each_operator_once():
+    """``pure-state`` reads the stacked singular values of its blocks, and
+    ``um-net`` takes the one full decomposition per draw that
+    ``_full_rank_operator`` hands back with the operator."""
+    for name, scope in (("singular_values", "_pure_state"), ("svd", "_full_rank_operator")):
+        sites = _sites(
+            lambda node: isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+            and getattr(node.func.value, "id", None) == "operators"
+        )
+        assert {site for site in sites if site[0] == "scenarios"} == {
+            ("scenarios", scope)
+        }, (name, sites)
 
 
 def _public_members():
