@@ -24,7 +24,7 @@ for n in (1, 8, 64, 256):
 print("\nresiduals of K_n acting on the standard test set")
 trace = check_approximate_identity(
     model,
-    wiener.fejer_family(M),
+    lambda n: wiener.fejer_kernel(M, n),
     wiener.standard_test_set(M),
     schedule=[8, 16, 32, 64, 128],
 )

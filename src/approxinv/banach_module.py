@@ -38,7 +38,8 @@ def add_noise(signal: CircleSignal, sigma: float, seed: int) -> CircleSignal:
     noisy.imag = rng.standard_normal(M)
     noisy *= sigma / np.sqrt(2.0)
     noisy += signal.values
-    return CircleSignal._from_owned_values(noisy)
+    np.fft.fft(noisy, norm="forward", out=noisy)
+    return CircleSignal(noisy, M, M // 2)
 
 
 def deconvolve(

@@ -76,8 +76,6 @@ def plateau(space: GridSpace, a: int, b: int, ramp: int) -> np.ndarray:
         raise ValueError("window indices must satisfy 0 <= a <= b")
     if ramp < 1:
         raise ValueError("ramp width must be >= 1")
-    if b > space.points - 1:
-        raise ValueError("window exceeds the grid")
     if a - ramp < 0 or b + ramp > space.points - 1:
         raise ValueError("window plus ramp exceeds the grid")
     e = np.zeros(space.points)

@@ -176,7 +176,7 @@ def _fejer(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     rows = _Rows("fejer", f"l1-circle-{M}")
     entries = check_approximate_identity(
         wiener.l1_circle_model(M),
-        wiener.fejer_family(M),
+        lambda n: wiener.fejer_kernel(M, n),
         wiener.standard_test_set(M),
         config.schedule,
     )
@@ -277,7 +277,7 @@ def _c0_interior(config: ScenarioConfig, seed: int) -> list[ReportRow]:
     )
     rows = _Rows("c0-interior", f"c0-grid-{space.points}")
     elements = c0.seeded_elements(space, 50, seed)
-    test_set = [f for f in c0.seeded_elements(space, 4, seed + 1, zero_fraction=0.0)]
+    test_set = c0.seeded_elements(space, 4, seed + 1, zero_fraction=0.0)
     # one family per run: its plateaus are built once and shared by every net
     family = c0.WindowFamily(space)
     contradictions = inconclusive = 0

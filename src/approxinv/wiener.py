@@ -12,18 +12,17 @@ coefficients span hundreds of orders of magnitude.
 Each signal also carries a band B: every coefficient of a frequency k with
 min(k, M - k) > B is an exact zero, and only the 2B + 1 coefficients within
 the band are stored.  The builders set the band they write (M//2, which
-promises nothing, for the public constructor and for signals analysed
-from grid values), and sums, differences, scalar multiples
-and products compute only the bins within their result's band, so both
-their storage and their cost follow the band rather than M.  The results
-equal the dense coefficient arithmetic bit for bit: a product whose operands
-hold a NaN or an infinite coefficient, or a non-finite scalar multiple,
-widens its band to keep the NaN that a zero times it gives.  Only the
-complex synthesis in :attr:`CircleSignal.values` (one buffer, transformed
-in place) pads a signal to all M coefficient bins; the two builders that
-promise no band store the M bins they are given.  The p = 2 norm sums the
-squares of the stored band, and the real synthesis reads the band's half
-spectrum, which the inverse FFT zero-pads itself.
+promises nothing, for a signal analysed from grid values), and the two
+operations the lab runs on signals, the difference and the convolution
+product, compute only the bins within their result's band, so both their
+storage and their cost follow the band rather than M.  The results equal
+the dense coefficient arithmetic bit for bit: a product whose operands hold
+a NaN or an infinite coefficient widens its band to keep the NaN that a
+zero times it gives.  Only the complex synthesis in
+:attr:`CircleSignal.values` (one buffer, transformed in place) pads a
+signal to all M coefficient bins.  The p = 2 norm sums the squares of the
+stored band, and the real synthesis reads the band's half spectrum, which
+the inverse FFT zero-pads itself.
 
 Caveat: a finite sampled circle is formally a unital convolution algebra
 (the discrete delta has norm one).  The models here are truncations of the
@@ -62,30 +61,16 @@ class CircleSignal:
     removed, or all M of them once 2B + 1 >= M (B is then M//2).
     :meth:`coeff` reads the coefficient of ``exp(i k theta)``.  Values on
     the grid are derived lazily and cached.  Instances are immutable: the
-    constructor copies the caller's array and promises no band (M//2),
-    while the operations of this module hand over arrays they have just
-    allocated, with the band they wrote (:meth:`_adopt`), and both end
-    read-only.
+    constructor takes ownership of a fresh complex array nothing else
+    refers to, holding the packed coefficients of a signal on M points
+    that is zero beyond ``band``, and makes it read-only.
     """
 
     __slots__ = ("_packed", "grid_size", "band", "_values")
 
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.array(coeffs, dtype=complex)
-        self._bind(coeffs, coeffs.size, coeffs.size // 2)
-
-    @classmethod
-    def _adopt(cls, packed: np.ndarray, M: int, band: int) -> "CircleSignal":
-        """Take ownership of a fresh complex array nothing else refers to:
-        the packed coefficients of a signal on M points, zero beyond
-        ``band``."""
-        signal = cls.__new__(cls)
-        signal._bind(packed, M, band)
-        return signal
-
-    def _bind(self, packed: np.ndarray, M: int, band: int) -> None:
+    def __init__(self, packed: np.ndarray, M: int, band: int):
         if packed.ndim != 1 or M < 8:
-            raise ValueError("coefficient array must be 1-D with length >= 8")
+            raise ValueError("coefficients must form a 1-D array on M >= 8 points")
         packed.setflags(write=False)
         object.__setattr__(self, "_packed", packed)
         object.__setattr__(self, "grid_size", M)
@@ -96,13 +81,6 @@ class CircleSignal:
         raise AttributeError("CircleSignal is immutable")
 
     @classmethod
-    def _from_owned_values(cls, values: np.ndarray) -> "CircleSignal":
-        """Take ownership of a fresh complex value array nothing else refers
-        to and transform it in place into the coefficients."""
-        np.fft.fft(values, norm="forward", out=values)
-        return cls._adopt(values, values.size, values.size // 2)
-
-    @classmethod
     def from_band(cls, M: int, band: dict[int, complex]) -> "CircleSignal":
         """Build a trig polynomial on M points from {frequency: coefficient}."""
         for k in band:
@@ -111,7 +89,7 @@ class CircleSignal:
         packed = np.zeros(2 * width + 1, dtype=complex)
         for k, c in band.items():
             packed[k] = c
-        return cls._adopt(packed, M, width)
+        return cls(packed, M, width)
 
     @property
     def values(self) -> np.ndarray:
@@ -142,23 +120,10 @@ class CircleSignal:
             k -= M
         return complex(self._packed[k]) if abs(k) <= self.band else 0j
 
-    # linear structure (pointwise on coefficients, hence on values); beyond
-    # both bands the operands are zero, and so are their sum and difference
-    def __add__(self, other: "CircleSignal") -> "CircleSignal":
-        _check_same_grid(self, other)
-        return _coefficientwise(np.add, self, other, max(self.band, other.band))
-
     def __sub__(self, other: "CircleSignal") -> "CircleSignal":
+        # beyond both bands the operands are zero, and so is their difference
         _check_same_grid(self, other)
         return _coefficientwise(np.subtract, self, other, max(self.band, other.band))
-
-    def __mul__(self, scalar: complex) -> "CircleSignal":
-        scalar = complex(scalar)
-        # zero times an infinite or NaN scalar is NaN in every bin
-        band = self.band if np.isfinite(scalar) else self.grid_size // 2
-        return _coefficientwise(np.multiply, self, scalar, band)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"CircleSignal(M={self.grid_size})"
@@ -186,22 +151,21 @@ def _frequencies(band: int) -> np.ndarray:
 
 
 def _coefficientwise(
-    ufunc: np.ufunc, f: CircleSignal, other: CircleSignal | complex, band: int
+    ufunc: np.ufunc, f: CircleSignal, g: CircleSignal, band: int
 ) -> CircleSignal:
-    """The signal whose coefficients are ``ufunc`` of f's and ``other``'s
-    (a signal's coefficients or a scalar) on the bins within ``band`` and
-    zero beyond it; equal to the dense result when the operation is zero
-    beyond the band.  Each operand enters cut or zero-padded to that band,
-    and a sum or difference reuses the padded copy as its output."""
-    x = _packed_at(f, band)
-    y = _packed_at(other, band) if isinstance(other, CircleSignal) else other
+    """The signal whose coefficients are ``ufunc`` of f's and g's on the
+    bins within ``band`` and zero beyond it; equal to the dense result when
+    the operation is zero beyond the band.  Each operand enters cut or
+    zero-padded to that band, and a difference reuses the padded copy as its
+    output."""
+    x, y = _packed_at(f, band), _packed_at(g, band)
     out = None
-    if ufunc is not np.multiply:
-        # a sum or difference writes into the padded copy of its narrower
-        # operand (stored arrays are read-only, copies writable); numpy's
-        # in-place complex product rounds differently, so products allocate
+    if ufunc is np.subtract:
+        # a difference writes into the padded copy of its narrower operand
+        # (stored arrays are read-only, copies writable); numpy's in-place
+        # complex product rounds differently, so products allocate
         out = next((a for a in (x, y) if a.flags.writeable), None)
-    return CircleSignal._adopt(ufunc(x, y, out=out), f.grid_size, band)
+    return CircleSignal(ufunc(x, y, out=out), f.grid_size, band)
 
 
 def _finite_beyond(f: CircleSignal, band: int) -> bool:
@@ -315,14 +279,17 @@ def character(M: int, k: int) -> CircleSignal:
     _check_band(k, M)
     packed = np.zeros(2 * abs(k) + 1, dtype=complex)
     packed[k] = 1.0
-    return CircleSignal._adopt(packed, M, abs(k))
+    return CircleSignal(packed, M, abs(k))
 
 
 def _whole_order(n) -> int:
     """A kernel or band order as an int; ``ValueError`` unless it is a
-    whole number (net indices are integers)."""
+    whole number >= 1 (net indices are positive integers, and an order
+    below one has an empty band)."""
     if not float(n).is_integer():
         raise ValueError(f"order must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n!r}")
     return int(n)
 
 
@@ -333,15 +300,9 @@ def fejer_kernel(M: int, n: int) -> CircleSignal:
     approximate identity of the circle algebra.
     """
     n = _whole_order(n)
-    if n < 1:
-        raise ValueError("kernel order must be >= 1")
     _check_band(n, M)
     packed = 1.0 - np.abs(_frequencies(n - 1)) / n
-    return CircleSignal._adopt(packed.astype(complex), M, n - 1)
-
-
-def fejer_family(M: int) -> Callable[[int], CircleSignal]:
-    return lambda n: fejer_kernel(M, n)
+    return CircleSignal(packed.astype(complex), M, n - 1)
 
 
 def poisson_kernel(M: int, r: float) -> CircleSignal:
@@ -351,7 +312,8 @@ def poisson_kernel(M: int, r: float) -> CircleSignal:
     half = M // 2
     # r^k <= 2^-1100 from k = cut on, far below the smallest subnormal
     # (2^-1074), so those coefficients are exact zeros; no more bins than
-    # the M the array has, so that _bind, not an IndexError, rejects M < 8
+    # the M the array has, so that the constructor, not an IndexError,
+    # rejects M < 8
     cut = 1 if r == 0 else math.ceil(1100 / -math.log2(r))
     band = min(half, cut - 1)
     size = min(2 * band + 1, M)
@@ -362,7 +324,7 @@ def poisson_kernel(M: int, r: float) -> CircleSignal:
     # the negative frequencies mirror the positive ones; a band of M//2 on
     # an even M holds the Nyquist bin once
     packed[powers.size :] = powers[size - band - 1 : 0 : -1]
-    return CircleSignal._adopt(packed, M, band)
+    return CircleSignal(packed, M, band)
 
 
 def default_floor(f: CircleSignal) -> float:
@@ -381,8 +343,6 @@ def band_nonvanishing(
     itself.
     """
     n = _whole_order(n)
-    if n < 1:
-        raise ValueError("order must be >= 1")
     _check_band(n, f.grid_size)
     if floor is None:
         floor = default_floor(f)
@@ -403,7 +363,7 @@ def band_division(
     frequencies to their numerator coefficients.
 
     Raises ``ValueError`` for n < 1 or a non-integral n,
-    :class:`AliasingError` for n >= M/2 (both from :func:`band_nonvanishing`)
+    :class:`AliasingError` for n >= M/2 (from :func:`band_nonvanishing`)
     and :class:`DivisionFloorError` at the first band frequency whose
     coefficient does not clear the floor.
     """
@@ -414,7 +374,7 @@ def band_division(
     if bad is not None:
         raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
     packed = numerator(_frequencies(n - 1)) / _packed_at(f, n - 1)
-    return CircleSignal._adopt(packed, f.grid_size, n - 1)
+    return CircleSignal(packed, f.grid_size, n - 1)
 
 
 def wiener_division(

@@ -1,5 +1,6 @@
-"""Test infrastructure: the algebra models at property-sweep sizes, the
-circle involution and the values-only rank refuter that only the tests
+"""Test infrastructure: the algebra models at property-sweep sizes, dense
+and scaled circle signals, the circle involution and the values-only rank
+refuter that only the tests
 read, the routes through the public verifiers that the tests and the
 acceptance criteria use for module density, product certification and
 adjoint duality, and the generating monomial, the sampled sup norm and an
@@ -36,9 +37,24 @@ def dense(f: wiener.CircleSignal) -> np.ndarray:
     return wiener._packed_at(f, f.grid_size // 2)
 
 
+def signal(coeffs) -> wiener.CircleSignal:
+    """The signal with all M of ``coeffs`` in FFT index order (a copy), of
+    band M//2, which promises no zero."""
+    coeffs = np.array(coeffs, dtype=complex)
+    return wiener.CircleSignal(coeffs, coeffs.size, coeffs.size // 2)
+
+
+def scaled(x, c):
+    """c times x, for an array or a circle signal; a signal keeps its band,
+    as the coefficientwise scalar product of a finite c does."""
+    if isinstance(x, wiener.CircleSignal):
+        return wiener.CircleSignal(complex(c) * x._packed, x.grid_size, x.band)
+    return c * x
+
+
 def involution(f: wiener.CircleSignal) -> wiener.CircleSignal:
     """The group-algebra involution conj(f(-theta)) of a circle signal."""
-    return wiener.CircleSignal(np.conj(dense(f)))
+    return signal(np.conj(dense(f)))
 
 
 def standard_models() -> list[ModelCase]:

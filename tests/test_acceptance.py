@@ -69,7 +69,7 @@ def test_criterion_01_fejer_identity():
     model = wiener.l1_circle_model(M)
     trace = check_approximate_identity(
         model,
-        wiener.fejer_family(M),
+        lambda n: wiener.fejer_kernel(M, n),
         wiener.standard_test_set(M),
         schedule=[8, 16, 32, 64, 128],
     )

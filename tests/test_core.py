@@ -14,7 +14,7 @@ from approxinv.core import (
 from approxinv.errors import NumericOverflowError
 
 from .oracles import direct_convolve
-from .support import certify_product, rank_refuter, standard_models
+from .support import certify_product, rank_refuter, scaled, standard_models
 
 UNIT8 = np.eye(8, dtype=complex)
 
@@ -65,10 +65,12 @@ def test_zero_family_fails_with_element_norm(matrix8, rng):
 
 def test_fejer_trace_on_slow_kernel_matches_oracle(M4096):
     model = wiener.l1_circle_model(M4096)
-    family = wiener.fejer_family(M4096)
     target = wiener.poisson_kernel(M4096, 0.9)
     trace = check_approximate_identity(
-        model, family, [target], schedule=[8, 64, 128, 1024]
+        model,
+        lambda n: wiener.fejer_kernel(M4096, n),
+        [target],
+        schedule=[8, 64, 128, 1024],
     )
     for entry in trace:
         assert entry.residual == pytest.approx(POISSON09_RESIDUALS[entry.index], rel=1e-9)
@@ -114,10 +116,9 @@ def test_decay_verdict_trivial_cases():
 
 def test_decay_verdict_on_kernel_trace(M4096):
     model = wiener.l1_circle_model(M4096)
-    family = wiener.fejer_family(M4096)
     trace = check_approximate_identity(
         model,
-        family,
+        lambda n: wiener.fejer_kernel(M4096, n),
         wiener.standard_test_set(M4096),
         schedule=[8, 16, 32, 64, 128],
     )
@@ -151,7 +152,7 @@ def test_verdict_invariant_under_positive_scaling(c, M512):
     # the product's spectrum is the square of the factor's, so r = 0.5 keeps
     # its band edge (0.25^15) above the default division floor
     f = wiener.poisson_kernel(M512, 0.5)
-    cert = certify_product(c * f, f, 16)
+    cert = certify_product(scaled(f, c), f, 16)
     assert cert.verdict == "certified-two-sided"
 
 
@@ -250,7 +251,7 @@ def test_trace_is_the_pointwise_worst_on_standard_models(case):
 def test_trace_is_the_pointwise_worst_for_the_kernel_family(M512):
     _assert_pointwise_worst(
         wiener.l1_circle_model(M512),
-        wiener.fejer_family(M512),
+        lambda n: wiener.fejer_kernel(M512, n),
         wiener.standard_test_set(M512),
         (4, 8, 16, 32),
     )
@@ -283,7 +284,7 @@ def test_involution_preserves_norm(model_index):
 def test_norm_definite_on_samples(model_index):
     model, sample, _, _ = _STANDARD_MODELS[model_index]
     rng = np.random.default_rng(99 + model_index)
-    zero = 0.0 * sample(rng)
+    zero = scaled(sample(rng), 0.0)
     assert model.norm(zero) == 0.0
     for _ in range(20):
         x = sample(rng)
@@ -308,8 +309,8 @@ def _element_and_net(case, rng):
             return total
 
         return x, neumann
-    scaled_adjoint = (1.0 / model.norm(s) ** 2) * adjoint(s)
-    return s, lambda j: scaled_adjoint
+    member = scaled(adjoint(s), 1.0 / model.norm(s) ** 2)
+    return s, lambda j: member
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -327,8 +328,8 @@ def test_verdict_invariant_under_scaling_on_standard_models(model_index, seed, e
 
     def verdict(scale):
         return check_approx_invertible(
-            case.model, scale * x,
-            lambda j: (1.0 / scale) * net(j), test_set,
+            case.model, scaled(x, scale),
+            lambda j: scaled(net(j), 1.0 / scale), test_set,
             tol=1e-2, schedule=(4, 8, 16, 32),
         ).verdict
 

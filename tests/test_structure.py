@@ -238,24 +238,38 @@ def test_aliasing_error_is_raised_in_one_function():
 
 
 def test_signal_arithmetic_reaches_the_coefficients_through_one_helper():
-    """Sums, differences, scalar multiples and products read no coefficient
-    array themselves: ``_coefficientwise`` alone turns a band into the bins
-    an operation computes."""
-    operations = {
-        ("wiener", name)
-        for name in (
-            "CircleSignal.__add__",
-            "CircleSignal.__sub__",
-            "CircleSignal.__mul__",
-            "convolve",
-        )
-    }
+    """The difference and the product read no coefficient array themselves:
+    ``_coefficientwise`` alone turns a band into the bins an operation
+    computes."""
+    operations = {("wiener", "CircleSignal.__sub__"), ("wiener", "convolve")}
     callers = _sites(
         lambda node: isinstance(node, ast.Call) and _called_name(node) == "_coefficientwise"
     )
     assert callers == operations, callers
     readers = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_packed")
     assert not readers & operations, readers
+
+
+def test_circle_signal_defines_only_what_the_lab_runs():
+    """The lab reaches a signal through its one constructor, ``from_band``,
+    the difference and the convolution of ``wiener``; the member checks
+    above skip dunders, so this pins them."""
+    tree = ast.parse((PACKAGE / "wiener.py").read_text(encoding="utf-8"))
+    (cls,) = (
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "CircleSignal"
+    )
+    bound, classmethods = set(), set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            bound.add(item.name)
+            if any(isinstance(d, ast.Name) and d.id == "classmethod" for d in item.decorator_list):
+                classmethods.add(item.name)
+        elif isinstance(item, ast.Assign):
+            bound.update(t.id for t in item.targets if isinstance(t, ast.Name))
+    dunders = {name for name in bound if name.startswith("__") and name.endswith("__")}
+    assert dunders - {"__slots__"} == {"__init__", "__setattr__", "__sub__", "__repr__"}
+    assert classmethods == {"from_band"}
 
 
 def _pads_to_every_bin(node: ast.AST) -> bool:
