@@ -12,7 +12,7 @@ import numpy as np
 from approxinv import c0
 
 space = c0.GridSpace(10.0, 201, tail_tol=1e-3)
-family = c0.WindowFamily(space, ramp=2)
+family = c0.WindowFamily(space)
 test_set = c0.seeded_elements(space, 3, seed=5, zero_fraction=0.0)
 
 print("plateau members: 1 on the window, linear ramp, 0 outside")

@@ -30,6 +30,9 @@ DIVISION_THRESHOLD_REL = 1e-12
 #: largest window that fits with its ramp (the last step may be shorter).
 WINDOW_STEPS = 8
 
+#: Ramp width, in cells, on each side of every :class:`WindowFamily` window.
+WINDOW_RAMP = 2
+
 #: Tolerance of :func:`certify`.
 CERTIFY_TOL = 1e-3
 
@@ -39,6 +42,11 @@ class GridSpace:
     """Symmetric grid t_i = -L + i*delta, i = 0..G-1, with a tail tolerance
     bounding admissible values at the two extreme cells.
 
+    The grid holds the center cell of :class:`WindowFamily` with its
+    ``WINDOW_RAMP`` cells on each side, so G >= 2 * WINDOW_RAMP + 1.  The
+    half width L is a normal float: the sampled elements' Gaussian widths,
+    fractions of L, would round to zero below it.
+
     The tail tolerance must sit above any non-vanishing threshold used for
     certification: on a compact grid an element cannot clear a threshold
     everywhere while staying under a smaller tail bound at the boundary.
@@ -46,13 +54,13 @@ class GridSpace:
 
     half_width: float
     points: int
-    tail_tol: float = 1e-3
+    tail_tol: float
 
     def __post_init__(self):
-        if self.points < 3:
-            raise ValueError("grid needs at least 3 points")
-        if self.half_width <= 0 or self.tail_tol <= 0:
-            raise ValueError("half width and tail tolerance must be positive")
+        if self.points < 2 * WINDOW_RAMP + 1:
+            raise ValueError(f"grid needs at least {2 * WINDOW_RAMP + 1} points")
+        if self.half_width < np.finfo(float).tiny or self.tail_tol <= 0:
+            raise ValueError("half width must be a normal float, tail tolerance positive")
         if not np.isfinite(2.0 * self.half_width):
             raise ValueError("grid diameter 2 * half width must be finite")
 
@@ -89,9 +97,10 @@ def plateau(space: GridSpace, a: int, b: int, ramp: int) -> np.ndarray:
 class WindowFamily:
     """Plateau approximate identity over windows growing symmetrically about
     the center: index n gets the window of half width
-    ``min(n * step, cap)``, where ``cap = center - ramp`` leaves room for
-    the ramp inside the grid and ``step = max(1, cap // WINDOW_STEPS)``.
-    The windows are nested by construction.
+    ``min(n * step, cap)``, where ``cap = center - WINDOW_RAMP`` leaves room
+    for the ramp inside the grid (``GridSpace`` guarantees ``cap >= 0``) and
+    ``step = max(1, cap // WINDOW_STEPS)``.  The windows are nested by
+    construction.
 
     On a finite grid the growth stops at ``cap``, so the family has
     ``len(family)`` distinct members (at most 15 on any grid): their
@@ -99,13 +108,11 @@ class WindowFamily:
     every index from ``len(family)`` on gets the last of them.
     """
 
-    def __init__(self, space: GridSpace, ramp: int = 2):
-        if ramp > space.center:
-            raise ValueError("grid too small for the requested ramp")
-        cap = space.center - ramp
+    def __init__(self, space: GridSpace):
+        cap = space.center - WINDOW_RAMP
         step = max(1, cap // WINDOW_STEPS)
         self._plateaus = tuple(
-            plateau(space, space.center - half, space.center + half, ramp)
+            plateau(space, space.center - half, space.center + half, WINDOW_RAMP)
             for half in (*range(step, cap, step), cap)
         )
         for e in self._plateaus:

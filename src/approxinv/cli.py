@@ -89,6 +89,7 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";",)
     )
+    parser.optionxform = str  # keys match case-sensitively, like sections
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -132,23 +133,12 @@ def write_csv(path: Path, rows: Sequence[ReportRow]) -> None:
 
 
 def run_scenario(name: str, config: ScenarioConfig) -> list[ReportRow]:
-    """Execute one registered scenario and write its CSV report."""
-    if name not in scenarios.REGISTRY:
-        raise ConfigError(f"unknown scenario {name!r}")
-    config.validate()
+    """Run one registered scenario with its derived seed and write its CSV
+    report into ``config.out``.  ``main`` checks the name and the config
+    and creates the directory, once per run."""
     rows = scenarios.REGISTRY[name].run(config, derive_seed(config.seed, name))
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / f"{name}.csv", rows)
+    write_csv(Path(config.out) / f"{name}.csv", rows)
     return rows
-
-
-def list_scenarios() -> list[tuple[str, tuple[str, ...], str]]:
-    """(name, statement ids, description) in stable registry order."""
-    return [
-        (name, spec.statements, spec.description)
-        for name, spec in scenarios.REGISTRY.items()
-    ]
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -175,8 +165,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
     if args.list:
-        for name, statements, description in list_scenarios():
-            print(f"{name}: {description} [{', '.join(statements)}]")
+        for name, spec in scenarios.REGISTRY.items():
+            print(f"{name}: {spec.description} [{', '.join(spec.statements)}]")
         return 0
     try:
         config = load_config(args.config)

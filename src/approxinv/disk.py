@@ -42,9 +42,10 @@ COEFFICIENT_RADIUS = 2.0
 
 @dataclass(frozen=True)
 class CircleSampling:
-    """Angle count for the unit circle; annulus scans use ``RADII``."""
+    """Angle count for the unit circle, at least 1024; annulus scans use
+    ``RADII``."""
 
-    angles: int = 2048
+    angles: int
 
     def __post_init__(self):
         if self.angles < 1024:

@@ -77,9 +77,11 @@ class ScenarioConfig:
     def validate(self) -> None:
         """``ConfigError`` unless every scenario can run on this config.
 
-        The schedule, grid-space and angle rules belong to
-        ``core.resolve_schedule``, ``c0.GridSpace`` and
-        ``disk.CircleSampling``; their ``ValueError`` becomes a
+        The schedule, grid-space, angle and aliasing rules belong to
+        ``core.resolve_schedule``, ``c0.GridSpace`` (the grid minimum and
+        the normal half width), ``disk.CircleSampling`` and
+        ``wiener._check_band`` (every schedule order and tdz witness
+        frequency below circle_samples/2); their ``ValueError`` becomes a
         ``ConfigError`` here."""
         for name in ("matrix_count", "disk_degree"):
             if getattr(self, name) < 1:
@@ -99,14 +101,11 @@ class ScenarioConfig:
         # the OS path calls reject a NUL byte with ValueError, not OSError
         if "\0" in self.out:
             raise ConfigError("out must not contain a NUL byte")
-        # c0's centered window family keeps a 2-cell ramp on each side of
-        # the center cell
-        if self.grid_points < 5:
-            raise ConfigError("grid_points must be at least 5")
         try:
             resolve_schedule(self.schedule)
             c0.GridSpace(self.grid_half_width, self.grid_points, self.grid_tail_tol)
             disk.CircleSampling(self.disk_angles)
+            wiener._check_band(max(TDZ_MAX_FREQUENCY, *self.schedule), self.circle_samples)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if self.module_exponent < 1:
@@ -116,17 +115,6 @@ class ScenarioConfig:
                 f"net schedule order {max(self.schedule)} exceeds "
                 f"{MAX_SCHEDULE_ORDER}: deconv cannot divide by the blur "
                 f"coefficients beyond it"
-            )
-        if self.circle_samples // 2 <= TDZ_MAX_FREQUENCY:
-            raise ConfigError(
-                f"circle_samples must exceed {2 * TDZ_MAX_FREQUENCY}: tdz "
-                f"evaluates witness frequencies up to {TDZ_MAX_FREQUENCY}"
-            )
-        if max(self.schedule) >= self.circle_samples // 2:
-            raise ConfigError(
-                f"net schedule order {max(self.schedule)} would alias on "
-                f"circle_samples = {self.circle_samples}; orders must stay "
-                f"below circle_samples/2"
             )
         if 2 * self.disk_degree >= self.disk_angles:
             raise ConfigError("disk_degree must stay below disk_angles/2")
@@ -207,14 +195,12 @@ def _wiener_division(config: ScenarioConfig, seed: int) -> list[ReportRow]:
             )
             rows.add(f"division-exactness-r{r}", n, resid, config.exact_tol)
     monomial = wiener.character(M, 1)
+    frequency = None
     try:
         wiener.wiener_division(monomial, 4)
-        raised = False
-        frequency = -1
     except DivisionFloorError as err:
-        raised = True
         frequency = err.frequency
-    rows.add("division-floor-raised", 4, 0.0 if raised and frequency == 0 else 1.0, 0.0)
+    rows.add("division-floor-raised", 4, 0.0 if frequency == 0 else 1.0, 0.0)
     return rows.rows
 
 

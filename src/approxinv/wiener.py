@@ -403,10 +403,9 @@ def wiener_division_net(
 def tdz_witness(f: CircleSignal, N: int) -> float:
     """Character witness value for the zero-divisor direction at frequency
     N: convolving f with the unit-norm character exp(i N theta) scales it by
-    fhat(N), so the witness value |fhat(N)| is exact."""
-    M = f.grid_size
-    if not 0 <= N < M // 2:
-        raise ValueError(f"witness frequency must lie in [0, {M // 2})")
+    fhat(N), so the witness value |fhat(N)| is exact.  :class:`AliasingError`
+    unless |N| < M/2 (:func:`_check_band`)."""
+    _check_band(N, f.grid_size)
     return abs(f.coeff(N))
 
 

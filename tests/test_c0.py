@@ -32,12 +32,20 @@ def test_sup_norm_basics(space, lorentz):
 
 def test_grid_space_validation():
     with pytest.raises(ValueError):
-        c0.GridSpace(10.0, 2)
+        c0.GridSpace(10.0, 2, 1e-3)
     with pytest.raises(ValueError):
-        c0.GridSpace(-1.0, 11)
+        c0.GridSpace(-1.0, 11, 1e-3)
     with pytest.raises(ValueError):
-        c0.GridSpace(9e307, 11)
-    assert np.all(np.isfinite(c0.GridSpace(8e307, 11).t))
+        c0.GridSpace(9e307, 11, 1e-3)
+    assert np.all(np.isfinite(c0.GridSpace(8e307, 11, 1e-3).t))
+    # the window family's center cell with WINDOW_RAMP cells on each side
+    with pytest.raises(ValueError, match="at least 5 points"):
+        c0.GridSpace(10.0, 2 * c0.WINDOW_RAMP, 1e-3)
+    assert len(c0.WindowFamily(c0.GridSpace(10.0, 2 * c0.WINDOW_RAMP + 1, 1e-3))) == 1
+    tiny = np.finfo(float).tiny
+    with pytest.raises(ValueError, match="normal float"):
+        c0.GridSpace(np.nextafter(tiny, 0.0), 11, 1e-3)
+    assert c0.GridSpace(tiny, 11, 1e-3).t[-1] == tiny
 
 
 def test_plateau_whole_interior(space):
@@ -76,7 +84,7 @@ def _window(family, n):
 
 
 def test_window_family_uniform_on_fixed_window(space):
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     fixed_a, fixed_b = space.center - 20, space.center + 20
     windows = [_window(family, n) for n in range(1, 20)]
     for (a, b), (outer_a, outer_b) in zip(windows, windows[1:]):
@@ -89,7 +97,7 @@ def test_window_family_uniform_on_fixed_window(space):
 
 def test_plateau_family_is_approximate_identity(space):
     model = c0.c0_model(space)
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     tests = c0.seeded_elements(space, 4, seed=7, zero_fraction=0.0)
     trace = check_approximate_identity(model, family.element, tests, range(1, 13))
     assert trace[-1].residual <= 1e-3
@@ -117,7 +125,7 @@ def test_is_nonvanishing(space, lorentz):
 
 
 def test_reciprocal_net_pointwise(space, lorentz):
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     net = c0.reciprocal_inverse_net(lorentz, family)
     g = net(1)
     assert g[space.center] == pytest.approx(1.0, abs=1e-12)  # 1 * (1 + 0)
@@ -130,7 +138,7 @@ def test_reciprocal_net_pointwise(space, lorentz):
 
 def test_reciprocal_multiply_back(space):
     rng_elements = c0.seeded_elements(space, 20, seed=11, zero_fraction=0.0)
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     for f in rng_elements:
         net = c0.reciprocal_inverse_net(f, family)
         for n in (1, 4, 9):
@@ -139,7 +147,7 @@ def test_reciprocal_multiply_back(space):
 
 
 def test_reciprocal_rejects_small_values(space, lorentz):
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     dipped = lorentz.copy()
     dipped[space.center + 3] = 1e-14
     net = c0.reciprocal_inverse_net(dipped, family)
@@ -253,7 +261,7 @@ def test_window_family_builds_each_window_once_read_only(space, monkeypatch):
 
 def test_window_family_has_at_most_15_members():
     sizes = {
-        points: len(c0.WindowFamily(c0.GridSpace(10.0, points)))
+        points: len(c0.WindowFamily(c0.GridSpace(10.0, points, 1e-3)))
         for points in range(5, 300)
     }
     assert sizes[5] == 1 and sizes[201] == 9
@@ -298,7 +306,7 @@ def _certify_along(space, f, tests, family, schedule):
 
 @pytest.mark.parametrize("points", [5, 7, 11, 201, 2001])
 def test_certify_along_distinct_windows_matches_the_long_schedule(points):
-    space = c0.GridSpace(10.0, points)
+    space = c0.GridSpace(10.0, points, 1e-3)
     family = c0.WindowFamily(space)
     elements = c0.seeded_elements(space, 50, seed=points)
     tests = c0.seeded_elements(space, 4, seed=points + 1, zero_fraction=0.0)
@@ -327,7 +335,7 @@ def test_certify_along_distinct_windows_matches_the_long_schedule(points):
 
 
 def test_reciprocal_member_is_the_masked_quotient(space):
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     for f in c0.seeded_elements(space, 5, seed=13, zero_fraction=0.0):
         net = c0.reciprocal_inverse_net(f, family)
         for n in (1, 5, 16):
@@ -342,7 +350,7 @@ def test_reciprocal_member_is_the_masked_quotient(space):
 
 
 def test_reciprocal_refusal_ignores_zeros_off_the_support(space, lorentz):
-    family = c0.WindowFamily(space, ramp=2)
+    family = c0.WindowFamily(space)
     support = np.flatnonzero(family.element(1) != 0.0)
     f = lorentz.copy()
     f[support[0] - 3] = 0.0  # exact zero outside the support of member 1

@@ -228,6 +228,15 @@ def test_rank_threshold_is_read_in_one_function():
     assert sites == {("operators", "_rank_threshold")}, sites
 
 
+def test_config_is_validated_in_one_function():
+    sites = _sites(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    )
+    assert sites == {("cli", "main")}, sites
+
+
 def test_aliasing_error_is_raised_in_one_function():
     sites = _sites(
         lambda node: isinstance(node, ast.Raise)
