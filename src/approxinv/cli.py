@@ -164,10 +164,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
-    if args.list:
-        for name, spec in scenarios.REGISTRY.items():
-            print(f"{name}: {spec.description} [{', '.join(spec.statements)}]")
-        return 0
     try:
         config = load_config(args.config)
         if args.seed is not None:
@@ -183,13 +179,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"unknown scenario {name!r}")
         config.validate()
         out_dir = Path(config.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise ConfigError(f"cannot create output directory: {err}") from None
+        if not args.list:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"cannot create output directory: {err}") from None
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    if args.list:
+        for name, spec in scenarios.REGISTRY.items():
+            print(f"{name}: {spec.description} [{', '.join(spec.statements)}]")
+        return 0
 
     lines = []
     failed = False

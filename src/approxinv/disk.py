@@ -35,8 +35,8 @@ ONE_THIRD = 1.0 / 3.0
 #: Radii of the annulus scans, 0.5 to 1 in steps of 0.05.
 RADII = tuple(np.round(np.arange(0.5, 1.0001, 0.05), 2))
 
-#: Modulus bound of the element family's coefficients: :func:`random_elements`
-#: draws from this disk and the certificates hold for every such element.
+#: Modulus bound of the element family's coefficients: the certificates hold
+#: for every element whose coefficients lie in this disk.
 COEFFICIENT_RADIUS = 2.0
 
 
@@ -89,22 +89,11 @@ def product_deviation(f1: np.ndarray, f2: np.ndarray, sampling: CircleSampling) 
     return float(np.abs(poly_eval(diff, sampling.circle)).max())
 
 
-def random_elements(rng: np.random.Generator, count: int, degree: int) -> np.ndarray:
-    """``count`` elements as rows z^0..z^degree, the constant column zero and
-    the other coefficients drawn uniformly from the complex disk of radius
-    ``COEFFICIENT_RADIUS``."""
-    radius = COEFFICIENT_RADIUS * np.sqrt(rng.random((count, degree)))
-    phase = np.exp(2j * np.pi * rng.random((count, degree)))
-    out = np.zeros((count, degree + 1), dtype=complex)
-    out[:, 1:] = radius * phase
-    return out
-
-
 def annulus_certificate(sampling: CircleSampling, degree: int) -> float:
     """R * sum of |mean of z^k| on the sampled circle over k = 1..``degree``,
     R = ``COEFFICIENT_RADIUS``.  A circle of radius r <= 1 scales the k-th
-    term by r^k, so every element of :func:`random_elements` of this degree
-    has :func:`annulus_deviation` at least 1 minus this value."""
+    term by r^k, so every element of this degree in the element family has
+    :func:`annulus_deviation` at least 1 minus this value."""
     circle = sampling.circle
     moments = np.array([(circle**k).mean() for k in range(1, degree + 1)])
     return float(COEFFICIENT_RADIUS * np.abs(moments).sum())
@@ -114,9 +103,9 @@ def product_certificate(sampling: CircleSampling, degree: int) -> float:
     """|1 - nu_1| + R^2 * sum of c_m |nu_m| over m = 2..2 ``degree``, where
     nu_m is the mean of z^m conj(z) on the sampled circle and
     c_m = min(m - 1, 2 degree + 1 - m) counts the coefficient pairs of f1 f2
-    at z^m.  On points of modulus at most 1, every pair of
-    :func:`random_elements` of this degree has :func:`product_deviation` at
-    least 1 minus this value."""
+    at z^m.  On points of modulus at most 1, every pair of elements of this
+    degree in the element family has :func:`product_deviation` at least 1
+    minus this value."""
     circle = sampling.circle
     nu = np.array([(circle**m * circle.conj()).mean() for m in range(1, 2 * degree + 1)])
     m = np.arange(2, 2 * degree + 1)

@@ -156,16 +156,9 @@ def _coefficientwise(
     """The signal whose coefficients are ``ufunc`` of f's and g's on the
     bins within ``band`` and zero beyond it; equal to the dense result when
     the operation is zero beyond the band.  Each operand enters cut or
-    zero-padded to that band, and a difference reuses the padded copy as its
-    output."""
+    zero-padded to that band."""
     x, y = _packed_at(f, band), _packed_at(g, band)
-    out = None
-    if ufunc is np.subtract:
-        # a difference writes into the padded copy of its narrower operand
-        # (stored arrays are read-only, copies writable); numpy's in-place
-        # complex product rounds differently, so products allocate
-        out = next((a for a in (x, y) if a.flags.writeable), None)
-    return CircleSignal(ufunc(x, y, out=out), f.grid_size, band)
+    return CircleSignal(ufunc(x, y), f.grid_size, band)
 
 
 def _finite_beyond(f: CircleSignal, band: int) -> bool:
@@ -352,31 +345,6 @@ def band_nonvanishing(
     return int(order[bad[0]]) if bad.size else None
 
 
-def band_division(
-    f: CircleSignal,
-    numerator: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    floor: Optional[float] = None,
-) -> CircleSignal:
-    """The signal with coefficients numerator(k) / fhat(k) on the band
-    |k| < n and zero beyond; ``numerator`` maps an array of signed band
-    frequencies to their numerator coefficients.
-
-    Raises ``ValueError`` for n < 1 or a non-integral n,
-    :class:`AliasingError` for n >= M/2 (from :func:`band_nonvanishing`)
-    and :class:`DivisionFloorError` at the first band frequency whose
-    coefficient does not clear the floor.
-    """
-    n = _whole_order(n)
-    if floor is None:
-        floor = default_floor(f)
-    bad = band_nonvanishing(f, n, floor)
-    if bad is not None:
-        raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
-    packed = numerator(_frequencies(n - 1)) / _packed_at(f, n - 1)
-    return CircleSignal(packed, f.grid_size, n - 1)
-
-
 def wiener_division(
     f: CircleSignal, n: int, floor: Optional[float] = None
 ) -> CircleSignal:
@@ -384,11 +352,20 @@ def wiener_division(
     hhat_n(k) = (1 - |k|/n)_+ / fhat(k).
 
     Guarantees convolve(f, h_n) = fejer_kernel(n) up to rounding, since both
-    sides reduce to the same coefficient product.  Raises
-    :class:`DivisionFloorError` at the first band frequency whose coefficient
-    does not clear the floor, refuting the non-vanishing hypothesis there.
+    sides reduce to the same coefficient product.  Raises ``ValueError``
+    for n < 1 or a non-integral n, :class:`AliasingError` for n >= M/2
+    (from :func:`band_nonvanishing`) and :class:`DivisionFloorError` at the
+    first band frequency whose coefficient does not clear the floor,
+    refuting the non-vanishing hypothesis there.
     """
-    return band_division(f, lambda ks: 1.0 - np.abs(ks) / n, n, floor)
+    n = _whole_order(n)
+    if floor is None:
+        floor = default_floor(f)
+    bad = band_nonvanishing(f, n, floor)
+    if bad is not None:
+        raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
+    packed = (1.0 - np.abs(_frequencies(n - 1)) / n) / _packed_at(f, n - 1)
+    return CircleSignal(packed, f.grid_size, n - 1)
 
 
 def wiener_division_net(

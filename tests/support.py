@@ -3,8 +3,8 @@ and scaled circle signals, the circle involution and the values-only rank
 refuter that only the tests
 read, the routes through the public verifiers that the tests and the
 acceptance criteria use for module density, product certification and
-adjoint duality, and the generating monomial, the sampled sup norm and an
-aliased sampling of the disk model."""
+adjoint duality, and the generating monomial, the element family, the
+sampled sup norm and an aliased sampling of the disk model."""
 
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
@@ -17,6 +17,7 @@ from approxinv.core import (
     ApproxInvCertificate,
     check_approx_invertible,
 )
+from approxinv.errors import DivisionFloorError
 
 
 class ModelCase(NamedTuple):
@@ -88,12 +89,18 @@ def density_residual(f, target, n, floor=None) -> float:
 
     The candidate y with yhat(k) = that(k)/fhat(k) on |k| < n (zero beyond)
     matches the target exactly inside the band, so the residual is the
-    2-norm of the spectral tail.  Raises the order, aliasing and
-    division-floor errors of ``wiener.band_division``.
+    2-norm of the spectral tail.  Raises the order and aliasing errors of
+    ``wiener.band_nonvanishing`` and, like ``wiener.wiener_division``,
+    :class:`DivisionFloorError` where the band does not clear the floor.
     """
-    M = f.grid_size
-    y = wiener.band_division(f, lambda ks: dense(target)[ks % M], n, floor)
-    reached = wiener.convolve(f, y)
+    if floor is None:
+        floor = wiener.default_floor(f)
+    bad = wiener.band_nonvanishing(f, n, floor)
+    if bad is not None:
+        raise DivisionFloorError(bad, abs(f.coeff(bad)), floor)
+    band = int(n) - 1
+    quotient = wiener._packed_at(target, band) / wiener._packed_at(f, band)
+    reached = wiener.convolve(f, wiener.CircleSignal(quotient, f.grid_size, band))
     return wiener.lp_norm(target - reached, 2.0)
 
 
@@ -187,6 +194,18 @@ def mirrors(cert: ApproxInvCertificate, dual: ApproxInvCertificate) -> bool:
 
 #: The generating monomial z of the disk model, as coefficients z^0, z^1.
 GENERATOR = np.array([0.0, 1.0], complex)
+
+
+def disk_elements(rng: np.random.Generator, count: int, degree: int) -> np.ndarray:
+    """``count`` elements of the disk model's element family as rows
+    z^0..z^degree: the constant column zero and the other coefficients drawn
+    uniformly from the complex disk of radius ``disk.COEFFICIENT_RADIUS``,
+    which the certificates cover."""
+    radius = disk.COEFFICIENT_RADIUS * np.sqrt(rng.random((count, degree)))
+    phase = np.exp(2j * np.pi * rng.random((count, degree)))
+    out = np.zeros((count, degree + 1), dtype=complex)
+    out[:, 1:] = radius * phase
+    return out
 
 
 def disk_sup_norm(p: np.ndarray, sampling: disk.CircleSampling) -> float:

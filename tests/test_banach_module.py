@@ -90,10 +90,12 @@ def test_density_residual_raises_on_vanishing_band(M512):
     assert err.value.frequency == 0
 
 
-@pytest.mark.parametrize("n, error", [(256, AliasingError), (0, ValueError)])
+@pytest.mark.parametrize(
+    "n, error", [(256, AliasingError), (0, ValueError), (2.5, ValueError)]
+)
 def test_density_residual_rejects_bad_order(M512, n, error):
-    # the same order checks as wiener_division: the band must be non-empty
-    # and stay below M/2
+    # the same order checks as wiener_division: the band must be a whole
+    # order, non-empty and below M/2
     f = wiener.poisson_kernel(M512, 0.5)
     target = wiener.character(M512, 0)
     with pytest.raises(error):

@@ -150,6 +150,25 @@ def test_list_flag(capsys):
     assert "fejer" in out and "deconv" in out
 
 
+def test_list_creates_no_output_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--list"]) == 0
+    assert cli.main(["--list", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.count("fejer:") == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_list_checks_the_config_first(tmp_path, capsys):
+    # an invalid configuration exits 2 whatever the run was asked to do
+    missing = str(tmp_path / "nonexistent.cfg")
+    assert cli.main(["--list", "--config", missing, "--seed", "-5"]) == 2
+    assert cli.main(["--list", "--seed", "-5"]) == 2
+    assert cli.main(["--list", "--scenario", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error") == 3
+
+
 def test_derive_seed_is_stable_and_distinct():
     a = cli.derive_seed(7, "fejer")
     assert a == cli.derive_seed(7, "fejer")
@@ -348,6 +367,9 @@ BOUNDARY_OUTCOMES = {
     "grid-half-width-3e-308": (
         "[models]\ngrid_half_width = 3e-308\n", ("c0-interior",), 0, []
     ),
+    # the non-vanishing threshold follows the boundary tail the elements sink to
+    "grid-tail-tol-3e-6": ("[models]\ngrid_tail_tol = 3e-6\n", ("c0-interior",), 0, []),
+    "grid-tail-tol-1e-9": ("[models]\ngrid_tail_tol = 1e-9\n", ("c0-interior",), 0, []),
     # below the smallest normal float the sampled elements' widths round to 0
     "grid-half-width-5e-324": (
         "[models]\ngrid_half_width = 5e-324\n", ("c0-interior",), 2, []

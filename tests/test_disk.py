@@ -3,7 +3,7 @@ import pytest
 
 from approxinv import disk
 
-from .support import GENERATOR, PeriodFourSampling, disk_sup_norm
+from .support import GENERATOR, PeriodFourSampling, disk_elements, disk_sup_norm
 
 #: Rounding allowance of the certified optimum 1 and of its certificates.
 EXACT = 1e-12
@@ -40,7 +40,7 @@ def test_schwarz_trivia(sampling):
 
 def test_schwarz_seeded(sampling, rng):
     for _ in range(500):
-        p = disk.random_elements(rng, 1, int(rng.integers(1, 17)))[0]
+        p = disk_elements(rng, 1, int(rng.integers(1, 17)))[0]
         z = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         assert _schwarz_holds(p, complex(z), sampling)
 
@@ -71,14 +71,14 @@ def test_chi1_multiplication_is_isometric(sampling, rng):
     with_chi, plain = sups(cubic)
     assert with_chi == pytest.approx(3.0, abs=1e-12) and plain == pytest.approx(3.0, abs=1e-12)
     for _ in range(200):
-        with_chi, plain = sups(disk.random_elements(rng, 1, 16)[0])
+        with_chi, plain = sups(disk_elements(rng, 1, 16)[0])
         assert abs(with_chi - plain) <= 1e-12
 
 
 def test_coefficient_product_matches_pointwise(sampling, rng):
     for _ in range(50):
-        f1 = disk.random_elements(rng, 1, 8)[0]
-        f2 = disk.random_elements(rng, 1, 8)[0]
+        f1 = disk_elements(rng, 1, 8)[0]
+        f2 = disk_elements(rng, 1, 8)[0]
         prod = disk.poly_mul(f1, f2)
         direct = disk.poly_eval(f1, sampling.circle) * disk.poly_eval(f2, sampling.circle)
         assert np.abs(disk.poly_eval(prod, sampling.circle) - direct).max() <= 1e-10
@@ -88,7 +88,7 @@ def test_sampled_sup_monotone_under_refinement(rng):
     coarse = disk.CircleSampling(1024)
     fine = disk.CircleSampling(4096)  # nested: every coarse angle is a fine angle
     for _ in range(50):
-        p = disk.random_elements(rng, 1, 12)[0]
+        p = disk_elements(rng, 1, 12)[0]
         assert disk_sup_norm(p, fine) >= disk_sup_norm(p, coarse) - 1e-15
         assert disk.annulus_deviation(p, fine) >= disk.annulus_deviation(p, coarse) - 1e-15
 
@@ -103,7 +103,7 @@ def test_annulus_certificate_is_exact(angles):
     assert abs(disk.annulus_deviation(zero, sampling) - 1.0) <= EXACT
     certificate = disk.annulus_certificate(sampling, 8)
     assert certificate <= EXACT
-    for p in disk.random_elements(np.random.default_rng(3), 100, 8):
+    for p in disk_elements(np.random.default_rng(3), 100, 8):
         assert disk.annulus_deviation(p, sampling) >= 1.0 - certificate
 
 
@@ -115,8 +115,8 @@ def test_product_certificate_is_exact(angles):
     certificate = disk.product_certificate(sampling, 8)
     assert certificate <= EXACT
     rng = np.random.default_rng(4)
-    first = disk.random_elements(rng, 100, 8)
-    second = disk.random_elements(rng, 100, 8)
+    first = disk_elements(rng, 100, 8)
+    second = disk_elements(rng, 100, 8)
     for f1, f2 in zip(first, second):
         assert disk.product_deviation(f1, f2, sampling) >= 1.0 - certificate
 
@@ -149,7 +149,7 @@ def test_candidate_nets_stay_away_from_generator(sampling, rng):
     # every degree-capped candidate net member keeps sup|z g - z| at least
     # one, so no approximate identity can form in this model
     certificate = disk.product_certificate(sampling, 8)
-    for g in disk.random_elements(rng, 200, 8):
+    for g in disk_elements(rng, 200, 8):
         deviation = disk.product_deviation(GENERATOR, g, sampling)
         assert deviation >= 1.0 - EXACT and deviation >= 1.0 - certificate
 
@@ -176,6 +176,6 @@ def test_boundary_screen_equals_annulus_max(angles, rng):
     rims = sampling.annulus.reshape(len(disk.RADII), angles)[[0, -1]].ravel()
     assert rims.shape == (2 * angles,)
     for _ in range(500):
-        p = disk.random_elements(rng, 1, 8)[0]
+        p = disk_elements(rng, 1, 8)[0]
         rim = float(np.abs(disk.poly_eval(p, rims) - 1.0).max())
         assert rim == disk.annulus_deviation(p, sampling)

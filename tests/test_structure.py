@@ -79,12 +79,12 @@ def _referenced_identifiers(tree: ast.AST) -> set[str]:
 
 
 def _reader_identifiers() -> set[str]:
-    """Identifiers the lab and its users read: the package modules (the
-    import lines of ``__init__`` left out, since a re-export reads nothing),
-    the demos, and the console-script targets in ``pyproject.toml``.  Tests
-    and the benchmark harness do not count."""
+    """Identifiers the lab reads: the package modules (the import lines of
+    ``__init__`` left out, since a re-export reads nothing) and the
+    console-script targets in ``pyproject.toml``.  The demos, the tests and
+    the benchmark harness do not count."""
     referenced = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
+    for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path == PACKAGE / "__init__.py":
             tree.body = [
@@ -98,15 +98,34 @@ def _reader_identifiers() -> set[str]:
     return referenced
 
 
+#: Public names the lab does not read yet, each with the ROADMAP item that
+#: gives it a lab reader: the circle certification route (item 7).  The dict
+#: may only shrink.
+AWAITING_LAB_READER = {
+    "wiener.wiener_division_net": "item 7",
+}
+
+
 def test_every_public_name_has_a_reader():
+    """A public name is read by the lab, or waits in ``AWAITING_LAB_READER``
+    for the item that gives it a reader; an exempt name must still be
+    unread, so the entry goes when its reader lands."""
     referenced = _reader_identifiers()
-    orphans = sorted(
-        f"{path.stem}.{name}"
+    names = {
+        f"{path.stem}.{name}": name
         for path in PACKAGE.glob("*.py")
         for name in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
-        if name not in referenced
+    }
+    orphans = sorted(
+        qualified for qualified, name in names.items()
+        if name not in referenced and qualified not in AWAITING_LAB_READER
     )
     assert not orphans, f"public names nobody reads: {orphans}"
+    stale = sorted(
+        qualified for qualified in AWAITING_LAB_READER
+        if qualified not in names or names[qualified] in referenced
+    )
+    assert not stale, f"exempt names that are gone or now read: {stale}"
 
 
 def test_no_unused_module_level_import():
@@ -244,6 +263,17 @@ def test_aliasing_error_is_raised_in_one_function():
         and _called_name(node.exc) == "AliasingError"
     )
     assert sites == {("wiener", "_check_band")}, sites
+
+
+def test_one_function_divides_by_stored_coefficients():
+    """The spectral division member is the package's one band quotient: no
+    other function divides by a signal's coefficients cut to a band."""
+    sites = _sites(
+        lambda node: isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and _called_name(node.right) == "_packed_at"
+    )
+    assert sites == {("wiener", "wiener_division")}, sites
 
 
 def test_signal_arithmetic_reaches_the_coefficients_through_one_helper():
