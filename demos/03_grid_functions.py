@@ -32,7 +32,7 @@ for label, element in (
     ("nonvanishing element", c0.seeded_elements(space, 1, 9, zero_fraction=0.0)[0]),
     ("element with a planted zero", c0.seeded_elements(space, 1, 9, zero_fraction=1.0)[0]),
 ):
-    cert = c0.certify(space, element, test_set)
+    cert = c0.certify(space, element, test_set, family)
     nonvanishing = c0.is_nonvanishing(element, 1e-6)
     print(
         f"  {label}: min|f| = {np.abs(element).min():.2e}, non-vanishing at 1e-6:"
@@ -46,5 +46,5 @@ for eps in (1e-1, 1e-2):
     dist = c0.sup_norm(perturbed - good)
     print(
         f"  eps={eps:g}: distance {dist:.2e}, min|perturbed| = {np.abs(perturbed).min():.1e}"
-        f" -> verdict {c0.certify(space, perturbed, test_set).verdict}"
+        f" -> verdict {c0.certify(space, perturbed, test_set, family).verdict}"
     )

@@ -253,11 +253,11 @@ def certify(
     space: GridSpace,
     f: np.ndarray,
     test_set: Sequence[np.ndarray],
-    family: Optional[WindowFamily] = None,
+    family: WindowFamily,
 ) -> ApproxInvCertificate:
-    """Certify f through the reciprocal net over a growing window family
-    (``WindowFamily(space)`` unless one is given), refuting on exact grid
-    zeros.
+    """Certify f through the reciprocal net over the window family, after
+    :func:`zero_refuter` has had its say: an exact grid zero refutes f
+    before any net is built.
 
     The net is checked along its distinct windows, indices
     1..``len(family)``, against tolerance :data:`CERTIFY_TOL`; every later
@@ -265,18 +265,17 @@ def certify(
     minimum aborts the division and yields an inconclusive certificate:
     absence of one usable net proves nothing.
     """
-    if family is None:
-        family = WindowFamily(space)
-    net = reciprocal_inverse_net(f, family)
+    reason = zero_refuter(f)
+    if reason is not None:
+        return ApproxInvCertificate(None, None, "refuted", reason)
     try:
         return check_approx_invertible(
             c0_model(space),
             f,
-            net,
+            reciprocal_inverse_net(f, family),
             test_set,
             range(1, len(family) + 1),
             CERTIFY_TOL,
-            refuter=zero_refuter,
         )
     except SingularDivisionError as err:
         return ApproxInvCertificate(

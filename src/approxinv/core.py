@@ -5,10 +5,12 @@ normed algebra (matrices, sampled circle signals, grid functions)
 behind a uniform interface.  On top of it this module provides the shared
 verifiers: :func:`check_approximate_identity` traces a candidate
 approximate identity and :func:`check_approx_invertible` certifies
-approximate one-sided invertibility.  Each check walks one explicit
-schedule of indices and records one trace, a tuple of
+approximate one-sided invertibility along the net it is given.  Each check
+walks one explicit schedule of indices and records one trace, a tuple of
 :class:`TraceEntry` records: at every index, the worst residual over the
-whole test set.
+whole test set.  Refutation is not model-agnostic: each model states its
+own criterion (a zero on the grid, a rank deficiency) in its certify
+function, before it builds a net.
 
 A net, like a candidate approximate identity, is any callable from a
 positive integer index to an element; larger index means finer.  Every
@@ -75,8 +77,9 @@ class ApproxInvCertificate:
 
     ``certified-*`` verdicts require the corresponding worst-case trace to
     end at or below the check's tolerance.
-    ``refuted`` is only ever produced by a model-specific analytic refuter;
-    stagnating residuals alone yield ``inconclusive``.
+    ``refuted`` is only ever produced by a model's own certify, from its
+    analytic criterion and without traces; stagnating residuals alone yield
+    ``inconclusive``.
     """
 
     left_trace: Optional[tuple[TraceEntry, ...]]
@@ -148,37 +151,24 @@ def check_approximate_identity(
 def check_approx_invertible(
     model: AlgebraModel,
     x: Element,
-    net: Optional[Callable[[int], Element]],
+    net: Callable[[int], Element],
     test_set: Sequence[Element],
     schedule: Sequence[int],
-    tol: float = 1e-2,
-    refuter: Optional[Callable[[Element], Optional[str]]] = None,
+    tol: float,
 ) -> ApproxInvCertificate:
-    """Certify or refute approximate invertibility of ``x`` along ``net``.
+    """Certify approximate invertibility of ``x`` along ``net``.
 
-    A model-specific ``refuter`` (e.g. a rank or non-vanishing check) is
-    asked first and may veto ``x`` outright, the zero element included;
-    without a refuter a zero element raises ``ValueError`` and a failed
-    trace only yields ``inconclusive``.  Otherwise the candidate families
+    A zero ``x`` raises ``ValueError``.  Otherwise the candidate families
     ``j -> x . r_j`` (right) and ``j -> r_j . x`` (left) are each traced by
     :func:`check_approximate_identity` along ``schedule``.  This is the one
     acceptance rule: a side is certified iff its worst-case trace ends at
-    or below ``tol``.  Both traces are recorded in the certificate.  In a
-    commutative model the two families coincide, so the right family is
-    checked once and its trace stands for both sides.
+    or below ``tol``, and a failed trace only yields ``inconclusive``.  Both
+    traces are recorded in the certificate.  In a commutative model the two
+    families coincide, so the right family is checked once and its trace
+    stands for both sides.
     """
-    if refuter is not None:
-        reason = refuter(x)
-        if reason is not None:
-            return ApproxInvCertificate(None, None, "refuted", reason)
-
     if _checked_norm(model, x) == 0.0:
         raise ValueError("zero element cannot be approximately invertible")
-
-    if net is None:
-        return ApproxInvCertificate(
-            None, None, "inconclusive", "no inverse net supplied"
-        )
 
     right = check_approximate_identity(
         model, lambda j: model.mul(x, net(j)), test_set, schedule

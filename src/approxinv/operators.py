@@ -111,7 +111,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_as_operators(a), compute_uv=False)
 
 
-def schatten_norm(a: np.ndarray, p: float = 2.0) -> float:
+def schatten_norm(a: np.ndarray, p: float) -> float:
     """(sum lambda_k^p)^(1/p); p = inf gives the largest singular value.
     For p = 2 that sum is the squared Frobenius norm, so no decomposition
     is taken."""
@@ -181,7 +181,7 @@ def projection_residuals(full: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def min_pure_state_norm(a: np.ndarray, seed: int = 0) -> float | np.ndarray:
+def min_pure_state_norm(a: np.ndarray, seed: int) -> float | np.ndarray:
     """min over unit vectors of ||T* a||, by regularized inverse iteration on
     T T* from one seeded start vector per operator.
 
@@ -230,7 +230,7 @@ def _sample_operator(n: int, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def matrix_model(n: int = 16, p: float = np.inf) -> AlgebraModel:
+def matrix_model(n: int, p: float) -> AlgebraModel:
     """The n-by-n matrix algebra (noncommutative) under the Schatten-p norm:
     the operator norm for p = inf, the surrogate operator ideal for finite
     p."""
@@ -246,17 +246,19 @@ def certify_operator(
 ) -> ApproxInvCertificate:
     """Certify right approximate invertibility of ``a`` in the Schatten
     model of exponent :data:`CERTIFY_EXPONENT` through its singular-direction
-    net, checked at indices 1..n against tolerance :data:`CERTIFY_TOL` and
-    refuted on rank deficiency at :data:`RANK_THRESHOLD_REL`.  One singular
-    system decides the rank and builds the net."""
+    net, checked at indices 1..n against tolerance :data:`CERTIFY_TOL`.
+    One singular system decides the rank and builds the net: a rank
+    deficiency at :data:`RANK_THRESHOLD_REL` refutes ``a`` before any trace
+    is taken."""
     a = _as_operator(a)
     n = a.shape[0]
-    system = svd(a)
     try:
-        net, reason = right_inverse_net(system), None
+        net = right_inverse_net(svd(a))
     except RankDeficientError as err:
-        net, reason = None, f"range not dense at truncation: {err}"
+        return ApproxInvCertificate(
+            None, None, "refuted", f"range not dense at truncation: {err}"
+        )
     return check_approx_invertible(
         matrix_model(n, CERTIFY_EXPONENT), a, net, test_set, range(1, n + 1),
-        CERTIFY_TOL, refuter=lambda _: reason,
+        CERTIFY_TOL,
     )

@@ -325,11 +325,9 @@ def default_floor(f: CircleSignal) -> float:
     return DIVISION_FLOOR_REL * float(np.abs(f._packed).max())
 
 
-def band_nonvanishing(
-    f: CircleSignal, n: int, floor: Optional[float] = None
-) -> Optional[int]:
+def band_nonvanishing(f: CircleSignal, n: int, floor: float) -> Optional[int]:
     """First frequency (by increasing |k|, positive first) where |fhat| fails
-    to clear the floor on the band |k| < n, or None when all clear.
+    to clear ``floor`` on the band |k| < n, or None when all clear.
 
     Raises ``ValueError`` for n < 1 or a non-integral n and
     :class:`AliasingError` for n >= M/2, where the band would wrap onto
@@ -337,8 +335,6 @@ def band_nonvanishing(
     """
     n = _whole_order(n)
     _check_band(n, f.grid_size)
-    if floor is None:
-        floor = default_floor(f)
     ks = np.arange(1, n)
     order = np.concatenate(([0], np.column_stack((ks, -ks)).ravel()))
     bad = np.flatnonzero(np.abs(_packed_at(f, n - 1)[order]) <= floor)

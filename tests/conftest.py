@@ -31,4 +31,4 @@ def rng():
 
 @pytest.fixture(scope="session")
 def matrix8():
-    return operators.matrix_model(8)
+    return operators.matrix_model(8, np.inf)

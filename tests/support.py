@@ -104,26 +104,28 @@ def density_residual(f, target, n, floor=None) -> float:
     return wiener.lp_norm(target - reached, 2.0)
 
 
-def certify_product(f1, f2, n, tol=1e-2, floor=None, test_set=None, schedule=None):
+def certify_product(f1, f2, n, tol, floor=None, test_set=None, schedule=None):
     """Certificate of the product f1 * f2 through its own division net along
-    ``schedule`` (orders 1..n by default), refuted when a coefficient of the
-    product fails the band check up to order n (which happens exactly where
-    a factor's does).  The default test set is the constant character."""
+    ``schedule`` (orders 1..n by default), refuted before any trace when a
+    coefficient of the product fails the band check up to order n (which
+    happens exactly where a factor's does).  The floor is the product's
+    default floor and the test set the constant character unless given."""
     product = wiener.convolve(f1, f2)
     M = product.grid_size
-
-    def refuter(x):
-        bad = wiener.band_nonvanishing(x, n, floor)
-        return None if bad is None else f"vanishes in band at frequency {bad}"
-
+    if floor is None:
+        floor = wiener.default_floor(product)
+    bad = wiener.band_nonvanishing(product, n, floor)
+    if bad is not None:
+        return ApproxInvCertificate(
+            None, None, "refuted", f"vanishes in band at frequency {bad}"
+        )
     return check_approx_invertible(
         wiener.l1_circle_model(M),
         product,
         wiener.wiener_division_net(product, floor),
         [wiener.character(M, 0)] if test_set is None else test_set,
         range(1, n + 1) if schedule is None else schedule,
-        tol=tol,
-        refuter=refuter,
+        tol,
     )
 
 
@@ -144,25 +146,20 @@ def adjoint_certificate(t, test_set) -> ApproxInvCertificate:
     """Left certificate of t* in the Schatten model and at the tolerance of
     ``operators.certify_operator``, through the adjoint members of the right
     net of t, against the adjoint test elements; the rank check of t*
-    refutes it (no net is built then)."""
+    refutes it before any net is built."""
     t = np.asarray(t, dtype=complex)
     adjoint = t.conj().T
     reason = rank_refuter(adjoint)
-    net = None
-    if reason is None:
-        right = operators.right_inverse_net(operators.svd(t))
-
-        def net(m):
-            return right(m).conj().T
-
+    if reason is not None:
+        return ApproxInvCertificate(None, None, "refuted", reason)
+    right = operators.right_inverse_net(operators.svd(t))
     return check_approx_invertible(
         operators.matrix_model(t.shape[0], operators.CERTIFY_EXPONENT),
         adjoint,
-        net,
+        lambda m: right(m).conj().T,
         [z.conj().T for z in test_set],
         range(1, t.shape[0] + 1),
         operators.CERTIFY_TOL,
-        refuter=lambda _: reason,
     )
 
 

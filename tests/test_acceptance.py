@@ -236,10 +236,11 @@ def test_criterion_07_c0_criterion_and_interior():
     space = c0.GridSpace(10.0, 201, tail_tol=1e-3)
     elements = c0.seeded_elements(space, 50, seed=70)
     tests = c0.seeded_elements(space, 3, seed=71, zero_fraction=0.0)
+    family = c0.WindowFamily(space)
     mismatches = 0
     certified = []
     for f in elements:
-        cert = c0.certify(space, f, tests)
+        cert = c0.certify(space, f, tests, family)
         nonvanishing = c0.is_nonvanishing(f, 1e-6)
         if cert.certified != nonvanishing:
             mismatches += 1

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from approxinv import c0, scenarios
-from approxinv.core import check_approx_invertible, check_approximate_identity
+from approxinv.core import (
+    ApproxInvCertificate,
+    check_approx_invertible,
+    check_approximate_identity,
+)
 from approxinv.errors import CannotPerturbError, SingularDivisionError
 
 
@@ -189,8 +193,9 @@ def test_perturbation_cannot_perturb(space):
 def test_certification_matches_nonvanishing(space):
     elements = c0.seeded_elements(space, 50, seed=3)
     tests = c0.seeded_elements(space, 3, seed=5, zero_fraction=0.0)
+    family = c0.WindowFamily(space)
     for f in elements:
-        cert = c0.certify(space, f, tests)
+        cert = c0.certify(space, f, tests, family)
         expected = c0.is_nonvanishing(f, 1e-6)
         assert cert.certified == expected
         assert (cert.verdict == "refuted") == (not expected)
@@ -199,20 +204,21 @@ def test_certification_matches_nonvanishing(space):
 def test_interior_emptiness_for_certified_elements(space):
     elements = c0.seeded_elements(space, 10, seed=21, zero_fraction=0.0)
     tests = c0.seeded_elements(space, 3, seed=22, zero_fraction=0.0)
+    family = c0.WindowFamily(space)
     for f in elements:
-        cert = c0.certify(space, f, tests)
+        cert = c0.certify(space, f, tests, family)
         assert cert.certified
         for eps in (1e-1, 1e-2):
             g = c0.perturb_to_noninvertible(space, f, eps)
             assert c0.sup_norm(g - f) <= eps
             assert not c0.is_nonvanishing(g, 1e-6)
-            assert c0.certify(space, g, tests).verdict == "refuted"
+            assert c0.certify(space, g, tests, family).verdict == "refuted"
 
 
 def test_certify_inconclusive_on_sub_threshold_dip(space, lorentz):
     dipped = lorentz.copy()
     dipped[space.center + 3] = 1e-14  # below threshold but not an exact zero
-    cert = c0.certify(space, dipped, [lorentz])
+    cert = c0.certify(space, dipped, [lorentz], c0.WindowFamily(space))
     assert cert.verdict == "inconclusive"
 
 
@@ -290,6 +296,9 @@ def test_c0_interior_builds_one_family_per_run(monkeypatch):
 
 def _certify_along(space, f, tests, family, schedule):
     """:func:`c0.certify` with an explicit schedule."""
+    reason = c0.zero_refuter(f)
+    if reason is not None:
+        return ApproxInvCertificate(None, None, "refuted", reason)
     try:
         return check_approx_invertible(
             c0.c0_model(space),
@@ -298,7 +307,6 @@ def _certify_along(space, f, tests, family, schedule):
             tests,
             schedule,
             c0.CERTIFY_TOL,
-            refuter=c0.zero_refuter,
         )
     except SingularDivisionError as err:
         return None, f"division refused: {err}"

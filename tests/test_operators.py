@@ -314,7 +314,7 @@ def test_right_inverse_net_refuses_singular():
 
 def test_matrix_model_names_and_norms(rng):
     a = _random_operator(8, rng)
-    op = operators.matrix_model(8)
+    op = operators.matrix_model(8, np.inf)
     assert op.name == "matrices-8-op"
     assert op.norm(a) == operators.schatten_norm(a, np.inf)
     for p in (1.0, 2.0):
@@ -503,7 +503,7 @@ BAD_STACKS = pytest.mark.parametrize(
 @BAD_STACKS
 def test_pure_state_minimum_rejects_bad_stacks(operators_in):
     with pytest.raises(ValueError):
-        operators.min_pure_state_norm(operators_in)
+        operators.min_pure_state_norm(operators_in, seed=0)
 
 
 @BAD_STACKS

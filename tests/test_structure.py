@@ -92,10 +92,15 @@ def _reader_identifiers() -> set[str]:
                 if not isinstance(node, (ast.Import, ast.ImportFrom))
             ]
         referenced |= _referenced_identifiers(tree)
+    return referenced | _console_script_targets()
+
+
+def _console_script_targets() -> set[str]:
+    """Function names the ``[project.scripts]`` entries of ``pyproject.toml``
+    call, each without arguments."""
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
-    referenced |= set(re.findall(r':(\w+)"', scripts.group(1)))
-    return referenced
+    return set(re.findall(r':(\w+)"', scripts.group(1)))
 
 
 #: Public names the lab does not read yet, each with the ROADMAP item that
@@ -182,29 +187,52 @@ def _called_name(node: ast.AST):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def _set_arguments() -> set[tuple[str, object]]:
-    """(called name, keyword or position) of every argument that some call
-    in the package or the demos passes; calls match by the called name."""
-    found = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
+def _lab_calls():
+    """(called name, keywords, positional count) of every call in the
+    package, and of each console-script target, which is called without
+    arguments.  The demos, the tests and the benchmark harness do not count;
+    calls match by the called name."""
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
-                name = _called_name(node)
-                found.update((name, keyword.arg) for keyword in node.keywords)
-                found.update((name, position) for position in range(len(node.args)))
-    return found
+                keywords = {keyword.arg for keyword in node.keywords}
+                yield _called_name(node), keywords, len(node.args)
+    for name in _console_script_targets():
+        yield name, set(), 0
+
+
+def _lab_defaults():
+    """(qualified parameter, whether some lab call passes it, whether some
+    omits it) of every defaulted parameter that needs lab callers: all but
+    the entry point's and those of functions that wait in
+    ``AWAITING_LAB_READER`` for their lab reader."""
+    calls = list(_lab_calls())
+    for module, function, parameter, position in _defaulted_parameters():
+        if (
+            f"{module}.{function}({parameter})" in ENTRY_POINT_DEFAULTS
+            or f"{module}.{function}" in AWAITING_LAB_READER
+        ):
+            continue
+        passes = [
+            parameter in keywords or (position is not None and position < count)
+            for name, keywords, count in calls
+            if name == function
+        ]
+        yield f"{module}.{function}({parameter})", any(passes), not all(passes)
 
 
 def test_every_defaulted_parameter_is_set():
-    """A default that no caller overrides is a constant in disguise."""
-    passed = _set_arguments()
-    unset = sorted(
-        f"{module}.{function}({parameter})"
-        for module, function, parameter, position in _defaulted_parameters()
-        if (function, parameter) not in passed and (function, position) not in passed
-    )
-    unset = [name for name in unset if name not in ENTRY_POINT_DEFAULTS]
+    """A default that no lab call overrides is a constant in disguise."""
+    unset = [name for name, passed, _ in _lab_defaults() if not passed]
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def test_every_default_is_relied_on():
+    """A default that every lab call overrides is a required parameter in
+    disguise; with the check above, a default exists only where lab calls
+    use two values."""
+    unused = [name for name, _, omitted in _lab_defaults() if not omitted]
+    assert not unused, f"defaulted parameters every call sets: {unused}"
 
 
 INVERSE_FFTS = {"ifft", "irfft", "hfft"}
@@ -274,6 +302,20 @@ def test_one_function_divides_by_stored_coefficients():
         and _called_name(node.right) == "_packed_at"
     )
     assert sites == {("wiener", "wiener_division")}, sites
+
+
+def test_only_the_models_refute():
+    """A refutation is a model's own criterion, stated in its certify before
+    any net is built; ``core`` only traces and accepts."""
+    sites = _sites(
+        lambda node: isinstance(node, ast.Call)
+        and _called_name(node) == "ApproxInvCertificate"
+        and any(
+            isinstance(arg, ast.Constant) and arg.value == "refuted"
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        )
+    )
+    assert sites == {("c0", "certify"), ("operators", "certify_operator")}, sites
 
 
 def test_signal_arithmetic_reaches_the_coefficients_through_one_helper():
