@@ -53,8 +53,7 @@ for r in (disk.RADII[0], disk.RADII[-1]):
     print(f"  r={r}:  mean of p - 1 = {mean.real:+.12f} {mean.imag:+.1e}i")
 
 zero = np.zeros(9, complex)
-annulus = disk.annulus_certificate(sampling, 8)
-product = disk.product_certificate(sampling, 8)
+annulus, product = disk.certificates(sampling, 8)
 print("\ncertified optimum over degree-8 elements with coefficients |a_k| <= 2 (floor: 1/3)")
 print(f"  annulus sup|f - 1|:   zero element {disk.annulus_deviation(zero, sampling):.12f}"
       f",  certificate c = {annulus:.1e}, so every element has >= 1 - c")

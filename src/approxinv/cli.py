@@ -22,7 +22,6 @@ import argparse
 import configparser
 import csv
 import hashlib
-import math
 import sys
 from dataclasses import fields, replace
 from operator import attrgetter
@@ -35,14 +34,6 @@ from .scenarios import ReportRow, ScenarioConfig
 
 #: The CSV header: ``ReportRow``'s fields in declaration order.
 CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
-
-
-def _format_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.12e}"
 
 
 #: section -> keys: the documented configuration surface.  Every key is a
@@ -127,9 +118,7 @@ def write_csv(path: Path, rows: Sequence[ReportRow]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [_format_float(v) if isinstance(v, float) else str(v) for v in values(row)]
-            )
+            writer.writerow([f"{v:.12e}" if isinstance(v, float) else str(v) for v in values(row)])
 
 
 def run_scenario(name: str, config: ScenarioConfig) -> list[ReportRow]:

@@ -15,10 +15,10 @@ over the unit circle whenever 2 * degree < N: no sampled deviation from 1
 or from z falls below 1.  The zero element attains 1 in both, so 1 is the
 exact optimum.  The uniform measure (and conj(z) dtheta for products) is
 the dual certificate; this is the mean-value argument behind the Cauchy
-estimates.  :func:`annulus_certificate` and :func:`product_certificate`
-read it off the sampled circle moments: a value c puts the deviation of
-every element with coefficients of modulus at most ``COEFFICIENT_RADIUS``
-at 1 - c or above.
+estimates.  :func:`certificates` reads it off the sampled circle moments,
+all taken in one pass of repeated multiplication: each value c it returns
+puts the deviation of every element with coefficients of modulus at most
+``COEFFICIENT_RADIUS`` at 1 - c or above.
 """
 
 from __future__ import annotations
@@ -89,25 +89,28 @@ def product_deviation(f1: np.ndarray, f2: np.ndarray, sampling: CircleSampling) 
     return float(np.abs(poly_eval(diff, sampling.circle)).max())
 
 
-def annulus_certificate(sampling: CircleSampling, degree: int) -> float:
-    """R * sum of |mean of z^k| on the sampled circle over k = 1..``degree``,
-    R = ``COEFFICIENT_RADIUS``.  A circle of radius r <= 1 scales the k-th
-    term by r^k, so every element of this degree in the element family has
-    :func:`annulus_deviation` at least 1 minus this value."""
-    circle = sampling.circle
-    moments = np.array([(circle**k).mean() for k in range(1, degree + 1)])
-    return float(COEFFICIENT_RADIUS * np.abs(moments).sum())
+def certificates(sampling: CircleSampling, degree: int) -> tuple[float, float]:
+    """(annulus, product) certificates, with R = ``COEFFICIENT_RADIUS``, from
+    the sampled circle moments mu_k = mean z^k and nu_k = mean z^k conj(z),
+    k = 0..2 ``degree``, taken in one pass of repeated multiplication.
 
-
-def product_certificate(sampling: CircleSampling, degree: int) -> float:
-    """|1 - nu_1| + R^2 * sum of c_m |nu_m| over m = 2..2 ``degree``, where
-    nu_m is the mean of z^m conj(z) on the sampled circle and
-    c_m = min(m - 1, 2 degree + 1 - m) counts the coefficient pairs of f1 f2
-    at z^m.  On points of modulus at most 1, every pair of elements of this
-    degree in the element family has :func:`product_deviation` at least 1
-    minus this value."""
+    annulus = R * sum of |mu_k| over k = 1..``degree``: a circle of radius
+    r <= 1 scales the k-th term by r^k, so every element of this degree in
+    the element family has :func:`annulus_deviation` at least 1 - annulus.
+    product = |1 - nu_1| + R^2 * sum of c_m |nu_m| over m = 2..2 ``degree``,
+    where c_m = min(m - 1, 2 degree + 1 - m) counts the coefficient pairs of
+    f1 f2 at z^m: on points of modulus at most 1, every pair of such
+    elements has :func:`product_deviation` at least 1 - product."""
     circle = sampling.circle
-    nu = np.array([(circle**m * circle.conj()).mean() for m in range(1, 2 * degree + 1)])
+    mu, nu = np.empty((2, 2 * degree + 1), dtype=complex)
+    power = np.ones_like(circle)
+    for k in range(2 * degree + 1):
+        mu[k], nu[k] = power.mean(), np.vdot(circle, power) / circle.size
+        power *= circle
     m = np.arange(2, 2 * degree + 1)
     pairs = np.minimum(m - 1, 2 * degree + 1 - m)
-    return float(abs(1.0 - nu[0]) + COEFFICIENT_RADIUS**2 * (pairs * np.abs(nu[1:])).sum())
+    annulus = COEFFICIENT_RADIUS * np.abs(mu[1 : degree + 1]).sum()
+    product = abs(1.0 - nu[1]) + COEFFICIENT_RADIUS * COEFFICIENT_RADIUS * (
+        pairs * np.abs(nu[2:])
+    ).sum()
+    return float(annulus), float(product)

@@ -12,7 +12,9 @@ one-operator, solve-per-sweep form of the stacked inverse iteration in
 low-rank approximation read off a singular system.  :func:`complex_synthesis`,
 :func:`fejer_coeffs_full` and :func:`poisson_coeffs_full` are the full-grid
 forms that ``approxinv.wiener`` replaced by real synthesis for Hermitian
-spectra and by kernels built on their band.
+spectra and by kernels built on their band.  :func:`disk_certificates` takes
+each circle moment as its own complex power, the per-moment form of the
+one-pass ``approxinv.disk.certificates``.
 """
 
 import numpy as np
@@ -193,3 +195,16 @@ def solved_pure_state_minimum(t: np.ndarray, seed: int) -> float:
         vec = np.linalg.solve(regularized, vec)
         vec /= np.linalg.norm(vec)
     return float(np.linalg.norm(t.conj().T @ vec))
+
+
+def disk_certificates(circle: np.ndarray, degree: int) -> tuple[float, float]:
+    """(annulus, product) disk certificates with coefficient radius 2, each
+    moment from its own power ``circle**k``: 2 sum_{k=1..d} |mean z^k| and
+    |1 - nu_1| + 4 sum_{m=2..2d} min(m - 1, 2d + 1 - m) |nu_m|, where nu_m
+    is the mean of z^m conj(z)."""
+    mu = np.array([(circle**k).mean() for k in range(1, degree + 1)])
+    nu = np.array([(circle**m * circle.conj()).mean() for m in range(1, 2 * degree + 1)])
+    m = np.arange(2, 2 * degree + 1)
+    pairs = np.minimum(m - 1, 2 * degree + 1 - m)
+    annulus = 2.0 * np.abs(mu).sum()
+    return float(annulus), float(abs(1.0 - nu[0]) + 4.0 * (pairs * np.abs(nu[1:])).sum())

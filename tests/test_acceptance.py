@@ -197,15 +197,16 @@ def test_criterion_06_disk_separation():
         zero = np.zeros(9, complex)
         rng = np.random.default_rng(6)
         elements, first, second = (disk_elements(rng, 100, 8) for _ in range(3))
+        annulus, product = disk.certificates(sampling, 8)
         results = {
             "annulus": (
                 disk.annulus_deviation(zero, sampling),
-                disk.annulus_certificate(sampling, 8),
+                annulus,
                 min(disk.annulus_deviation(p, sampling) for p in elements),
             ),
             "product": (
                 disk.product_deviation(zero, zero, sampling),
-                disk.product_certificate(sampling, 8),
+                product,
                 min(disk.product_deviation(f1, f2, sampling) for f1, f2 in zip(first, second)),
             ),
         }

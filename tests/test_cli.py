@@ -222,6 +222,23 @@ def test_csv_schema(tmp_path):
             float(residual)
 
 
+def test_csv_prints_the_special_floats(tmp_path):
+    # a negative NaN prints without its sign, and subnormals keep 12 digits
+    residuals = [
+        float("inf"), -float("inf"), float("nan"), -float("nan"), -0.0, 5e-324,
+    ]
+    rows = [
+        scenarios.ReportRow("s", "m", "r", 0, residual, 1.0, "fail", 0)
+        for residual in residuals
+    ]
+    cli.write_csv(tmp_path / "s.csv", rows)
+    with open(tmp_path / "s.csv", newline="", encoding="utf-8") as handle:
+        printed = [row["residual"] for row in csv.DictReader(handle)]
+    assert printed == [
+        "inf", "-inf", "nan", "nan", "-0.000000000000e+00", "4.940656458412e-324",
+    ]
+
+
 def test_exit_one_on_property_failure(tmp_path):
     cfg = _fast_config(tmp_path, "[tolerances]\nidentity_tol = 1e-15\n")
     out = tmp_path / "o"
@@ -354,6 +371,9 @@ BOUNDARY_OUTCOMES = {
     "disk-degree-1": ("[models]\ndisk_degree = 1\n", ("disk13",), 0, []),
     "disk-degree-511-at-1024": (
         "[models]\ndisk_angles = 1024\ndisk_degree = 511\n", ("disk13",), 0, []
+    ),
+    "disk-degree-2047-at-4096": (
+        "[models]\ndisk_angles = 4096\ndisk_degree = 2047\n", ("disk13",), 0, []
     ),
     "module-exponent-1": ("[models]\nmodule_exponent = 1\n", ("deconv",), 0, []),
     "module-exponent-inf": ("[models]\nmodule_exponent = inf\n", ("deconv",), 0, []),
@@ -572,8 +592,8 @@ NAN_PRIMITIVES = {
     "noiseless-monotone": ("deconv", wiener, "lp_norm", _nan),
     "noiseless-tail-match": ("deconv", bm, "kernel_tail_error", _nan),
     "witness-monotone": ("tdz", wiener, "tdz_witness", _nan),
-    "annulus-margin": ("disk13", disk, "annulus_certificate", _nan),
-    "product-margin": ("disk13", disk, "product_certificate", _nan),
+    "annulus-margin": ("disk13", disk, "certificates", lambda sampling, degree: (_nan(), 0.0)),
+    "product-margin": ("disk13", disk, "certificates", lambda sampling, degree: (0.0, _nan())),
     "perturbation-distance": (
         "c0-interior", c0, "perturb_to_noninvertible",
         lambda space, f, eps: np.full_like(f, np.nan),

@@ -3,6 +3,7 @@ import pytest
 
 from approxinv import disk
 
+from .oracles import disk_certificates
 from .support import GENERATOR, PeriodFourSampling, disk_elements, disk_sup_norm
 
 #: Rounding allowance of the certified optimum 1 and of its certificates.
@@ -101,7 +102,7 @@ def test_annulus_certificate_is_exact(angles):
     sampling = disk.CircleSampling(angles)
     zero = np.zeros(9, complex)
     assert abs(disk.annulus_deviation(zero, sampling) - 1.0) <= EXACT
-    certificate = disk.annulus_certificate(sampling, 8)
+    certificate, _ = disk.certificates(sampling, 8)
     assert certificate <= EXACT
     for p in disk_elements(np.random.default_rng(3), 100, 8):
         assert disk.annulus_deviation(p, sampling) >= 1.0 - certificate
@@ -112,7 +113,7 @@ def test_product_certificate_is_exact(angles):
     sampling = disk.CircleSampling(angles)
     zero = np.zeros(9, complex)
     assert abs(disk.product_deviation(zero, zero, sampling) - 1.0) <= EXACT
-    certificate = disk.product_certificate(sampling, 8)
+    _, certificate = disk.certificates(sampling, 8)
     assert certificate <= EXACT
     rng = np.random.default_rng(4)
     first = disk_elements(rng, 100, 8)
@@ -124,31 +125,40 @@ def test_product_certificate_is_exact(angles):
 def test_certificates_weigh_the_aliased_moments():
     # annulus: 2 (|mu_4| + |mu_8|); product: nu_m = 1 at m = 5, 9, 13, where
     # f1 f2 has 4, 8 and 4 coefficient pairs of modulus up to 2 * 2
-    sampling = PeriodFourSampling(1024)
-    assert disk.annulus_certificate(sampling, 8) == pytest.approx(4.0, abs=EXACT)
-    assert disk.product_certificate(sampling, 8) == pytest.approx(64.0, abs=EXACT)
+    annulus, product = disk.certificates(PeriodFourSampling(1024), 8)
+    assert annulus == pytest.approx(4.0, abs=EXACT)
+    assert product == pytest.approx(64.0, abs=EXACT)
+
+
+@pytest.mark.parametrize("angles", [1024, 2048])
+def test_certificates_match_the_per_moment_formulas(angles):
+    # one pass of repeated multiplication against a power per moment
+    sampling = disk.CircleSampling(angles)
+    expected = disk_certificates(sampling.circle, 8)
+    assert disk.certificates(sampling, 8) == pytest.approx(expected, abs=EXACT)
 
 
 def test_certificates_see_a_constant_term(sampling):
     # elements outside A0 are not covered: the unit constant has annulus
     # deviation 0, and 1 * z matches z exactly, although both certificates
     # promise 1 - c for every origin-vanishing element
+    annulus, product = disk.certificates(sampling, 8)
     one = np.zeros(9, complex)
     one[0] = 1.0
     assert disk.annulus_deviation(one, sampling) <= EXACT
-    assert disk.annulus_deviation(one, sampling) < 1.0 - disk.annulus_certificate(sampling, 8)
+    assert disk.annulus_deviation(one, sampling) < 1.0 - annulus
     with pytest.raises(ValueError):
         disk.product_deviation(one, GENERATOR, sampling)
-    product = disk.poly_mul(one, GENERATOR)
-    product[1] -= 1.0
-    assert np.abs(disk.poly_eval(product, sampling.circle)).max() <= EXACT
-    assert disk.product_certificate(sampling, 8) <= EXACT
+    difference = disk.poly_mul(one, GENERATOR)
+    difference[1] -= 1.0
+    assert np.abs(disk.poly_eval(difference, sampling.circle)).max() <= EXACT
+    assert product <= EXACT
 
 
 def test_candidate_nets_stay_away_from_generator(sampling, rng):
     # every degree-capped candidate net member keeps sup|z g - z| at least
     # one, so no approximate identity can form in this model
-    certificate = disk.product_certificate(sampling, 8)
+    _, certificate = disk.certificates(sampling, 8)
     for g in disk_elements(rng, 200, 8):
         deviation = disk.product_deviation(GENERATOR, g, sampling)
         assert deviation >= 1.0 - EXACT and deviation >= 1.0 - certificate

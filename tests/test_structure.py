@@ -13,6 +13,17 @@ PACKAGE = Path(approxinv.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _lab_modules() -> list[tuple[str, ast.Module]]:
+    """(module name, parsed source) of every package module, in name order:
+    the lab.  The demos, the tests and the benchmark harness are not part of
+    it; the checks of readers and calls add the console-script targets of
+    ``pyproject.toml``."""
+    return [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
+
+
 def _imported_names(node: ast.AST) -> list[str]:
     """Dotted names an import statement may bind, e.g. ``from . import c0``
     in the package gives ``approxinv`` and ``approxinv.c0``."""
@@ -29,17 +40,17 @@ def _imported_names(node: ast.AST) -> list[str]:
 def _import_graph() -> dict[str, set[str]]:
     """Module -> package modules it imports anywhere in its source,
     including inside functions; ``__init__`` is left out."""
-    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
-    graph = {}
-    for module in modules:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-        graph[module] = {
+    trees = dict(_lab_modules())
+    del trees["__init__"]
+    return {
+        module: {
             name.split(".")[1]
             for node in ast.walk(tree)
             for name in _imported_names(node)
-            if name.startswith("approxinv.") and name.split(".")[1] in modules
+            if name.startswith("approxinv.") and name.split(".")[1] in trees
         }
-    return graph
+        for module, tree in trees.items()
+    }
 
 
 def test_package_import_graph_has_no_cycle():
@@ -79,14 +90,11 @@ def _referenced_identifiers(tree: ast.AST) -> set[str]:
 
 
 def _reader_identifiers() -> set[str]:
-    """Identifiers the lab reads: the package modules (the import lines of
-    ``__init__`` left out, since a re-export reads nothing) and the
-    console-script targets in ``pyproject.toml``.  The demos, the tests and
-    the benchmark harness do not count."""
+    """Identifiers the lab reads (the import lines of ``__init__`` left out,
+    since a re-export reads nothing) and the console-script targets."""
     referenced = set()
-    for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path == PACKAGE / "__init__.py":
+    for module, tree in _lab_modules():
+        if module == "__init__":
             tree.body = [
                 node for node in tree.body
                 if not isinstance(node, (ast.Import, ast.ImportFrom))
@@ -117,9 +125,9 @@ def test_every_public_name_has_a_reader():
     unread, so the entry goes when its reader lands."""
     referenced = _reader_identifiers()
     names = {
-        f"{path.stem}.{name}": name
-        for path in PACKAGE.glob("*.py")
-        for name in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        f"{module}.{name}": name
+        for module, tree in _lab_modules()
+        for name in _public_definitions(tree)
     }
     orphans = sorted(
         qualified for qualified, name in names.items()
@@ -138,10 +146,9 @@ def test_no_unused_module_level_import():
     ``__init__`` (whose imports are the package surface), ``__future__``
     imports and explicit ``import x as x`` re-exports are exempt."""
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for module, tree in _lab_modules():
+        if module == "__init__":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = [
             alias.asname or alias.name.split(".")[0]
             for node in tree.body
@@ -151,7 +158,7 @@ def test_no_unused_module_level_import():
             if alias.asname != alias.name
         ]
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused.extend(f"{path.stem}.{name}" for name in bound if name not in loaded)
+        unused.extend(f"{module}.{name}" for name in bound if name not in loaded)
     assert not unused, f"module-level imports nobody uses: {unused}"
 
 
@@ -163,8 +170,8 @@ ENTRY_POINT_DEFAULTS = {"cli.main(argv)"}
 def _defaulted_parameters():
     """(module, function, parameter, position) of every defaulted parameter
     of a public module-level function; keyword-only ones have no position."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _lab_modules():
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name.startswith("_"):
@@ -173,10 +180,10 @@ def _defaulted_parameters():
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
             for position in range(first, len(positional)):
-                yield path.stem, node.name, positional[position].arg, position
+                yield module, node.name, positional[position].arg, position
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield path.stem, node.name, arg.arg, None
+                    yield module, node.name, arg.arg, None
 
 
 def _called_name(node: ast.AST):
@@ -188,12 +195,11 @@ def _called_name(node: ast.AST):
 
 
 def _lab_calls():
-    """(called name, keywords, positional count) of every call in the
-    package, and of each console-script target, which is called without
-    arguments.  The demos, the tests and the benchmark harness do not count;
+    """(called name, keywords, positional count) of every call in the lab,
+    and of each console-script target, which is called without arguments;
     calls match by the called name."""
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _lab_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 keywords = {keyword.arg for keyword in node.keywords}
                 yield _called_name(node), keywords, len(node.args)
@@ -252,9 +258,9 @@ def _scoped_nodes(node: ast.AST, scope: tuple[str, ...] = ()):
 def _sites(found) -> set[tuple[str, str]]:
     """(module, dotted scope) of every package node for which ``found`` holds."""
     return {
-        (path.stem, ".".join(scope))
-        for path in PACKAGE.glob("*.py")
-        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        (module, ".".join(scope))
+        for module, tree in _lab_modules()
+        for scope, node in _scoped_nodes(tree)
         if found(node)
     }
 
@@ -373,6 +379,16 @@ def test_only_complex_synthesis_pads_a_signal_to_all_bins():
     assert sites == {("wiener", "CircleSignal.values")}, sites
 
 
+def test_disk_raises_nothing_to_a_power():
+    """The disk certificates read every circle moment off one running power
+    built by repeated multiplication, so ``disk`` takes no ``**``."""
+    sites = _sites(
+        lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Pow)
+    )
+    assert not {site for site in sites if site[0] == "disk"}, sites
+
+
 def test_scenarios_decompose_each_operator_once():
     """``pure-state`` reads the stacked singular values of its blocks, and
     ``um-net`` takes the one full decomposition per draw that
@@ -393,8 +409,8 @@ def _public_members():
     """(module, class, member) of every public field, property and method of
     a public top-level class: annotated class-body names (dataclass fields)
     and functions defined in the class body."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _lab_modules():
+        for node in tree.body:
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
             for item in node.body:
@@ -405,19 +421,18 @@ def _public_members():
                 else:
                     continue
                 if not name.startswith("_"):
-                    yield path.stem, node.name, name
+                    yield module, node.name, name
 
 
 def _read_attributes() -> set[str]:
-    """Attribute names the lab and its users read, in the package and the
-    demos: loaded ``x.name``, ``getattr(x, "name")`` and every field of a
-    class named in a ``fields(Class)`` call, which reads them all by name.
-    Tests and the benchmark harness do not count, as for the names test."""
+    """Attribute names the lab reads: loaded ``x.name``, ``getattr(x,
+    "name")`` and every field of a class named in a ``fields(Class)`` call,
+    which reads them all by name."""
     found = set()
     fields_of: dict[str, set[str]] = {}
     whole = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _lab_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 found.add(node.attr)
             elif isinstance(node, ast.ClassDef):
@@ -443,6 +458,7 @@ AWAITING_READER = {
     "core.TraceEntry.left": "item 9",
     "core.TraceEntry.right": "item 9",
     "core.ApproxInvCertificate.left_trace": "item 9",
+    "core.ApproxInvCertificate.right_trace": "item 9",
     "core.ApproxInvCertificate.reason": "item 9",
     "core.ApproxInvCertificate.sup_member_norm": "item 9",
 }
@@ -487,9 +503,9 @@ DATACLASSES = {
 
 def test_dataclass_records_are_pinned():
     found = {
-        f"{path.stem}.{node.name}"
-        for path in PACKAGE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{module}.{node.name}"
+        for module, tree in _lab_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
         and any(_called_name(d) == "dataclass" for d in node.decorator_list)
     }
